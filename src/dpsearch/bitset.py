@@ -34,10 +34,6 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def to_set(mask: int) -> frozenset[int]:
-    return frozenset(members(mask))
-
-
 def contains(mask: int, item: int) -> bool:
     return item >= 0 and (mask >> item) & 1 == 1
 

@@ -8,12 +8,25 @@ Four expression families exist, mirroring the value families of states:
   exact :class:`fractions.Fraction` intermediates under division),
 * conditions produce booleans.
 
+The trees are the intermediate representation: the s-expression and YAML
+layers read and write them, ``validate`` inspects them, and models hold
+them, but nothing walks them to evaluate.  Evaluation is compiled once
+per model (:mod:`dpsearch.compiler`) into closures over dense tables,
+which the model caches on the first query that needs them; the cache is
+built without a lock, and two threads that race on it only compile
+twice.  The ``eval_*`` functions below compile the tree they are given
+on each call, for callers outside a model.
+
 Evaluation is strict, pure, and reentrant: a node evaluated twice on
 the same state yields the same value and never mutates its inputs, and
 expressions and tables are immutable after construction, so they can be
 shared and read from any number of threads.  Integer arithmetic is
 exact with an explicit 64-bit overflow check; silently wrapping values
-would corrupt optimality proofs downstream.
+would corrupt optimality proofs downstream.  Every fault (an unknown
+table or variable slot, a bad index or missing key, a table value of the
+wrong kind for its context, a negative element, overflow, NaN, division
+by zero, an element outside a set's universe) raises when the faulty
+node is evaluated, never earlier.
 """
 
 from __future__ import annotations
@@ -62,7 +75,7 @@ def collapse(value: Number) -> Number:
 # Tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Table:
     """A named constant table indexed by tuples of object indices.
 
@@ -148,11 +161,10 @@ class TableRegistry:
 class ElementExpression:
     """Base class; evaluates to a nonnegative integer."""
 
-    def eval(self, state: State, tables: TableRegistry) -> int:
-        raise NotImplementedError
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementConst(ElementExpression):
     value: int
 
@@ -160,38 +172,20 @@ class ElementConst(ElementExpression):
         if self.value < 0:
             raise ValueError("element constants must be nonnegative")
 
-    def eval(self, state, tables):
-        return self.value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementVar(ElementExpression):
     index: int
     name: str
 
-    def eval(self, state, tables):
-        try:
-            return state[self.index]
-        except IndexError:
-            raise UnknownSymbolError(f"no variable slot {self.index} ({self.name})") from None
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementTable(ElementExpression):
     table: str
     args: tuple[ElementExpression, ...]
 
-    def eval(self, state, tables):
-        entry = tables.lookup(self.table)
-        value = entry.lookup(tuple(arg.eval(state, tables) for arg in self.args))
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise EvaluationError(
-                f"table {self.table!r} produced {value!r} in element context"
-            )
-        return value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementBinary(ElementExpression):
     op: str
     lhs: ElementExpression
@@ -201,38 +195,12 @@ class ElementBinary(ElementExpression):
         if self.op not in ("+", "-", "*", "/", "%"):
             raise ValueError(f"unknown element operator {self.op!r}")
 
-    def eval(self, state, tables):
-        left = self.lhs.eval(state, tables)
-        right = self.rhs.eval(state, tables)
-        op = self.op
-        if op == "+":
-            value = left + right
-        elif op == "-":
-            value = left - right
-        elif op == "*":
-            value = left * right
-        elif op == "/":
-            if right == 0:
-                raise ZeroDivisionError("element division by zero")
-            value = left // right
-        else:
-            if right == 0:
-                raise ZeroDivisionError("element modulo by zero")
-            value = left % right
-        if value < 0:
-            raise EvaluationError(f"negative element value {value} from {op}")
-        return _check_int(value)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementIf(ElementExpression):
     condition: "Condition"
     then: ElementExpression
     otherwise: ElementExpression
-
-    def eval(self, state, tables):
-        branch = self.then if self.condition.eval(state, tables) else self.otherwise
-        return branch.eval(state, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +210,11 @@ class ElementIf(ElementExpression):
 class SetExpression:
     """Base class; evaluates to a bitmask within a fixed universe."""
 
+    __slots__ = ()
     universe: int
 
-    def eval(self, state: State, tables: TableRegistry) -> int:
-        raise NotImplementedError
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetConst(SetExpression):
     mask: int
     universe: int
@@ -257,38 +223,22 @@ class SetConst(SetExpression):
         if self.mask & ~bitset.full(self.universe):
             raise ValueError("set constant exceeds its universe")
 
-    def eval(self, state, tables):
-        return self.mask
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetVar(SetExpression):
     index: int
     name: str
     universe: int
 
-    def eval(self, state, tables):
-        try:
-            return state[self.index]
-        except IndexError:
-            raise UnknownSymbolError(f"no variable slot {self.index} ({self.name})") from None
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetTable(SetExpression):
     table: str
     args: tuple[ElementExpression, ...]
     universe: int
 
-    def eval(self, state, tables):
-        entry = tables.lookup(self.table)
-        value = entry.lookup(tuple(arg.eval(state, tables) for arg in self.args))
-        if not isinstance(value, int):
-            raise EvaluationError(f"table {self.table!r} produced {value!r} in set context")
-        return value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetAdd(SetExpression):
     element: ElementExpression
     operand: SetExpression
@@ -297,16 +247,8 @@ class SetAdd(SetExpression):
     def universe(self):
         return self.operand.universe
 
-    def eval(self, state, tables):
-        item = self.element.eval(state, tables)
-        if item >= self.operand.universe:
-            raise EvaluationError(
-                f"cannot add element {item} to a set over {self.operand.universe} objects"
-            )
-        return self.operand.eval(state, tables) | (1 << item)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetRemove(SetExpression):
     element: ElementExpression
     operand: SetExpression
@@ -315,12 +257,8 @@ class SetRemove(SetExpression):
     def universe(self):
         return self.operand.universe
 
-    def eval(self, state, tables):
-        item = self.element.eval(state, tables)
-        return self.operand.eval(state, tables) & ~(1 << item)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetUnion(SetExpression):
     lhs: SetExpression
     rhs: SetExpression
@@ -329,11 +267,8 @@ class SetUnion(SetExpression):
     def universe(self):
         return self.lhs.universe
 
-    def eval(self, state, tables):
-        return self.lhs.eval(state, tables) | self.rhs.eval(state, tables)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetIntersection(SetExpression):
     lhs: SetExpression
     rhs: SetExpression
@@ -342,11 +277,8 @@ class SetIntersection(SetExpression):
     def universe(self):
         return self.lhs.universe
 
-    def eval(self, state, tables):
-        return self.lhs.eval(state, tables) & self.rhs.eval(state, tables)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetDifference(SetExpression):
     lhs: SetExpression
     rhs: SetExpression
@@ -355,20 +287,14 @@ class SetDifference(SetExpression):
     def universe(self):
         return self.lhs.universe
 
-    def eval(self, state, tables):
-        return self.lhs.eval(state, tables) & ~self.rhs.eval(state, tables)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetComplement(SetExpression):
     operand: SetExpression
 
     @property
     def universe(self):
         return self.operand.universe
-
-    def eval(self, state, tables):
-        return bitset.full(self.operand.universe) & ~self.operand.eval(state, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +304,10 @@ class SetComplement(SetExpression):
 class NumericExpression:
     """Base class; evaluates to an int, float, or exact Fraction."""
 
-    def eval(self, state: State, tables: TableRegistry) -> Number:
-        raise NotImplementedError
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericConst(NumericExpression):
     value: Number
 
@@ -390,48 +315,27 @@ class NumericConst(NumericExpression):
         if isinstance(self.value, float) and math.isnan(self.value):
             raise ValueError("NaN constants are rejected")
 
-    def eval(self, state, tables):
-        return self.value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericVar(NumericExpression):
     index: int
     name: str
 
-    def eval(self, state, tables):
-        try:
-            return state[self.index]
-        except IndexError:
-            raise UnknownSymbolError(f"no variable slot {self.index} ({self.name})") from None
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FromElement(NumericExpression):
     """Promotion of an element expression into numeric context."""
 
     operand: ElementExpression
 
-    def eval(self, state, tables):
-        return self.operand.eval(state, tables)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericTable(NumericExpression):
     table: str
     args: tuple[ElementExpression, ...]
 
-    def eval(self, state, tables):
-        entry = tables.lookup(self.table)
-        value = entry.lookup(tuple(arg.eval(state, tables) for arg in self.args))
-        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-            raise EvaluationError(
-                f"table {self.table!r} produced {value!r} in numeric context"
-            )
-        return value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericBinary(NumericExpression):
     op: str
     lhs: NumericExpression
@@ -441,68 +345,35 @@ class NumericBinary(NumericExpression):
         if self.op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown numeric operator {self.op!r}")
 
-    def eval(self, state, tables):
-        left = self.lhs.eval(state, tables)
-        right = self.rhs.eval(state, tables)
-        op = self.op
-        if op == "/":
-            if right == 0:
-                raise ZeroDivisionError("numeric division by zero")
-            if isinstance(left, float) or isinstance(right, float):
-                return _check_number(left / right)
-            return Fraction(left) / Fraction(right)
-        if op == "+":
-            value = left + right
-        elif op == "-":
-            value = left - right
-        else:
-            value = left * right
-        return _check_number(value)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericMin(NumericExpression):
     lhs: NumericExpression
     rhs: NumericExpression
 
-    def eval(self, state, tables):
-        return min(self.lhs.eval(state, tables), self.rhs.eval(state, tables))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericMax(NumericExpression):
     lhs: NumericExpression
     rhs: NumericExpression
 
-    def eval(self, state, tables):
-        return max(self.lhs.eval(state, tables), self.rhs.eval(state, tables))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericAbs(NumericExpression):
     operand: NumericExpression
 
-    def eval(self, state, tables):
-        return _check_number(abs(self.operand.eval(state, tables)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericFloor(NumericExpression):
     operand: NumericExpression
 
-    def eval(self, state, tables):
-        return _check_int(math.floor(self.operand.eval(state, tables)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericCeil(NumericExpression):
     operand: NumericExpression
 
-    def eval(self, state, tables):
-        return _check_int(math.ceil(self.operand.eval(state, tables)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetReduce(NumericExpression):
     """Fold a one-dimensional table slice over the members of a set.
 
@@ -521,45 +392,20 @@ class SetReduce(NumericExpression):
         if self.op not in ("sum", "product", "max", "min"):
             raise ValueError(f"unknown reduction {self.op!r}")
 
-    def eval(self, state, tables):
-        entry = tables.lookup(self.table)
-        head = tuple(arg.eval(state, tables) for arg in self.prefix)
-        mask = self.over.eval(state, tables)
-        items = [entry.lookup(head + (j,)) for j in bitset.members(mask)]
-        for value in items:
-            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-                raise EvaluationError(
-                    f"table {self.table!r} produced {value!r} in numeric reduction"
-                )
-        if self.op == "sum":
-            return _check_number(sum(items))
-        if self.op == "product":
-            return _check_number(math.prod(items))
-        if not items:
-            raise EvaluationError(f"{self.op} reduction over an empty set")
-        return max(items) if self.op == "max" else min(items)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cardinality(NumericExpression):
     operand: SetExpression
 
-    def eval(self, state, tables):
-        return bitset.size(self.operand.eval(state, tables))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericIf(NumericExpression):
     condition: "Condition"
     then: NumericExpression
     otherwise: NumericExpression
 
-    def eval(self, state, tables):
-        branch = self.then if self.condition.eval(state, tables) else self.otherwise
-        return branch.eval(state, tables)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuccessorCost(NumericExpression):
     """Placeholder for the successor cost inside raw cost texts.
 
@@ -567,9 +413,6 @@ class SuccessorCost(NumericExpression):
     while a cost expression of the shape ``w (+|max) cost`` is split into
     the weight ``w`` and the combining operator.
     """
-
-    def eval(self, state, tables):
-        raise EvaluationError("successor-cost placeholder cannot be evaluated")
 
 
 # ---------------------------------------------------------------------------
@@ -579,114 +422,83 @@ class SuccessorCost(NumericExpression):
 class Condition:
     """Base class; evaluates to exactly one boolean on any well-typed state."""
 
-    def eval(self, state: State, tables: TableRegistry) -> bool:
-        raise NotImplementedError
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolConst(Condition):
     value: bool
 
-    def eval(self, state, tables):
-        return self.value
+
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison(Condition):
     op: str
     lhs: NumericExpression
     rhs: NumericExpression
 
     def __post_init__(self):
-        if self.op not in _COMPARATORS:
+        if self.op not in COMPARISONS:
             raise ValueError(f"unknown comparison {self.op!r}")
 
-    def eval(self, state, tables):
-        return _COMPARATORS[self.op](self.lhs.eval(state, tables), self.rhs.eval(state, tables))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetMember(Condition):
     element: ElementExpression
     operand: SetExpression
 
-    def eval(self, state, tables):
-        return bitset.contains(self.operand.eval(state, tables), self.element.eval(state, tables))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetSubset(Condition):
     lhs: SetExpression
     rhs: SetExpression
 
-    def eval(self, state, tables):
-        left = self.lhs.eval(state, tables)
-        return left & self.rhs.eval(state, tables) == left
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetIsEmpty(Condition):
     operand: SetExpression
 
-    def eval(self, state, tables):
-        return self.operand.eval(state, tables) == 0
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanTable(Condition):
     table: str
     args: tuple[ElementExpression, ...]
 
-    def eval(self, state, tables):
-        entry = tables.lookup(self.table)
-        value = entry.lookup(tuple(arg.eval(state, tables) for arg in self.args))
-        if not isinstance(value, bool):
-            raise EvaluationError(
-                f"table {self.table!r} produced {value!r} in boolean context"
-            )
-        return value
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Condition):
     operand: Condition
 
-    def eval(self, state, tables):
-        return not self.operand.eval(state, tables)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Condition):
     operands: tuple[Condition, ...]
 
-    def eval(self, state, tables):
-        return all(c.eval(state, tables) for c in self.operands)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Condition):
     operands: tuple[Condition, ...]
-
-    def eval(self, state, tables):
-        return any(c.eval(state, tables) for c in self.operands)
 
 
 # ---------------------------------------------------------------------------
 # Public evaluation entry points
 
 
+def _evaluate(expr, state: State, tables: TableRegistry):
+    from .compiler import Compiler
+
+    try:
+        return Compiler(tables).fn(expr)(state)
+    except IndexError:
+        raise UnknownSymbolError(
+            f"state {state!r} has no slot for a variable the expression reads"
+        ) from None
+
+
 def eval_element(expr: ElementExpression, state: State, tables: TableRegistry) -> int:
-    value = expr.eval(state, tables)
+    value = _evaluate(expr, state, tables)
     if not isinstance(value, int) or value < 0:
         raise EvaluationError(f"element expression produced {value!r}")
     return value
@@ -694,16 +506,16 @@ def eval_element(expr: ElementExpression, state: State, tables: TableRegistry) -
 
 def eval_set(expr: SetExpression, state: State, tables: TableRegistry) -> int:
     """Evaluate to a bitmask; guaranteed to stay within the universe."""
-    return expr.eval(state, tables) & bitset.full(expr.universe)
+    return _evaluate(expr, state, tables) & bitset.full(expr.universe)
 
 
 def eval_numeric(expr: NumericExpression, state: State, tables: TableRegistry) -> Number:
     """Evaluate; integral rationals collapse to exact ints."""
-    return collapse(expr.eval(state, tables))
+    return collapse(_evaluate(expr, state, tables))
 
 
 def eval_condition(expr: Condition, state: State, tables: TableRegistry) -> bool:
-    return bool(expr.eval(state, tables))
+    return bool(_evaluate(expr, state, tables))
 
 
 def walk(expr):

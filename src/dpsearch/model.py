@@ -9,6 +9,13 @@ States are plain tuples holding one value per declared variable in
 declaration order: element and integer values as ``int``, continuous
 values as ``float``, sets as bitmasks.  Everything here is immutable
 after construction and safe to share across threads.
+
+A model answers the solvers' queries (state constraints, applicable
+transitions, successors, weights, base costs, dual bounds) with closures
+that :mod:`dpsearch.compiler` builds from its expression trees on first
+use.  An arithmetic fault in a query (division by zero, 64-bit overflow)
+surfaces as :class:`EvaluationError` naming the constraint, transition,
+base case or dual bound where it arose.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import bitset
+from . import bitset, compiler
 from . import expressions as ex
 from .errors import EvaluationError, ModelError, UnknownSymbolError
 
@@ -189,10 +196,6 @@ def dominance_compare(meta: StateMetadata, a: State, b: State) -> Dominance:
     return Dominance.EQUAL
 
 
-def weakly_dominates(meta: StateMetadata, a: State, b: State) -> bool:
-    return dominance_compare(meta, a, b) in (Dominance.FIRST, Dominance.EQUAL)
-
-
 # ---------------------------------------------------------------------------
 # Cost structure
 
@@ -284,39 +287,13 @@ class Transition:
         )
 
     def is_applicable(self, state: State, tables: ex.TableRegistry) -> bool:
-        return all(pre.eval(state, tables) for pre in self.preconditions)
-
-    def apply(
-        self,
-        state: State,
-        tables: ex.TableRegistry,
-        metadata: Optional["StateMetadata"] = None,
-    ) -> State:
-        """Evaluate all effects on the pre-state.  With metadata, each
-        produced value is checked against its variable's kind, so an
-        expression slip (say, a fractional value for an integer
-        variable) fails loudly instead of corrupting the state."""
-        values = list(state)
-        for index, expr in self.effects:
-            value = expr.eval(state, tables)
-            if metadata is not None:
-                kind = metadata.variables[index].kind
-                if kind == INTEGER:
-                    value = ex.collapse(value)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        raise EvaluationError(
-                            f"effect of {self.name!r} produced {value!r} for the "
-                            f"integer variable {metadata.variables[index].name!r}"
-                        )
-                elif kind == CONTINUOUS:
-                    value = float(value)
-                    if not math.isfinite(value):
-                        raise EvaluationError(
-                            f"effect of {self.name!r} produced {value!r} for the "
-                            f"continuous variable {metadata.variables[index].name!r}"
-                        )
-            values[index] = value
-        return tuple(values)
+        """Whether every precondition holds.  The preconditions compile on
+        each call; a model's own queries compile them once."""
+        guard = compiler.Compiler(tables).conjunction(self.preconditions)
+        try:
+            return guard(state)
+        except _FAULTS as err:
+            raise _fault(err, f"precondition of {self.name!r}") from err
 
 
 @dataclass(frozen=True)
@@ -324,8 +301,16 @@ class BaseCase:
     conditions: tuple[ex.Condition, ...]
     cost: ex.NumericExpression
 
-    def holds(self, state: State, tables: ex.TableRegistry) -> bool:
-        return all(c.eval(state, tables) for c in self.conditions)
+
+# Faults of the arithmetic and of reads past the end of a short state,
+# which the queries report as evaluation errors naming where they arose.
+_FAULTS = (ZeroDivisionError, OverflowError, IndexError)
+
+
+def _fault(err: Exception, where: str) -> EvaluationError:
+    if isinstance(err, IndexError):
+        return UnknownSymbolError(f"{where} reads a variable slot the state lacks")
+    return EvaluationError(f"{where}: {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +342,8 @@ class Model:
         self.dual_bounds = tuple(dual_bounds)
         self.costs = costs
         self.acyclic = acyclic
+        # the class of the values the cost conversion returns unchanged
+        self._cost_class = int if costs.cost_type == INTEGER else float
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -373,45 +360,117 @@ class Model:
             and self.acyclic == other.acyclic
         )
 
+    # -- compiled queries ----------------------------------------------
+    #
+    # The closures of the queries (compiler.py) are compiled in two
+    # groups, each on the first query that needs it, and cached on the
+    # model: a model only written and read back compiles nothing, and one
+    # only replayed never compiles its constraints and bounds.
+
+    _guards = compiler.cached(compiler.transition_queries)
+    _successors = compiler.cached(compiler.transition_queries)
+    _weights = compiler.cached(compiler.transition_queries)
+    _base_checks = compiler.cached(compiler.transition_queries)
+    _constraint_checks = compiler.cached(compiler.state_queries)
+    _bound_checks = compiler.cached(compiler.state_queries)
+
+    def __getstate__(self):
+        """Pickle the declarations only; closures cannot be pickled, and
+        the compiled queries rebuild on first use."""
+        compiled = [k for k, v in vars(Model).items() if isinstance(v, compiler.cached)]
+        return {k: v for k, v in self.__dict__.items() if k not in compiled}
+
     # -- state queries ------------------------------------------------
 
     def check_constraints(self, state: State) -> bool:
-        return all(c.eval(state, self.tables) for c in self.constraints)
+        checks = self._constraint_checks
+        check = None
+        try:
+            for check in checks:
+                if not check(state):
+                    return False
+        except _FAULTS as err:
+            raise _fault(err, f"state constraint {checks.index(check)}") from err
+        return True
 
     def base_cost(self, state: State) -> Optional[Number]:
         """Best base cost over satisfied base cases, or None if none holds."""
-        values = [
-            self._cost_value(case.cost.eval(state, self.tables))
-            for case in self.base_cases
-            if case.holds(state, self.tables)
-        ]
+        cases = self._base_checks
+        case = None
+        values = []
+        try:
+            for case in cases:
+                if case[0](state):
+                    value = case[1](state)
+                    values.append(
+                        value if value.__class__ is self._cost_class else self._cost_value(value)
+                    )
+        except _FAULTS as err:
+            raise _fault(err, f"base case {cases.index(case)}") from err
         if not values:
             return None
-        return self.costs.reduce(values)
+        return values[0] if len(values) == 1 else self.costs.reduce(values)
 
     def is_base(self, state: State) -> bool:
-        return any(case.holds(state, self.tables) for case in self.base_cases)
+        cases = self._base_checks
+        case = None
+        try:
+            for case in cases:
+                if case[0](state):
+                    return True
+        except _FAULTS as err:
+            raise _fault(err, f"base case {cases.index(case)}") from err
+        return False
 
     def applicable_transitions(self, state: State) -> list[Transition]:
         """Transitions to expand: the first applicable forced one alone,
         otherwise every applicable non-forced one in declaration order."""
         regular = []
-        for transition in self.transitions:
-            if transition.is_applicable(state, self.tables):
-                if transition.forced:
-                    return [transition]
-                regular.append(transition)
+        transition = None
+        try:
+            for transition, guard in self._guards:
+                if guard(state):
+                    if transition.forced:
+                        return [transition]
+                    regular.append(transition)
+        except _FAULTS as err:
+            raise _fault(err, f"precondition of {transition.name!r}") from err
         return regular
 
     def all_applicable_transitions(self, state: State) -> list[Transition]:
         """Every applicable transition, ignoring forced flags."""
-        return [t for t in self.transitions if t.is_applicable(state, self.tables)]
+        applicable = []
+        transition = None
+        try:
+            for transition, guard in self._guards:
+                if guard(state):
+                    applicable.append(transition)
+        except _FAULTS as err:
+            raise _fault(err, f"precondition of {transition.name!r}") from err
+        return applicable
 
     def successor(self, transition: Transition, state: State) -> State:
-        return transition.apply(state, self.tables, self.metadata)
+        """The state after ``transition``; every effect is evaluated on
+        ``state`` and checked against the kind of its variable."""
+        effects = self._successors.get(id(transition))
+        if effects is None:  # a transition from elsewhere: compiled, not cached
+            effects = compiler.Compiler(self.tables).successor(
+                transition, self.metadata.variables
+            )
+        try:
+            return effects(state)
+        except _FAULTS as err:
+            raise _fault(err, f"effect of {transition.name!r}") from err
 
     def weight(self, transition: Transition, state: State) -> Number:
-        return self._cost_value(transition.weight.eval(state, self.tables))
+        weight = self._weights.get(id(transition))
+        if weight is None:  # a transition from elsewhere: compiled, not cached
+            weight = compiler.Compiler(self.tables).fn(transition.weight)
+        try:
+            value = weight(state)
+        except _FAULTS as err:
+            raise _fault(err, f"weight of {transition.name!r}") from err
+        return value if value.__class__ is self._cost_class else self._cost_value(value)
 
     def eval_dual_bound(self, state: State) -> Optional[Number]:
         """Tightest declared bound: max for minimization, min for maximization.
@@ -419,9 +478,21 @@ class Model:
         Absent when the model declares no dual bounds; solvers then guide
         by the path weight alone and do not prune.
         """
-        if not self.dual_bounds:
+        bounds = self._bound_checks
+        if not bounds:
             return None
-        values = [self._bound_value(b.eval(state, self.tables)) for b in self.dual_bounds]
+        bound = None
+        values = []
+        try:
+            for bound in bounds:
+                value = bound(state)
+                values.append(
+                    value if value.__class__ is self._cost_class else self._bound_value(value)
+                )
+        except _FAULTS as err:
+            raise _fault(err, f"dual bound {bounds.index(bound)}") from err
+        if len(values) == 1:
+            return values[0]
         return max(values) if self.costs.minimize else min(values)
 
     def _cost_value(self, value) -> Number:

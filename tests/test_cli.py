@@ -66,6 +66,31 @@ class TestSolve:
         assert code == 1
         assert "wobble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cost, fault",
+        [
+            ('"(+ (/ (c i j) 0) cost)"', "division by zero"),
+            ('"(+ (* (c i j) 9223372036854775807) cost)"', "64-bit range"),
+        ],
+    )
+    def test_arithmetic_fault_exits_with_message(
+        self, tmp_path, config_path, capsys, cost, fault
+    ):
+        domain = tmp_path / "domain.yaml"
+        text = (FIXTURES / "tsptw_domain.yaml").read_text()
+        domain.write_text(text.replace('"(+ (c i j) cost)"', cost))
+        code = run_cli(
+            "solve",
+            "--domain", str(domain),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: weight of 'visit")
+        assert fault in err
+        assert "Traceback" not in err
+
     def test_time_limit_zero_reports_bound(self, tmp_path, config_path, capsys):
         code = run_cli(
             "solve",

@@ -1,9 +1,12 @@
 """Expression evaluation: values, errors, and the purity contracts."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from dpsearch import bitset
-from dpsearch import EvaluationError, UnknownSymbolError
+from dpsearch import EvaluationError, Model, Transition, UnknownSymbolError, caasdy
 from dpsearch.expressions import (
     And,
     BoolConst,
@@ -15,11 +18,13 @@ from dpsearch.expressions import (
     ElementIf,
     ElementTable,
     ElementVar,
+    FromElement,
     NumericBinary,
     NumericCeil,
     NumericConst,
     NumericFloor,
     NumericMax,
+    NumericTable,
     NumericVar,
     Not,
     Or,
@@ -33,8 +38,10 @@ from dpsearch.expressions import (
     SetReduce,
     SetRemove,
     SetSubset,
+    SetTable,
     SetUnion,
     SetVar,
+    SuccessorCost,
     Table,
     TableRegistry,
     eval_condition,
@@ -77,6 +84,10 @@ class TestElement:
     def test_table_read(self):
         expr = ElementTable("c", (ElementConst(1), ElementConst(2)))
         assert eval_element(expr, TARGET, TABLES) == 1
+
+    def test_table_read_with_two_state_indices(self):
+        expr = ElementTable("c", (LOC, ElementBinary("+", LOC, ElementConst(2))))
+        assert eval_element(expr, TARGET, TABLES) == 3
 
     def test_division_truncates(self):
         expr = ElementBinary("/", ElementConst(7), ElementConst(2))
@@ -235,6 +246,127 @@ def test_purity_and_substitution_consistency():
         eval_element(ElementTable("c", (ElementConst(1), ElementConst(2))), state, TABLES)
         == direct
     )
+
+
+# Tables whose values fail a context check, or leave a key out.
+FAULTY = TableRegistry(
+    list(TABLES)
+    + [
+        Table("sparse", "integer", (3,), {(0,): 1}),
+        Table("neg", "integer", (2,), {(0,): -1, (1,): 2}),
+        Table("half", "continuous", (2,), {(0,): 0.5, (1,): 1.5}),
+        Table("nan", "continuous", (1,), {(0,): math.nan}),
+        Table("big", "integer", (3,), {(j,): 2**62 for j in range(3)}),
+    ]
+)
+ZERO, ONE, TWO = ElementConst(0), ElementConst(1), ElementConst(2)
+STRAY = (bitset.from_items([1, 2], 3), 5, 0)  # location 5 is past every table
+NEGATIVE = (bitset.from_items([1, 2], 3), -1, 0)  # not a well-typed state
+
+# (evaluator, expression, state, exception): every check of the expression
+# semantics, each raising through the compiled path.
+ERROR_CASES = {
+    "unknown table": (eval_element, ElementTable("nope", (ZERO,)), TARGET, UnknownSymbolError),
+    "unknown table in reduction": (eval_numeric, SetReduce("sum", "nope", U), TARGET,
+                                   UnknownSymbolError),
+    "unknown variable slot": (eval_element, ElementVar(7, "ghost"), TARGET, UnknownSymbolError),
+    "table arity": (eval_element, ElementTable("c", (ZERO,)), TARGET, EvaluationError),
+    "constant index range": (eval_element, ElementTable("cin", (ElementConst(9),)), TARGET,
+                             EvaluationError),
+    "state index range": (eval_numeric, NumericTable("cin", (LOC,)), STRAY, EvaluationError),
+    "negative state index": (eval_numeric, NumericTable("cin", (LOC,)), NEGATIVE,
+                             EvaluationError),
+    "two-index range": (eval_numeric, NumericTable("c", (LOC, ONE)), STRAY, EvaluationError),
+    "two free indices": (eval_numeric, NumericTable("c", (LOC, LOC)), STRAY, EvaluationError),
+    "reduction index range": (eval_numeric, SetReduce("sum", "cin", SetConst(0b1000, 4)),
+                              TARGET, EvaluationError),
+    "missing key": (eval_numeric, NumericTable("sparse", (ONE,)), TARGET, EvaluationError),
+    "missing key from state": (eval_numeric, NumericTable("sparse", (LOC,)),
+                               (0, 2, 0), EvaluationError),
+    "missing key in reduction": (eval_numeric, SetReduce("sum", "sparse", U), TARGET,
+                                 EvaluationError),
+    "negative value in element context": (eval_element, ElementTable("neg", (ZERO,)), TARGET,
+                                          EvaluationError),
+    "float in element context": (eval_element, ElementTable("half", (LOC,)), TARGET,
+                                 EvaluationError),
+    "float in set context": (eval_set, SetTable("half", (ZERO,), 3), TARGET, EvaluationError),
+    "bool in numeric context": (eval_numeric, NumericTable("flag", (LOC,)), TARGET,
+                                EvaluationError),
+    "int in boolean context": (eval_condition, BooleanTable("cin", (LOC,)), TARGET,
+                               EvaluationError),
+    "bool in numeric reduction": (eval_numeric, SetReduce("sum", "flag", U), TARGET,
+                                  EvaluationError),
+    "negative element": (eval_element, ElementBinary("-", LOC, ONE), TARGET, EvaluationError),
+    "element overflow": (eval_element, ElementBinary("*", ElementConst(2**62), ElementTable(
+        "cin", (ZERO,))), TARGET, OverflowError),
+    "numeric overflow": (eval_numeric, NumericBinary("+", TIME, NumericConst(2**63 - 1)),
+                         (0, 0, 1), OverflowError),
+    "reduction overflow": (eval_numeric, SetReduce("sum", "big", U), TARGET, OverflowError),
+    "NaN": (eval_numeric, NumericBinary("+", TIME, NumericTable("nan", (ZERO,))), TARGET,
+            EvaluationError),
+    "NaN from arithmetic": (eval_numeric, NumericBinary(
+        "*", NumericConst(math.inf), NumericConst(0.0)), TARGET, EvaluationError),
+    "element division by zero": (eval_element, ElementBinary("/", ONE, LOC), TARGET,
+                                 ZeroDivisionError),
+    "element modulo by zero": (eval_element, ElementBinary("%", ONE, ZERO), TARGET,
+                               ZeroDivisionError),
+    "numeric division by zero": (eval_numeric, NumericBinary("/", NumericConst(1), TIME),
+                                 TARGET, ZeroDivisionError),
+    "set universe": (eval_set, SetAdd(LOC, U), STRAY, EvaluationError),
+    "empty min": (eval_numeric, SetReduce("min", "cin", SetRemove(ONE, SetRemove(TWO, U))),
+                  TARGET, EvaluationError),
+    "successor-cost placeholder": (eval_numeric, SuccessorCost(), TARGET, EvaluationError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_each_check_raises(case):
+    evaluate, expr, state, error = ERROR_CASES[case]
+    with pytest.raises(error):
+        evaluate(expr, state, FAULTY)
+
+
+def test_faults_in_unevaluated_branches_stay_silent():
+    fault = Comparison("<", NumericBinary("/", NumericConst(1), NumericConst(0)), TIME)
+    assert eval_condition(Or((BoolConst(True), fault)), TARGET, FAULTY) is True
+    assert eval_condition(And((SetIsEmpty(U), fault)), TARGET, FAULTY) is False
+    unknown = ElementTable("nope", (ZERO,))
+    assert eval_element(ElementIf(SetMember(ONE, U), ONE, unknown), TARGET, FAULTY) == 1
+
+
+def test_evaluation_keeps_value_types():
+    third = NumericBinary("/", FromElement(ONE), NumericConst(3))
+    assert eval_numeric(third, TARGET, TABLES) == Fraction(1, 3)
+    assert eval_numeric(NumericBinary("*", third, NumericConst(3)), TARGET, TABLES) == 1
+    assert type(eval_numeric(NumericBinary("*", third, NumericConst(3)), TARGET, TABLES)) is int
+    half = NumericBinary("/", NumericConst(1.0), NumericConst(2))
+    assert eval_numeric(half, TARGET, TABLES) == 0.5
+
+
+def test_unused_transition_with_unknown_table(desk_tsptw_model):
+    base = desk_tsptw_model
+    # never applicable, so no solver evaluates its effect or weight
+    ghost = Transition(
+        "ghost",
+        (BoolConst(False),),
+        ((1, ElementTable("nope", (ZERO,))),),
+        NumericTable("nope", ()),
+    )
+    model = Model(
+        base.metadata,
+        base.tables,
+        base.target,
+        base.transitions + (ghost,),
+        base.base_cases,
+        base.constraints,
+        base.dual_bounds,
+        base.costs,
+    )
+    assert caasdy(model).cost == 6
+    with pytest.raises(UnknownSymbolError):
+        model.successor(ghost, model.target)
+    with pytest.raises(UnknownSymbolError):
+        model.weight(ghost, model.target)
 
 
 def test_duplicate_table_names_rejected():

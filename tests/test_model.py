@@ -2,6 +2,7 @@
 cost combination, dual bounds, and the validator."""
 
 import math
+import pickle
 
 import pytest
 
@@ -9,21 +10,27 @@ from dpsearch import (
     BaseCase,
     CostStructure,
     Dominance,
+    EvaluationError,
     Model,
     ModelError,
     StateMetadata,
     Transition,
+    UnknownSymbolError,
     Variable,
     bitset,
+    caasdy,
     combine,
     dominance_compare,
     validate,
 )
 from dpsearch.expressions import (
     BoolConst,
+    Comparison,
     ElementConst,
+    NumericBinary,
     NumericConst,
     NumericTable,
+    NumericVar,
     SuccessorCost,
     TableRegistry,
 )
@@ -150,6 +157,94 @@ class TestSuccessor:
             [BaseCase((BoolConst(False),), NumericConst(0))],
         )
         assert model.successor(t, (7,)) == (7,)
+
+
+    @pytest.mark.parametrize(
+        "kind, effect, produced",
+        [
+            ("integer", NumericBinary("/", NumericVar(0, "x"), NumericConst(2)), "Fraction"),
+            ("continuous", NumericBinary("*", NumericVar(0, "x"), NumericConst(1e308)), "inf"),
+        ],
+    )
+    def test_effect_value_must_fit_its_variable(self, kind, effect, produced):
+        meta = StateMetadata({}, [Variable("x", kind)])
+        t = Transition("grow", (), ((0, effect),), NumericConst(0))
+        base = BaseCase((BoolConst(False),), NumericConst(0))
+        model = Model(meta, TableRegistry(), (3,), [t], [base])
+        with pytest.raises(EvaluationError, match=f"effect of 'grow' produced {produced}"):
+            model.successor(t, (3,))
+
+
+def _faulty_model(zero_at: str) -> Model:
+    """One integer variable ``x`` with a division by ``x`` in the part
+    named by ``zero_at``; every other part is harmless."""
+    meta = StateMetadata({}, [Variable("x", "integer")])
+    x = NumericVar(0, "x")
+    ratio = NumericBinary("/", NumericConst(6), x)
+    safe = NumericConst(1)
+
+    def part(name):
+        return ratio if name == zero_at else safe
+
+    return Model(
+        meta,
+        TableRegistry(),
+        (0,),
+        [
+            Transition(
+                "step",
+                (Comparison("<=", part("precondition"), NumericConst(9)),),
+                ((0, NumericBinary("+", x, part("effect"))),),
+                part("weight"),
+            )
+        ],
+        [BaseCase((Comparison(">=", part("base case"), NumericConst(9)),), NumericConst(0))],
+        constraints=[BoolConst(True), Comparison(">", part("constraint"), NumericConst(0))],
+        dual_bounds=[NumericConst(0), part("bound")],
+    )
+
+
+@pytest.mark.parametrize(
+    "zero_at, query, where",
+    [
+        ("constraint", lambda m: m.check_constraints((0,)), "state constraint 1"),
+        ("bound", lambda m: m.eval_dual_bound((0,)), "dual bound 1"),
+        ("base case", lambda m: m.base_cost((0,)), "base case 0"),
+        ("base case", lambda m: m.is_base((0,)), "base case 0"),
+        ("precondition", lambda m: m.applicable_transitions((0,)), "precondition of 'step'"),
+        ("precondition", lambda m: m.all_applicable_transitions((0,)), "precondition of 'step'"),
+        ("effect", lambda m: m.successor(m.transitions[0], (0,)), "effect of 'step'"),
+        ("weight", lambda m: m.weight(m.transitions[0], (0,)), "weight of 'step'"),
+    ],
+)
+def test_arithmetic_faults_name_where_they_arose(zero_at, query, where):
+    with pytest.raises(EvaluationError, match=f"^{where}: numeric division by zero"):
+        query(_faulty_model(zero_at))
+
+
+def test_overflow_is_an_evaluation_error():
+    meta = StateMetadata({}, [Variable("x", "integer")])
+    model = Model(
+        meta,
+        TableRegistry(),
+        (2**62,),
+        [],
+        [BaseCase((BoolConst(True),), NumericBinary("*", NumericVar(0, "x"), NumericConst(4)))],
+    )
+    with pytest.raises(EvaluationError, match="^base case 0: .*64-bit range"):
+        model.base_cost(model.target)
+
+
+def test_short_state_is_an_unknown_symbol(desk_tsptw_model):
+    with pytest.raises(UnknownSymbolError):
+        desk_tsptw_model.check_constraints((0b110, 0))
+
+
+def test_pickled_model_recompiles(desk_tsptw_model):
+    solved = caasdy(desk_tsptw_model)
+    copy = pickle.loads(pickle.dumps(desk_tsptw_model))
+    assert copy == desk_tsptw_model
+    assert caasdy(copy).transitions == solved.transitions
 
 
 class TestCombine:

@@ -151,10 +151,11 @@ def test_solvers_match_oracle_on_random_instances(name, solver):
 
 
 def test_timeout_with_incumbent_reports_feasible():
-    # large enough that the proof cannot finish within the limit, while
-    # depth-first search finds some tour almost immediately
+    # large enough that the proof cannot finish within the limit (it takes
+    # far longer than 2 s), while depth-first search finds some tour almost
+    # immediately
     rng = random.Random(17)
-    n = 14
+    n = 20
     travel = tuple(
         tuple(0 if i == j else rng.randint(1, 50) for j in range(n)) for i in range(n)
     )
@@ -162,8 +163,6 @@ def test_timeout_with_incumbent_reports_feasible():
 
     model = build_tsptw(TsptwInstance(travel, (0,) * n, (10**6,) * n))
     solution = dp.dfbnb(model, dp.SolverParams(time_limit=0.15))
-    if solution.status == dp.Status.OPTIMAL:
-        pytest.skip("machine solved the instance within the limit")
     assert solution.status == dp.Status.FEASIBLE
     assert solution.transitions is not None and len(solution.transitions) == n - 1
     assert solution.bound is not None
