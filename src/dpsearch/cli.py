@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics, yamlio
@@ -49,7 +50,7 @@ def run_solve(args) -> int:
     else:
         config = yamlio.SolverConfig("cabs", yamlio.SolverParams())
     if args.time_limit is not None:
-        config.params.time_limit = args.time_limit
+        config.params = replace(config.params, time_limit=args.time_limit)
 
     model = yamlio.load_model(domain_text, problem_text)
     diagnostics = validate(model, solver=config.solver)

@@ -27,20 +27,6 @@ class ProblemClass:
     random: Callable[[object], object]
 
 
-def parse_instance(problem_class: str, text: str):
-    """Parse raw instance text for the named problem class."""
-    if problem_class not in CLASSES:
-        raise ValueError(f"unknown problem class {problem_class!r}")
-    return CLASSES[problem_class].parse(text)
-
-
-def build_model(problem_class: str, instance):
-    """Build the model of the named problem class from an instance."""
-    if problem_class not in CLASSES:
-        raise ValueError(f"unknown problem class {problem_class!r}")
-    return CLASSES[problem_class].build(instance)
-
-
 CLASSES = {
     "tsptw": ProblemClass("tsptw", parse_tsptw, build_tsptw, rnd.random_tsptw),
     "cvrp": ProblemClass("cvrp", parse_cvrp, build_cvrp, rnd.random_cvrp),
@@ -62,8 +48,6 @@ CLASSES = {
 __all__ = [
     "CLASSES",
     "ProblemClass",
-    "parse_instance",
-    "build_model",
     "TsptwInstance",
     "CvrpInstance",
     "MpdtspInstance",

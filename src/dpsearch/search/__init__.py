@@ -21,7 +21,10 @@ from .open_lists import (
     PackList,
 )
 
-SOLVER_NAMES = ("caasdy", "dfbnb", "cbfs", "acps", "apps", "dbdfs", "cabs")
+SOLVERS = {
+    solver.__name__: solver for solver in (caasdy, dfbnb, cbfs, acps, apps, dbdfs, cabs)
+}
+SOLVER_NAMES = tuple(SOLVERS)  # the names accepted in solver configs
 
 __all__ = [
     "Solution",
@@ -44,4 +47,5 @@ __all__ = [
     "PackList",
     "DiscrepancyList",
     "SOLVER_NAMES",
+    "SOLVERS",
 ]

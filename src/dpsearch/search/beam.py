@@ -1,11 +1,14 @@
 """Beam search over state layers, and its width-doubling complete wrapper.
 
-Beam search expands the whole current layer, keeps the best ``width``
-successors (ordered by f, then h, then most recent), and repeats.
-Duplicate and dominance detection only spans the next layer, which is
-why the model must be acyclic.  The ``complete`` flag reports whether
-the run could have missed a better solution: any truncation clears it,
-as does terminating on a solution while deeper layers were nonempty.
+Beam search expands the whole current layer with the engine's kernel
+(``Run.expand``), keeps the best ``width`` successors (ordered by f,
+then h, then most recent), and repeats.  Duplicate and dominance
+detection only spans the next layer, which is why the model must be
+acyclic.  The ``complete`` flag reports whether the run could have
+missed a better solution: any truncation clears it, as does terminating
+on a solution while deeper layers were nonempty.  The dual bound is the
+best f among the frontier, the states cut by the width so far, and the
+primal bound.
 
 The wrapper reruns beam search with the width doubling each iteration,
 carrying the primal bound forward, until a run comes back complete.
@@ -15,10 +18,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..model import Model, combine
-from .engine import _Run
-from .nodes import StateRegistry, make_node
-from .solution import DualCallback, PrimalCallback, SolverParams
+from ..model import Model
+from .engine import Run
+
+# The kernel builds nodes through ``engine.make_node``; the name stays
+# importable here because perfbench/tracing.py patches it on this module.
+from .nodes import StateRegistry, make_node  # noqa: F401
+from .solution import DualCallback, PrimalCallback, Solution, SolverParams
 
 
 def beam_search(
@@ -28,138 +34,62 @@ def beam_search(
     params: Optional[SolverParams] = None,
     on_primal: Optional[PrimalCallback] = None,
     on_dual: Optional[DualCallback] = None,
-    _run: Optional[_Run] = None,
+    run: Optional[Run] = None,
 ) -> tuple[Solution, bool]:
-    """One beam-search pass; returns the run outcome and the complete flag."""
+    """One beam-search pass; returns the run outcome and the complete flag.
+
+    A ``run`` passed in is shared with the caller, which then owns the
+    outcome: the pass reports it unproved whatever the flag says.
+    """
     if width < 1:
         raise ValueError("beam width must be at least 1")
-    params = params or SolverParams()
-    costs = model.costs
-    if _run is not None:
-        run = _run
-    else:
-        run = _Run(model, params, on_primal, on_dual)
-        run.primal = primal_bound if primal_bound is not None else params.initial_bound
+    shared = run is not None
+    if run is None:
+        run = Run(model, params or SolverParams(), on_primal, on_dual)
+        if primal_bound is not None:
+            run.primal = primal_bound
 
-    if not model.check_constraints(model.target):
+    root = run.root()
+    if root is None:
         return run.finish(natural=True), True
 
+    costs = model.costs
+    solutions = len(run.primal_events)
     complete = True
-    found = False
-    counter = 0
     dropped_best = None  # best f among states cut by the width, across layers
-
-    h0 = model.eval_dual_bound(model.target)
-    root = make_node(
-        costs,
-        model.target,
-        g=costs.identity,
-        h=h0 if h0 is not None else costs.identity,
-        f=combine(costs, costs.identity, h0) if h0 is not None else costs.identity,
-        depth=0,
-        counter=counter,
-    )
-    run.generated += 1
     frontier = [root]
-    out_of_time = False
+    while True:
+        if run.has_bound:
+            candidates = [b for b in (run.primal, dropped_best) if b is not None]
+            if frontier:
+                candidates.append(frontier[0].f)
+            if candidates:
+                run.record_dual(costs.reduce(candidates))
+        if not frontier or len(run.primal_events) > solutions:
+            break
 
-    if run.has_bound:
-        candidates = [root.f]
-        if run.primal is not None:
-            candidates.append(run.primal)
-        run.record_dual(costs.reduce(candidates))
-
-    while frontier and not found and not out_of_time:
-        next_layer = StateRegistry(model.metadata, costs)
+        registry = StateRegistry(model.metadata, costs)
         children = []
         for node in frontier:
             if run.out_of_time():
-                complete = False
-                out_of_time = True
-                break
-            run.expanded += 1
-            state = node.state
-
-            base = model.base_cost(state)
-            if base is not None:
-                cost = combine(costs, node.g, base)
-                if costs.better(cost, run.cutoff):
-                    run.record_solution(cost, node.path())
-                    found = True
-                continue
-
-            for transition in model.applicable_transitions(state):
-                successor = model.successor(transition, state)
-                if not model.check_constraints(successor):
-                    continue
-                g = combine(costs, node.g, model.weight(transition, state))
-                if next_layer.blocked(successor, g):
-                    continue
-                if run.has_bound:
-                    h = model.eval_dual_bound(successor)
-                    f = combine(costs, g, h)
-                    if not costs.better(f, run.cutoff):
-                        continue
-                else:
-                    h = costs.identity
-                    f = g
-                counter += 1
-                child = make_node(
-                    costs,
-                    successor,
-                    g,
-                    h,
-                    f,
-                    node.depth + 1,
-                    counter,
-                    node,
-                    transition.name,
-                )
-                next_layer.insert(child)
-                children.append(child)
-                run.generated += 1
+                return run.finish(natural=False), False
+            children += run.expand(node, registry) or ()  # None on a base state
 
         frontier = [
             c
             for c in children
-            if not c.dead
-            and (not run.has_bound or costs.better(c.f, run.cutoff))
+            if not c.dead and (not run.has_bound or costs.better(c.f, run.cutoff))
         ]
         frontier.sort(key=lambda n: n.order)
-
-        if run.has_bound:
-            candidates = []
-            if run.primal is not None:
-                candidates.append(run.primal)
-            if frontier:
-                candidates.append(frontier[0].f)
-            if dropped_best is not None:
-                candidates.append(dropped_best)
-            if candidates:
-                run.record_dual(costs.reduce(candidates))
-
         if len(frontier) > width:
-            cut = frontier[width]
-            dropped_best = (
-                cut.f
-                if dropped_best is None or costs.better(cut.f, dropped_best)
-                else dropped_best
-            )
+            cut = frontier[width].f
+            if dropped_best is None or costs.better(cut, dropped_best):
+                dropped_best = cut
             frontier = frontier[:width]
             complete = False
 
-    if complete and frontier and not out_of_time:
-        complete = False  # a better solution may exist past the found one
-
-    if out_of_time:
-        return run.finish(natural=False), False
-    if _run is not None:
-        return run.finish(natural=False), complete
-    if complete:
-        if run.incumbent is not None:
-            run.close_gap()
-        return run.finish(natural=True), True
-    return run.finish(natural=False), False
+    complete = complete and not frontier  # a better solution may lie past the found one
+    return run.finish(natural=complete and not shared), complete
 
 
 def cabs(
@@ -175,13 +105,11 @@ def cabs(
     infeasibility when no solution was ever found).
     """
     params = params or SolverParams()
-    run = _Run(model, params, on_primal, on_dual)
+    run = Run(model, params, on_primal, on_dual)
     width = params.beam_initial_width
     while True:
-        _, complete = beam_search(model, width, params=params, _run=run)
+        _, complete = beam_search(model, width, params=params, run=run)
         if complete:
-            if run.incumbent is not None:
-                run.close_gap()
             return run.finish(natural=True)
         if run.out_of_time():
             return run.finish(natural=False)

@@ -1,13 +1,20 @@
-"""Generic anytime best-first branch-and-bound over a model.
+"""The expansion kernel every solver shares, and generic anytime
+best-first branch-and-bound over it.
 
-One engine drives every non-beam solver; the open-list policy is the
-only difference between them.  The engine pops a frontier node, treats
-base states as candidate solutions (updating the primal bound and
-pruning the open list), and otherwise expands the node: successors are
-filtered by state constraints, checked against the dominance registry,
-cut off when their f-value cannot beat the primal bound, and inserted.
+A ``Run`` holds one solver invocation's bookkeeping (primal and dual
+incumbents, event logs, counters, the wall clock) and the kernel:
+``root`` builds the target node, and ``expand`` turns a node into its
+successors.  A base state is a candidate solution, recorded when it
+improves the primal bound.  Any other state's successors are filtered
+by state constraints, checked against the dominance registry, cut off
+when their f-value cannot beat the primal bound, and inserted into the
+registry.  Beam search (``beam.py``) drives the same kernel layer by
+layer.
 
-On natural exhaustion the returned status is proved: OPTIMAL when a
+``generic_search`` drives it for every non-beam solver; the open-list
+policy is the only difference between them.  A popped node is closed,
+so the dual bound is the best f-value among the nodes still open.  On
+natural exhaustion the returned status is proved: OPTIMAL when a
 solution was found, INFEASIBLE otherwise (meaning "no solution better
 than the initial primal bound" when one was supplied).  A time limit
 yields the best solution found so far plus the best dual bound seen.
@@ -22,6 +29,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
+from ..errors import EvaluationError
 from ..model import Model, combine
 from .nodes import BoundTracker, SearchNode, StateRegistry, make_node
 from .open_lists import (
@@ -35,9 +43,12 @@ from .open_lists import (
 from .solution import DualCallback, PrimalCallback, Solution, SolverParams, Status
 
 
-class _Run:
-    """Shared bookkeeping for one solver invocation: primal/dual incumbents,
-    event logs, and the wall clock."""
+class Run:
+    """One solver invocation: its bookkeeping and the expansion kernel.
+
+    ``generated`` doubles as the node counter behind the most-recently-
+    generated tie-break, so it keeps counting across beam passes.
+    """
 
     def __init__(
         self,
@@ -45,13 +56,12 @@ class _Run:
         params: SolverParams,
         on_primal: Optional[PrimalCallback],
         on_dual: Optional[DualCallback],
-        start_time: Optional[float] = None,
     ):
         self.model = model
         self.params = params
         self.on_primal = on_primal
         self.on_dual = on_dual
-        self.start = time.monotonic() if start_time is None else start_time
+        self.start = time.monotonic()
         self.costs = model.costs
         self.has_bound = bool(model.dual_bounds)
         self.primal = params.initial_bound
@@ -96,15 +106,10 @@ class _Run:
             if self.on_dual is not None:
                 self.on_dual(stamp, bound)
 
-    def close_gap(self) -> None:
-        """On a proved optimum the dual bound meets the primal bound."""
-        if self.primal is not None:
-            self.record_dual(self.primal)
-
     def finish(self, natural: bool) -> Solution:
         if natural:
             if self.incumbent is not None:
-                self.close_gap()
+                self.record_dual(self.primal)  # a proved optimum closes the gap
                 status = Status.OPTIMAL
             else:
                 status = Status.INFEASIBLE
@@ -123,6 +128,77 @@ class _Run:
             first_solution_cost=self.first_solution_cost,
         )
 
+    # -- the expansion kernel
+
+    def root(self) -> Optional[SearchNode]:
+        """The target node, counted as generated; None when the target
+        violates a state constraint."""
+        model, costs = self.model, self.costs
+        if not model.check_constraints(model.target):
+            return None
+        h = model.eval_dual_bound(model.target)
+        if h is None:
+            h = f = costs.identity
+        else:
+            f = combine(costs, costs.identity, h)
+        node = make_node(costs, model.target, costs.identity, h, f, 0, self.generated)
+        self.generated += 1
+        return node
+
+    def expand(self, node: SearchNode, registry: StateRegistry) -> Optional[list[SearchNode]]:
+        """Expand ``node``.  A base state records an improving solution
+        and returns None; any other state returns its successors that
+        pass the state constraints, dominance and the primal bound, each
+        already inserted into ``registry``."""
+        self.expanded += 1
+        model, costs = self.model, self.costs
+        state = node.state
+        base = model.base_cost(state)
+        if base is not None:
+            try:
+                cost = combine(costs, node.g, base)
+            except OverflowError as err:
+                raise EvaluationError(f"path cost at a base case: {err}") from err
+            if costs.better(cost, self.cutoff):
+                self.record_solution(cost, node.path())
+            return None
+
+        # Locals for the successor loop, its hottest code.  The cutoff
+        # stays fixed: only a base state changes it.
+        successor_of, check = model.successor, model.check_constraints
+        weight, dual_bound = model.weight, model.eval_dual_bound
+        blocked, insert = registry.blocked, registry.insert
+        better, add, new_node = costs.better, combine, make_node
+        has_bound, cutoff, identity = self.has_bound, self.cutoff, costs.identity
+        g0, depth, generated = node.g, node.depth + 1, self.generated
+        children = []
+        try:
+            for transition in model.applicable_transitions(state):
+                successor = successor_of(transition, state)
+                if not check(successor):
+                    continue
+                g = add(costs, g0, weight(transition, state))
+                if blocked(successor, g):
+                    continue
+                if has_bound:
+                    h = dual_bound(successor)
+                    f = add(costs, g, h)
+                    if not better(f, cutoff):
+                        continue
+                else:
+                    h = identity
+                    f = g
+                child = new_node(
+                    costs, successor, g, h, f, depth, generated, node, transition.name
+                )
+                generated += 1
+                insert(child)
+                children.append(child)
+        except OverflowError as err:  # from combine: model queries report their own
+            raise EvaluationError(f"path cost through {transition.name!r}: {err}") from err
+        self.generated = generated
+        return children
+
 
 def generic_search(
     model: Model,
@@ -134,10 +210,11 @@ def generic_search(
     """Run the engine with the open list built by ``policy_factory``,
     which receives the liveness predicate shared with the engine."""
     params = params or SolverParams()
-    run = _Run(model, params, on_primal, on_dual)
+    run = Run(model, params, on_primal, on_dual)
     costs = model.costs
 
-    if not model.check_constraints(model.target):
+    root = run.root()
+    if root is None:
         return run.finish(natural=True)
 
     def is_live(node: SearchNode) -> bool:
@@ -151,73 +228,33 @@ def generic_search(
     policy = policy_factory(is_live)
     registry = StateRegistry(model.metadata, costs)
     tracker = BoundTracker(costs) if run.has_bound else None
-    counter = 0
 
-    h0 = model.eval_dual_bound(model.target)
-    root = make_node(
-        costs,
-        model.target,
-        g=costs.identity,
-        h=h0 if h0 is not None else costs.identity,
-        f=combine(costs, costs.identity, h0) if h0 is not None else costs.identity,
-        depth=0,
-        counter=counter,
-    )
     registry.insert(root)
     policy.push(root)
     policy.end_expansion()
     if tracker is not None:
         tracker.push(root)
-    run.generated += 1
 
-    natural = False
     while True:
         if tracker is not None:
             run.record_dual(tracker.probe(run.cutoff))
         if run.out_of_time():
-            break
+            return run.finish(natural=False)
         node = policy.pop()
         if node is None:
-            natural = True
-            break
-        run.expanded += 1
-        state = node.state
-
-        base = model.base_cost(state)
-        if base is not None:
-            cost = combine(costs, node.g, base)
-            if costs.better(cost, run.cutoff):
-                run.record_solution(cost, node.path())
+            return run.finish(natural=True)
+        node.dead = True  # closed: its f no longer bounds what is open
+        primal = run.primal
+        children = run.expand(node, registry)
+        if children is None:
+            if run.primal != primal:
                 policy.notify_new_best()
             continue
-
-        for transition in model.applicable_transitions(state):
-            successor = model.successor(transition, state)
-            if not model.check_constraints(successor):
-                continue
-            g = combine(costs, node.g, model.weight(transition, state))
-            if registry.blocked(successor, g):
-                continue
-            if run.has_bound:
-                h = model.eval_dual_bound(successor)
-                f = combine(costs, g, h)
-                if not costs.better(f, run.cutoff):
-                    continue
-            else:
-                h = costs.identity
-                f = g
-            counter += 1
-            child = make_node(
-                costs, successor, g, h, f, node.depth + 1, counter, node, transition.name
-            )
-            registry.insert(child)
+        for child in children:
             policy.push(child)
             if tracker is not None:
                 tracker.push(child)
-            run.generated += 1
         policy.end_expansion()
-
-    return run.finish(natural)
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +309,10 @@ def solve(
     model, solver: str, params=None, on_primal=None, on_dual=None
 ) -> Solution:
     """Dispatch by solver name (the names accepted in solver configs)."""
-    from .beam import cabs
+    from . import SOLVERS
 
-    solvers = {
-        "caasdy": caasdy,
-        "dfbnb": dfbnb,
-        "cbfs": cbfs,
-        "acps": acps,
-        "apps": apps,
-        "dbdfs": dbdfs,
-        "cabs": cabs,
-    }
     try:
-        chosen = solvers[solver]
+        chosen = SOLVERS[solver]
     except KeyError:
         raise ValueError(f"unknown solver {solver!r}") from None
     return chosen(model, params, on_primal=on_primal, on_dual=on_dual)

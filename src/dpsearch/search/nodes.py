@@ -127,21 +127,20 @@ class BoundTracker:
     """
 
     def __init__(self, costs: CostStructure):
-        self._costs = costs
+        self._sign = 1 if costs.minimize else -1  # heap keys: smaller is better
         self._heap: list[tuple] = []
 
     def push(self, node: SearchNode) -> None:
-        f = node.f if self._costs.minimize else -node.f
-        heapq.heappush(self._heap, (f, node.counter, node))
+        heapq.heappush(self._heap, (self._sign * node.f, node.counter, node))
 
     def probe(self, primal: Number) -> Optional[Number]:
         """Best f among live entries strictly better than ``primal``."""
-        better = self._costs.better
-        while self._heap:
-            _, _, node = self._heap[0]
-            if node.dead or not better(node.f, primal):
+        heap, limit = self._heap, self._sign * primal
+        while heap:
+            key, _, node = heap[0]
+            if node.dead or not key < limit:
                 node.dead = True
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
             return node.f
         return None

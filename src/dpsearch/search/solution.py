@@ -74,18 +74,20 @@ class SolverParams:
     apps_budget_step: int = 1
     apps_max_budget: float = math.inf
     dbdfs_k: int = 1
-    tie_break: str = "f-h-lifo"
 
     def __post_init__(self):
-        for name in (
-            "beam_initial_width",
-            "beam_growth",
-            "acps_initial_budget",
-            "acps_budget_step",
-            "apps_initial_budget",
-            "dbdfs_k",
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be at least 0")
+        for name, least in (
+            ("beam_initial_width", 1),
+            ("beam_growth", 2),  # a width that never grows reruns one beam forever
+            ("acps_initial_budget", 1),
+            ("acps_budget_step", 1),
+            ("apps_initial_budget", 1),
+            ("dbdfs_k", 1),
         ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.tie_break != "f-h-lifo":
-            raise ValueError("only the deterministic 'f-h-lifo' tie-break is implemented")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}")
+        if not isinstance(self.apps_max_budget, (int, float)) or not self.apps_max_budget >= 1:
+            raise ValueError("apps_max_budget must be a number of at least 1")

@@ -46,7 +46,7 @@ from .model import (
     Transition,
     Variable,
 )
-from .search.solution import Solution, SolverParams
+from .search import SOLVER_NAMES, Solution, SolverParams
 
 Number = Union[int, float]
 
@@ -745,14 +745,12 @@ _CONFIG_KEYS = (
     "dbdfs_k",
 )
 
-_SOLVER_NAMES = ("caasdy", "dfbnb", "cbfs", "acps", "apps", "dbdfs", "cabs")
-
 
 def parse_solver_config(text: str) -> SolverConfig:
     data = _load(text)
     _reject_unknown(data, _CONFIG_KEYS, "solver config")
     solver = _require(data, "solver", "solver config")
-    if solver not in _SOLVER_NAMES:
+    if solver not in SOLVER_NAMES:
         raise DocumentError(f"unknown solver {solver!r}")
     kwargs = {}
     for key in _CONFIG_KEYS[1:]:

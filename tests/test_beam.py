@@ -12,6 +12,7 @@ from dpsearch.problems import (
     build_salbp1,
     build_tsptw,
 )
+from dpsearch.search.engine import Run
 from conftest import count_reachable_states
 
 
@@ -101,3 +102,28 @@ def test_cabs_aggregates_events_across_iterations():
 def test_width_must_be_positive(desk_tsptw_model):
     with pytest.raises(ValueError):
         dp.beam_search(desk_tsptw_model, width=0)
+
+
+class _Countdown(Run):
+    """A run whose time runs out after ``checks`` clock checks."""
+
+    def __init__(self, model, checks):
+        super().__init__(model, dp.SolverParams(), None, None)
+        self.checks = checks
+
+    def out_of_time(self):
+        self.checks -= 1
+        return self.checks < 0
+
+
+def test_timeout_inside_a_layer_keeps_the_dual_bound_valid():
+    # the unexpanded rest of the layer may hold the optimum, so a layer
+    # cut short by the clock must not lift the dual bound past it
+    cls = CLASSES["tsptw"]
+    for seed in (10, 17):
+        model = cls.build(cls.random(random.Random(seed)))
+        optimum = dp.bellman_oracle(model).cost
+        for checks in range(1, 40):
+            run = _Countdown(model, checks)
+            solution, _ = dp.beam_search(model, width=1000, run=run)
+            assert solution.bound is None or solution.bound <= optimum

@@ -91,6 +91,43 @@ class TestSolve:
         assert fault in err
         assert "Traceback" not in err
 
+    def test_path_cost_overflow_exits_with_message(self, tmp_path, config_path, capsys):
+        domain = tmp_path / "domain.yaml"
+        domain.write_text(
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "state_variables:\n"
+            "  - {name: x, type: integer}\n"
+            "transitions:\n"
+            "  - {name: step, effect: {x: '(+ x 1)'}, cost: '(+ 4611686018427387904 cost)'}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(>= x 2)'], cost: '0'}\n"
+        )
+        problem = tmp_path / "problem.yaml"
+        problem.write_text("object_numbers: {}\ntarget: {x: 0}\n")
+        code = run_cli(
+            "solve",
+            "--domain", str(domain),
+            "--problem", str(problem),
+            "--config", config_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: path cost through 'step'")
+        assert "64-bit range" in err
+        assert "Traceback" not in err
+
+    def test_negative_time_limit_exits_with_message(self, config_path, capsys):
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+            "--time-limit", "-1",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: time_limit must be at least 0\n"
+
     def test_time_limit_zero_reports_bound(self, tmp_path, config_path, capsys):
         code = run_cli(
             "solve",

@@ -199,3 +199,49 @@ def test_anytime_improvement_sequence():
         assert len(set(costs)) == len(costs)  # strict improvements
         saw_improvements = saw_improvements or len(costs) > 1
     assert saw_improvements
+
+
+def test_dual_bound_tightens_while_nodes_are_expanded():
+    # an expanded node is closed, so the dual bound follows the best f
+    # still open instead of staying at the root's until the final proof
+    cls = CLASSES["tsptw"]
+    saw_interior = False
+    for seed in range(30):
+        model = cls.build(cls.random(random.Random(seed)))
+        solution = dp.caasdy(model)
+        if solution.status != dp.Status.OPTIMAL:
+            continue
+        bounds = [b for _, b in solution.dual_events]
+        assert bounds == sorted(bounds)
+        assert max(bounds) == solution.cost  # no event exceeds the optimum
+        saw_interior = saw_interior or any(bounds[0] < b < solution.cost for b in bounds)
+    assert saw_interior
+
+
+def _overflow_model(step_weight, base_cost):
+    """Two steps of ``step_weight`` to a base case of ``base_cost``."""
+    from dpsearch import BaseCase, Model, StateMetadata, TableRegistry, Transition, Variable
+    from dpsearch.expressions import Comparison, NumericBinary, NumericConst, NumericVar
+
+    x = NumericVar(0, "x")
+    meta = StateMetadata({}, [Variable("x", "integer")])
+    step = Transition(
+        "step",
+        preconditions=(),
+        effects=((0, NumericBinary("+", x, NumericConst(1))),),
+        weight=NumericConst(step_weight),
+    )
+    done = BaseCase((Comparison(">=", x, NumericConst(2)),), NumericConst(base_cost))
+    return Model(meta, TableRegistry(), (0,), [step], [done])
+
+
+@pytest.mark.parametrize("solver", ["caasdy", "cabs"])
+@pytest.mark.parametrize(
+    "step_weight, base_cost, where",
+    [(2**62, 0, "path cost through 'step'"), (2**61, 2**62, "path cost at a base case")],
+    ids=["transition", "base-case"],
+)
+def test_path_cost_overflow_is_an_evaluation_error(solver, step_weight, base_cost, where):
+    model = _overflow_model(step_weight, base_cost)
+    with pytest.raises(dp.EvaluationError, match=f"^{where}: .*64-bit range"):
+        dp.solve(model, solver)

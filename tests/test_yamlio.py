@@ -356,6 +356,24 @@ class TestSolverConfig:
         with pytest.raises(DocumentError, match="beamwidth"):
             yamlio.parse_solver_config("{solver: cabs, beamwidth: 5}")
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("beam_growth: 1", "beam_growth must be an integer of at least 2"),
+            ("beam_growth: 2.5", "beam_growth must be an integer of at least 2"),
+            ("beam_initial_width: 0", "beam_initial_width must be an integer of at least 1"),
+            ("apps_max_budget: abc", "apps_max_budget must be a number of at least 1"),
+            ("time_limit: -1", "time_limit must be at least 0"),
+            ("time_limit: .nan", "time_limit must be at least 0"),
+        ],
+    )
+    def test_out_of_range_values_are_rejected(self, entry, message):
+        with pytest.raises(DocumentError, match=message):
+            yamlio.parse_solver_config(f"{{solver: cabs, {entry}}}")
+
+    def test_zero_time_limit_is_accepted(self):
+        assert yamlio.parse_solver_config("{solver: cabs, time_limit: 0}").params.time_limit == 0
+
     def test_policy_constants(self):
         config = yamlio.parse_solver_config(
             "{solver: acps, acps_initial_budget: 2, acps_budget_step: 3}"
