@@ -21,6 +21,7 @@ base case or dual bound where it arose.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,17 +203,18 @@ def dominance_compare(meta: StateMetadata, a: State, b: State) -> Dominance:
 
 @dataclass(frozen=True)
 class CostStructure:
-    """Binary operator, identity, optimization direction, and cost type.
+    """Binary operator, optimization direction, and cost type.
 
-    The identity of ``+`` is 0; the identity of ``max`` is the declared
-    minimum of the cost domain (0 for the nonnegative models here), so
-    that ``combine(value, identity) == value`` holds throughout.
+    The identity is 0 for both operators; for ``max`` that assumes
+    nonnegative costs, which every ``max`` model here has, so that
+    ``combine(value, identity) == value`` holds throughout.
     """
 
     operator: str = "+"
     direction: str = MINIMIZE
     cost_type: str = INTEGER
-    max_identity: Number = 0
+
+    identity = 0  # unannotated: a constant, not a dataclass field
 
     def __post_init__(self):
         if self.operator not in ("+", "max"):
@@ -222,15 +224,11 @@ class CostStructure:
         if self.cost_type not in (INTEGER, CONTINUOUS):
             raise ModelError(f"unknown cost type {self.cost_type!r}")
 
-    @property
-    def identity(self) -> Number:
-        return 0 if self.operator == "+" else self.max_identity
-
-    @property
+    @functools.cached_property
     def minimize(self) -> bool:
         return self.direction == MINIMIZE
 
-    @property
+    @functools.cached_property
     def worst(self) -> float:
         return math.inf if self.minimize else -math.inf
 
@@ -330,7 +328,6 @@ class Model:
         constraints: Sequence[ex.Condition] = (),
         dual_bounds: Sequence[ex.NumericExpression] = (),
         costs: CostStructure = CostStructure(),
-        acyclic: bool = True,
     ):
         metadata.check_state(target)
         self.metadata = metadata
@@ -341,7 +338,6 @@ class Model:
         self.constraints = tuple(constraints)
         self.dual_bounds = tuple(dual_bounds)
         self.costs = costs
-        self.acyclic = acyclic
         # the class of the values the cost conversion returns unchanged
         self._cost_class = int if costs.cost_type == INTEGER else float
 
@@ -357,7 +353,6 @@ class Model:
             and self.constraints == other.constraints
             and self.dual_bounds == other.dual_bounds
             and self.costs == other.costs
-            and self.acyclic == other.acyclic
         )
 
     # -- compiled queries ----------------------------------------------
@@ -597,13 +592,6 @@ def validate(model: Model, solver: Optional[str] = None) -> list[Diagnostic]:
                 "warning",
                 "maximization model: the first solution found by caasdy "
                 "is not guaranteed to be optimal",
-            )
-        )
-    if solver in ("cabs",) and not model.acyclic:
-        diags.append(
-            Diagnostic(
-                "warning",
-                "beam search requires an acyclic model; the model does not declare acyclicity",
             )
         )
     return diags

@@ -184,5 +184,4 @@ def build_binpacking(instance: BinPackingInstance) -> Model:
         base_cases=[BaseCase((c.empty(U),), c.nconst(0))],
         dual_bounds=bound_expressions(meta, U, room, q),
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),
-        acyclic=True,
     )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .. import expressions as ex
 
 
@@ -44,26 +42,14 @@ def vector_table(name: str, vector, kind: str = "integer") -> ex.Table:
     return ex.Table(name, kind, (len(vector),), values)
 
 
-def scalar_table(name: str, value, kind: str = "integer") -> ex.Table:
-    return ex.Table(name, kind, (), {(): value})
-
-
 # Terse constructors; the builders assemble large trees from these.
 
 econst = ex.ElementConst
 nconst = ex.NumericConst
 
 
-def etab(name, *args):
-    return ex.ElementTable(name, tuple(args))
-
-
 def ntab(name, *args):
     return ex.NumericTable(name, tuple(args))
-
-
-def stab(name, universe, *args):
-    return ex.SetTable(name, tuple(args), universe)
 
 
 def num(value) -> ex.NumericExpression:
@@ -101,13 +87,6 @@ def nmax(a, b, *rest):
     return expr
 
 
-def nmin(a, b, *rest):
-    expr = ex.NumericMin(num(a), num(b))
-    for term in rest:
-        expr = ex.NumericMin(expr, num(term))
-    return expr
-
-
 def ceil(a):
     return ex.NumericCeil(num(a))
 
@@ -126,10 +105,6 @@ def ite(cond, a, b):
 
 def sum_over(table, over, *prefix):
     return ex.SetReduce("sum", table, over, tuple(prefix))
-
-
-def max_over(table, over, *prefix):
-    return ex.SetReduce("max", table, over, tuple(prefix))
 
 
 def eq(a, b):
@@ -190,7 +165,3 @@ def sconst(items, universe):
     from .. import bitset
 
     return ex.SetConst(bitset.from_items(items, universe), universe)
-
-
-def frac(a, b) -> Fraction:
-    return Fraction(a, b)

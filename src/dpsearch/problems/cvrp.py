@@ -147,5 +147,4 @@ def build_cvrp(instance: CvrpInstance) -> Model:
             c.add(c.sum_over("cout", U), c.ntab("cout", i)),
         ],
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),
-        acyclic=True,
     )

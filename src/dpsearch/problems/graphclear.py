@@ -113,8 +113,5 @@ def build_graphclear(instance: GraphClearInstance) -> Model:
         transitions=transitions,
         base_cases=[BaseCase((c.subset(everything, swept),), c.nconst(0))],
         dual_bounds=[c.nconst(0)],
-        costs=CostStructure(
-            operator="max", direction="min", cost_type="integer", max_identity=0
-        ),
-        acyclic=True,
+        costs=CostStructure(operator="max", direction="min", cost_type="integer"),
     )

@@ -191,5 +191,4 @@ def build_mdkp(instance: MdkpInstance) -> Model:
         base_cases=[BaseCase((c.eq(c.num(stage), n),), c.nconst(0))],
         dual_bounds=dual_bounds,
         costs=CostStructure(operator="+", direction="max", cost_type="integer"),
-        acyclic=True,
     )

@@ -106,8 +106,5 @@ def build_mosp(instance: MospInstance) -> Model:
         transitions=transitions,
         base_cases=[BaseCase((c.empty(remaining),), c.nconst(0))],
         dual_bounds=[c.nconst(0)],
-        costs=CostStructure(
-            operator="max", direction="min", cost_type="integer", max_identity=0
-        ),
-        acyclic=True,
+        costs=CostStructure(operator="max", direction="min", cost_type="integer"),
     )

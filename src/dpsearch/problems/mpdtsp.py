@@ -183,5 +183,4 @@ def build_mpdtsp(instance: MpdtspInstance, preprocess: bool = False) -> Model:
             c.add(c.sum_over("cout", U), c.ntab("cout", i)),
         ],
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),
-        acyclic=True,
     )

@@ -223,5 +223,4 @@ def build_optw(instance: OptwInstance) -> Model:
         ],
         dual_bounds=dual_bounds,
         costs=CostStructure(operator="+", direction="max", cost_type="integer"),
-        acyclic=True,
     )

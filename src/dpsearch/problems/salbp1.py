@@ -149,5 +149,4 @@ def build_salbp1(instance: Salbp1Instance) -> Model:
         base_cases=[BaseCase((c.empty(U),), c.nconst(0))],
         dual_bounds=bp.bound_expressions(meta, U, room, q),
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),
-        acyclic=True,
     )

@@ -192,5 +192,4 @@ def build_talent(instance: TalentInstance) -> Model:
         base_cases=[BaseCase((c.empty(Q),), c.nconst(0))],
         dual_bounds=[c.sum_over("pay", Q)],
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),
-        acyclic=True,
     )

@@ -113,5 +113,4 @@ def build_wt(instance: WtInstance) -> Model:
         base_cases=[BaseCase((c.subset(everyone, done),), c.nconst(0))],
         dual_bounds=[c.nconst(0)],
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),
-        acyclic=True,
     )

@@ -163,5 +163,4 @@ def build_tsptw(instance: TsptwInstance) -> Model:
             c.add(c.sum_over("cout", U), c.ntab("cout", i)),
         ],
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),
-        acyclic=True,
     )

@@ -32,8 +32,6 @@ def beam_search(
     width: int,
     primal_bound=None,
     params: Optional[SolverParams] = None,
-    on_primal: Optional[PrimalCallback] = None,
-    on_dual: Optional[DualCallback] = None,
     run: Optional[Run] = None,
 ) -> tuple[Solution, bool]:
     """One beam-search pass; returns the run outcome and the complete flag.
@@ -45,7 +43,7 @@ def beam_search(
         raise ValueError("beam width must be at least 1")
     shared = run is not None
     if run is None:
-        run = Run(model, params or SolverParams(), on_primal, on_dual)
+        run = Run(model, params or SolverParams())
         if primal_bound is not None:
             run.primal = primal_bound
 
@@ -75,12 +73,7 @@ def beam_search(
                 return run.finish(natural=False), False
             children += run.expand(node, registry) or ()  # None on a base state
 
-        frontier = [
-            c
-            for c in children
-            if not c.dead and (not run.has_bound or costs.better(c.f, run.cutoff))
-        ]
-        frontier.sort(key=lambda n: n.order)
+        frontier = sorted(filter(run.is_live, children), key=lambda n: n.order)
         if len(frontier) > width:
             cut = frontier[width].f
             if dropped_best is None or costs.better(cut, dropped_best):

@@ -54,8 +54,8 @@ class Run:
         self,
         model: Model,
         params: SolverParams,
-        on_primal: Optional[PrimalCallback],
-        on_dual: Optional[DualCallback],
+        on_primal: Optional[PrimalCallback] = None,
+        on_dual: Optional[DualCallback] = None,
     ):
         self.model = model
         self.params = params
@@ -84,6 +84,17 @@ class Run:
     def cutoff(self):
         """Current primal bound as a pruning threshold."""
         return self.costs.worst if self.primal is None else self.primal
+
+    def is_live(self, node: SearchNode) -> bool:
+        """Whether ``node`` is still worth expanding: neither closed nor
+        evicted, and with an f-value that beats the primal bound when the
+        model has a dual bound.  A node that fails is marked dead."""
+        if node.dead:
+            return False
+        if self.has_bound and not self.costs.better(node.f, self.cutoff):
+            node.dead = True
+            return False
+        return True
 
     def record_solution(self, cost, transitions: list[str]) -> None:
         self.primal = cost
@@ -208,30 +219,20 @@ def generic_search(
     on_dual: Optional[DualCallback] = None,
 ) -> Solution:
     """Run the engine with the open list built by ``policy_factory``,
-    which receives the liveness predicate shared with the engine."""
+    which receives the liveness predicate ``Run.is_live``."""
     params = params or SolverParams()
     run = Run(model, params, on_primal, on_dual)
-    costs = model.costs
 
     root = run.root()
     if root is None:
         return run.finish(natural=True)
 
-    def is_live(node: SearchNode) -> bool:
-        if node.dead:
-            return False
-        if run.has_bound and not costs.better(node.f, run.cutoff):
-            node.dead = True
-            return False
-        return True
-
-    policy = policy_factory(is_live)
-    registry = StateRegistry(model.metadata, costs)
-    tracker = BoundTracker(costs) if run.has_bound else None
+    policy = policy_factory(run.is_live)
+    registry = StateRegistry(model.metadata, model.costs)
+    tracker = BoundTracker(model.costs) if run.has_bound else None
 
     registry.insert(root)
-    policy.push(root)
-    policy.end_expansion()
+    policy.push((root,))
     if tracker is not None:
         tracker.push(root)
 
@@ -250,11 +251,10 @@ def generic_search(
             if run.primal != primal:
                 policy.notify_new_best()
             continue
-        for child in children:
-            policy.push(child)
-            if tracker is not None:
+        policy.push(children)
+        if tracker is not None:
+            for child in children:
                 tracker.push(child)
-        policy.end_expansion()
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,6 @@ class StateRegistry:
         self._key_indices = metadata.non_resource_indices
         self._buckets: dict[tuple, list[SearchNode]] = {}
 
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
-
     def _key(self, state: State) -> tuple:
         return tuple(state[i] for i in self._key_indices)
 

@@ -1,175 +1,93 @@
 """Open-list policies: how the next frontier node is chosen.
 
-Every policy supports ``push`` (per generated successor),
-``end_expansion`` (called once after all successors of one expansion
-were pushed, so sibling-aware policies can order them), ``pop`` (next
-node honoring the selection rule, skipping stale entries), and
-``notify_new_best`` (hook fired on primal improvements).
+A policy has three methods:
+
+- ``push(nodes)`` takes the successors of one expansion at once (the
+  root as ``(root,)``), so a policy can rank siblings against each other;
+- ``pop()`` returns the next node under the policy's selection rule, or
+  None when no live node is left;
+- ``notify_new_best()`` is called after an expansion that improved the
+  primal bound; it does nothing unless the policy restarts on one.
+
+Four classes cover the six strategies: depth-first branch and bound is
+discrepancy-bounded search without a discrepancy limit, and cyclic
+best-first search is layer cycling with a per-layer budget of one that
+never grows.
 
 Stale entries are handled lazily: nodes evicted by dominance or cut off
 by the primal bound stay in the internal containers until they surface,
-at which point the shared liveness predicate discards them.
+at which point the liveness predicate the engine passes in discards them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .nodes import SearchNode
 
 IsLive = Callable[[SearchNode], bool]
 
+_order = attrgetter("order")
 
-class _Heap:
-    """Binary heap over the deterministic node order with lazy deletion."""
+
+class _OpenList:
+    def notify_new_best(self) -> None:
+        """Called after an expansion that improved the primal bound."""
+
+
+class BestFirstList(_OpenList):
+    """Plain best-first selection: the node with the best f-value, from a
+    binary heap over the deterministic node order."""
 
     def __init__(self, is_live: IsLive):
-        self._entries: list[tuple] = []
         self._is_live = is_live
+        self._entries: list[tuple] = []
 
-    def __len__(self):
-        return len(self._entries)
-
-    def push(self, node: SearchNode) -> None:
-        heapq.heappush(self._entries, (node.order, node))
+    def push(self, nodes):
+        entries, heappush = self._entries, heapq.heappush
+        for node in nodes:
+            heappush(entries, (node.order, node))
 
     def pop(self) -> Optional[SearchNode]:
-        while self._entries:
-            _, node = heapq.heappop(self._entries)
+        entries = self._entries
+        while entries:
+            _, node = heapq.heappop(entries)
             if self._is_live(node):
                 return node
         return None
 
-    def has_live(self) -> bool:
-        while self._entries:
-            if self._is_live(self._entries[0][1]):
-                return True
-            heapq.heappop(self._entries)
-        return False
 
-
-class BestFirstList:
-    """Plain best-first selection: the node with the best f-value."""
-
-    def __init__(self, is_live: IsLive):
-        self._heap = _Heap(is_live)
-
-    def push(self, node):
-        self._heap.push(node)
-
-    def end_expansion(self):
-        pass
-
-    def pop(self):
-        return self._heap.pop()
-
-    def notify_new_best(self):
-        pass
-
-
-class DepthStackList:
-    """Depth-first selection; siblings are expanded in f-order.
-
-    The open list is a stack.  Each expansion's successors are pushed
-    worst-first so the best sibling sits on top.
-    """
-
-    def __init__(self, is_live: IsLive):
-        self._is_live = is_live
-        self._stack: list[SearchNode] = []
-        self._pending: list[SearchNode] = []
-
-    def push(self, node):
-        self._pending.append(node)
-
-    def end_expansion(self):
-        self._pending.sort(key=lambda n: n.order, reverse=True)
-        self._stack.extend(self._pending)
-        self._pending.clear()
-
-    def pop(self):
-        while self._stack:
-            node = self._stack.pop()
-            if self._is_live(node):
-                return node
-        return None
-
-    def notify_new_best(self):
-        pass
-
-
-class _LayeredList:
-    """Shared machinery for depth-layered policies (one heap per depth)."""
-
-    def __init__(self, is_live: IsLive):
-        self._is_live = is_live
-        self._layers: list[_Heap] = []
-
-    def push(self, node):
-        while len(self._layers) <= node.depth:
-            self._layers.append(_Heap(self._is_live))
-        self._layers[node.depth].push(node)
-
-    def end_expansion(self):
-        pass
-
-    def _any_live(self, start: int = 0) -> bool:
-        return any(layer.has_live() for layer in self._layers[start:])
-
-
-class CyclicLayerList(_LayeredList):
-    """Cycle through depth layers, taking the best node of each in turn.
-
-    The cursor resets to depth 0 when a new best solution is found or
-    when every layer at or beyond it is exhausted.
-    """
-
-    def __init__(self, is_live: IsLive):
-        super().__init__(is_live)
-        self._cursor = 0
-
-    def pop(self):
-        for _ in range(2):
-            for depth in range(self._cursor, len(self._layers)):
-                node = self._layers[depth].pop()
-                if node is not None:
-                    self._cursor = depth + 1
-                    return node
-            if self._cursor == 0:
-                return None
-            self._cursor = 0
-        return None
-
-    def notify_new_best(self):
-        self._cursor = 0
-
-
-class LayerBudgetList(_LayeredList):
-    """Layer-cycling with a per-layer expansion budget that grows by one
-    whenever the cursor wraps around or a new best solution is found."""
+class LayerBudgetList(_OpenList):
+    """Cycle through depth layers, taking up to ``budget`` best nodes of
+    each in turn.  When the cursor wraps around or a new best solution is
+    found, the cycle restarts at depth 0 and the budget grows by ``step``."""
 
     def __init__(self, is_live: IsLive, budget: int = 1, step: int = 1):
-        super().__init__(is_live)
+        self._is_live = is_live
+        self._layers: list[BestFirstList] = []
         self._cursor = 0
         self._taken = 0
         self._budget = budget
         self._step = step
 
-    def _reset(self):
-        self._cursor = 0
-        self._taken = 0
-        self._budget += self._step
+    def push(self, nodes):
+        layers = self._layers
+        for node in nodes:
+            while len(layers) <= node.depth:
+                layers.append(BestFirstList(self._is_live))
+            layers[node.depth].push((node,))
 
     def pop(self):
         wrapped = False
         while True:
             if self._cursor >= len(self._layers):
-                if wrapped or not self._any_live():
+                if wrapped:
                     return None
                 wrapped = True
-                self._reset()
+                self.notify_new_best()
                 continue
             node = self._layers[self._cursor].pop()
             if node is None:
@@ -188,7 +106,14 @@ class LayerBudgetList(_LayeredList):
         self._budget += self._step
 
 
-class PackList:
+class CyclicLayerList(LayerBudgetList):
+    """Cyclic best-first search: the best node of each depth layer in turn."""
+
+    def __init__(self, is_live: IsLive):
+        super().__init__(is_live, budget=1, step=0)
+
+
+class PackList(_OpenList):
     """Expand a pack of best states; their best successors form the next
     pack and the rest are suspended.  When both run dry, the best states
     are recalled from the suspend list and the pack size grows."""
@@ -202,23 +127,14 @@ class PackList:
     ):
         self._is_live = is_live
         self._pack: list[SearchNode] = []  # reversed order: best last
-        self._staging: list[SearchNode] = []
-        self._suspend = _Heap(is_live)
+        self._staging: list[SearchNode] = []  # successors of the current pack
+        self._suspend = BestFirstList(is_live)
         self._budget = budget
         self._step = step
         self._max_budget = max_budget
 
-    def push(self, node):
-        self._staging.append(node)
-
-    def end_expansion(self):
-        pass
-
-    def _refill_pack(self, nodes: list[SearchNode]) -> None:
-        nodes.sort(key=lambda n: n.order)
-        for leftover in nodes[self._budget :]:
-            self._suspend.push(leftover)
-        self._pack = nodes[: self._budget][::-1]
+    def push(self, nodes):
+        self._staging += nodes
 
     def pop(self):
         while True:
@@ -227,10 +143,10 @@ class PackList:
                 if self._is_live(node):
                     return node
             if self._staging:
-                nodes = [n for n in self._staging if self._is_live(n)]
+                nodes = sorted(filter(self._is_live, self._staging), key=_order)
                 self._staging.clear()
-                if nodes:
-                    self._refill_pack(nodes)
+                self._suspend.push(nodes[self._budget :])
+                self._pack = nodes[: self._budget][::-1]
                 continue
             recalled = []
             while len(recalled) < self._budget:
@@ -245,12 +161,10 @@ class PackList:
             if self._budget < self._max_budget:
                 self._budget += self._step
 
-    def notify_new_best(self):
-        pass
 
-
-class DiscrepancyList:
-    """Depth-first search bounded by path discrepancy.
+class DiscrepancyList(_OpenList):
+    """Depth-first search bounded by path discrepancy; siblings are
+    expanded in f-order.
 
     The best successor of each expansion inherits its parent's
     discrepancy; the others get one more.  Nodes within the current
@@ -258,28 +172,23 @@ class DiscrepancyList:
     deferred list, which becomes the active stack when the window moves.
     """
 
-    def __init__(self, is_live: IsLive, k: int = 1):
+    def __init__(self, is_live: IsLive, k: float = 1):
         self._is_live = is_live
         self._k = k
         self._window = 1  # nodes with discrepancy <= window * k - 1 are active
         self._active: list[SearchNode] = []
         self._deferred: list[SearchNode] = []
-        self._pending: list[SearchNode] = []
 
-    def push(self, node):
-        self._pending.append(node)
-
-    def end_expansion(self):
-        self._pending.sort(key=lambda n: n.order)
-        for rank, node in enumerate(self._pending):
+    def push(self, nodes):
+        ranked = sorted(nodes, key=_order, reverse=True)  # best on top of the stack
+        limit = self._window * self._k - 1
+        for node in ranked:
             parent_d = node.parent.discrepancy if node.parent is not None else 0
-            node.discrepancy = parent_d if rank == 0 else parent_d + 1
-        for node in reversed(self._pending):
-            if node.discrepancy <= self._window * self._k - 1:
+            node.discrepancy = parent_d if node is ranked[-1] else parent_d + 1
+            if node.discrepancy <= limit:
                 self._active.append(node)
             else:
                 self._deferred.append(node)
-        self._pending.clear()
 
     def pop(self):
         while True:
@@ -294,5 +203,10 @@ class DiscrepancyList:
             self._active = live
             self._window += 1
 
-    def notify_new_best(self):
-        pass
+
+class DepthStackList(DiscrepancyList):
+    """Depth-first branch and bound: the deepest node first, siblings in
+    f-order; discrepancy-bounded search without a limit."""
+
+    def __init__(self, is_live: IsLive):
+        super().__init__(is_live, k=math.inf)

@@ -84,6 +84,7 @@ class SolverParams:
             ("acps_initial_budget", 1),
             ("acps_budget_step", 1),
             ("apps_initial_budget", 1),
+            ("apps_budget_step", 1),
             ("dbdfs_k", 1),
         ):
             value = getattr(self, name)

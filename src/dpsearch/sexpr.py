@@ -388,10 +388,6 @@ class _Parser:
             )
 
 
-def parse_element(text: str, ctx: ParseContext) -> ex.ElementExpression:
-    return _Parser(ctx).element(read(text))
-
-
 def parse_set(text: str, ctx: ParseContext) -> ex.SetExpression:
     return _Parser(ctx).set_(read(text))
 

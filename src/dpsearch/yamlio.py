@@ -587,7 +587,6 @@ def instantiate(domain: DomainDocument, problem: ProblemDocument) -> Model:
         constraints=constraints,
         dual_bounds=dual_bounds,
         costs=costs,
-        acyclic=True,
     )
 
 

@@ -61,7 +61,6 @@ def strip_preferences(model: Model) -> Model:
         constraints=model.constraints,
         dual_bounds=model.dual_bounds,
         costs=model.costs,
-        acyclic=model.acyclic,
     )
 
 
@@ -75,7 +74,6 @@ def with_bounds(model: Model, bounds) -> Model:
         constraints=model.constraints,
         dual_bounds=bounds,
         costs=model.costs,
-        acyclic=model.acyclic,
     )
 
 

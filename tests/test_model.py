@@ -255,7 +255,7 @@ class TestCombine:
     def test_identity(self):
         costs = CostStructure("+", "min", "integer")
         assert combine(costs, 7, costs.identity) == 7
-        maxed = CostStructure("max", "min", "integer", max_identity=0)
+        maxed = CostStructure("max", "min", "integer")
         assert combine(maxed, 7, maxed.identity) == 7
 
     def test_max_operator(self):
@@ -403,18 +403,6 @@ class TestValidate:
             costs=CostStructure("+", "max", "integer"),
         )
         assert any(d.level == "warning" for d in validate(model, solver="caasdy"))
-
-    def test_beam_on_undeclared_acyclicity_warns(self):
-        meta = StateMetadata({}, [Variable("x", "integer")])
-        model = Model(
-            meta,
-            TableRegistry(),
-            (0,),
-            [],
-            [BaseCase((BoolConst(True),), NumericConst(0))],
-            acyclic=False,
-        )
-        assert any(d.level == "warning" for d in validate(model, solver="cabs"))
 
 
 def test_metadata_rejects_duplicate_names():

@@ -44,9 +44,7 @@ def test_best_first_orders_by_f_then_h_then_recency():
     b = nodes(3, h=1)
     c = nodes(3, h=0)
     d = nodes(3, h=0)  # same key as c but generated later: popped first
-    for node in (a, b, c, d):
-        policy.push(node)
-    policy.end_expansion()
+    policy.push((a, b, c, d))
     assert [policy.pop() for _ in range(4)] == [d, c, b, a]
 
 
@@ -54,9 +52,7 @@ def test_best_first_skips_dead_nodes():
     nodes = NodeFactory()
     policy = BestFirstList(live)
     a, b = nodes(1), nodes(2)
-    policy.push(a)
-    policy.push(b)
-    policy.end_expansion()
+    policy.push((a, b))
     a.dead = True
     assert policy.pop() is b
     assert policy.pop() is None
@@ -66,17 +62,13 @@ def test_depth_stack_expands_best_sibling_first_and_deepest_first():
     nodes = NodeFactory()
     policy = DepthStackList(live)
     root = nodes(0)
-    policy.push(root)
-    policy.end_expansion()
+    policy.push((root,))
     assert policy.pop() is root
     s1, s2 = nodes(4, depth=1), nodes(2, depth=1)
-    policy.push(s1)
-    policy.push(s2)
-    policy.end_expansion()
+    policy.push((s1, s2))
     assert policy.pop() is s2  # better sibling first
     child = nodes(9, depth=2)
-    policy.push(child)
-    policy.end_expansion()
+    policy.push((child,))
     assert policy.pop() is child  # deeper before the worse sibling
     assert policy.pop() is s1
 
@@ -87,8 +79,7 @@ def test_cyclic_layers_take_the_best_of_each_depth_in_turn():
     d0a, d0b = nodes(5, depth=0), nodes(1, depth=0)
     d1 = nodes(7, depth=1)
     d2 = nodes(2, depth=2)
-    for node in (d0a, d0b, d1, d2):
-        policy.push(node)
+    policy.push((d0a, d0b, d1, d2))
     # cycle: depth 0 (best first), 1, 2, then wrap to depth 0 again
     assert [policy.pop() for _ in range(4)] == [d0b, d1, d2, d0a]
 
@@ -99,8 +90,7 @@ def test_cyclic_layers_reset_on_new_best():
     d0 = nodes(5, depth=0)
     d1 = nodes(6, depth=1)
     d0_late = nodes(7, depth=0)
-    for node in (d0, d1, d0_late):
-        policy.push(node)
+    policy.push((d0, d1, d0_late))
     assert policy.pop() is d0
     policy.notify_new_best()
     assert policy.pop() is d0_late  # back to depth 0 instead of depth 1
@@ -112,8 +102,7 @@ def test_layer_budget_grows_on_wraparound():
     policy = LayerBudgetList(live, budget=1, step=1)
     d0 = [nodes(2, depth=0), nodes(4, depth=0), nodes(6, depth=0)]
     d1 = [nodes(1, depth=1), nodes(3, depth=1), nodes(5, depth=1)]
-    for node in d0 + d1:
-        policy.push(node)
+    policy.push(d0 + d1)
     order = [policy.pop() for _ in range(6)]
     # budget 1: best of depth 0, best of depth 1; wrap doubles the budget:
     # two from depth 0, two from depth 1
@@ -124,13 +113,10 @@ def test_pack_list_expands_packs_and_recalls_from_suspend():
     nodes = NodeFactory()
     policy = PackList(live, budget=1, step=1)
     root = nodes(0)
-    policy.push(root)
-    policy.end_expansion()
+    policy.push((root,))
     assert policy.pop() is root
     kids = [nodes(3, depth=1), nodes(1, depth=1), nodes(2, depth=1)]
-    for node in kids:
-        policy.push(node)
-    policy.end_expansion()
+    policy.push(kids)
     assert policy.pop() is kids[1]  # best successor forms the next pack
     # no new successors: pack and staging empty, recall from the suspend
     # list with the budget grown to 2
@@ -143,17 +129,13 @@ def test_discrepancy_defers_non_best_siblings():
     nodes = NodeFactory()
     policy = DiscrepancyList(live, k=1)
     root = nodes(0)
-    policy.push(root)
-    policy.end_expansion()
+    policy.push((root,))
     assert policy.pop() is root
     best, second = nodes(1, depth=1, parent=root), nodes(2, depth=1, parent=root)
-    policy.push(second)
-    policy.push(best)
-    policy.end_expansion()
+    policy.push((second, best))
     assert policy.pop() is best  # discrepancy 0 stays in the window
     grandchild = nodes(5, depth=2, parent=best)
-    policy.push(grandchild)
-    policy.end_expansion()
+    policy.push((grandchild,))
     assert policy.pop() is grandchild
     assert best.discrepancy == 0 and second.discrepancy == 1
     # window exhausted: the deferred sibling becomes available

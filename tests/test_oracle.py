@@ -70,7 +70,6 @@ def test_cycle_detection():
         (0,),
         [loop],
         [BaseCase((BoolConst(False),), NumericConst(0))],
-        acyclic=False,
     )
     with pytest.raises(DepthLimitError):
         bellman_oracle(model)

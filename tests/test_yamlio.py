@@ -362,6 +362,8 @@ class TestSolverConfig:
             ("beam_growth: 1", "beam_growth must be an integer of at least 2"),
             ("beam_growth: 2.5", "beam_growth must be an integer of at least 2"),
             ("beam_initial_width: 0", "beam_initial_width must be an integer of at least 1"),
+            ("apps_budget_step: -1", "apps_budget_step must be an integer of at least 1"),
+            ("apps_budget_step: 0.5", "apps_budget_step must be an integer of at least 1"),
             ("apps_max_budget: abc", "apps_max_budget must be a number of at least 1"),
             ("time_limit: -1", "time_limit must be at least 0"),
             ("time_limit: .nan", "time_limit must be at least 0"),
