@@ -156,12 +156,6 @@ _CONTEXT_TYPES = {
     "numeric": {int, float, Fraction},
     "boolean": {bool},
 }
-_LABELS = {
-    "element": "element context",
-    "set": "set context",
-    "numeric": "numeric context",
-    "boolean": "boolean context",
-}
 
 
 class _Layout:
@@ -381,7 +375,7 @@ class Compiler:
         """The read that checks everything on every call: arity, range,
         missing keys and the value kind."""
         fns = tuple(self.callable(c) for c in codes)
-        ok, label = _CONTEXTS[context], _LABELS[context]
+        ok, label = _CONTEXTS[context], f"{context} context"
 
         def read(s, lookup=table.lookup, fns=fns, ok=ok, label=label, name=table.name):
             value = lookup(tuple([f(s) for f in fns]))

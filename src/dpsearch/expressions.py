@@ -518,16 +518,20 @@ def eval_condition(expr: Condition, state: State, tables: TableRegistry) -> bool
     return bool(_evaluate(expr, state, tables))
 
 
+_NODES = (ElementExpression, SetExpression, NumericExpression, Condition)
+
+
+def children(expr):
+    """Yield the subexpressions of a node, in field order."""
+    for name in getattr(expr, "__dataclass_fields__", ()):
+        value = getattr(expr, name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, _NODES):
+                yield child
+
+
 def walk(expr):
     """Yield every node of an expression tree, root first."""
     yield expr
-    for name in getattr(expr, "__dataclass_fields__", ()):
-        child = getattr(expr, name)
-        if isinstance(child, (ElementExpression, SetExpression, NumericExpression, Condition)):
-            yield from walk(child)
-        elif isinstance(child, tuple):
-            for item in child:
-                if isinstance(
-                    item, (ElementExpression, SetExpression, NumericExpression, Condition)
-                ):
-                    yield from walk(item)
+    for child in children(expr):
+        yield from walk(child)

@@ -30,7 +30,6 @@ from .solution import DualCallback, PrimalCallback, Solution, SolverParams
 def beam_search(
     model: Model,
     width: int,
-    primal_bound=None,
     params: Optional[SolverParams] = None,
     run: Optional[Run] = None,
 ) -> tuple[Solution, bool]:
@@ -44,8 +43,6 @@ def beam_search(
     shared = run is not None
     if run is None:
         run = Run(model, params or SolverParams())
-        if primal_bound is not None:
-            run.primal = primal_bound
 
     root = run.root()
     if root is None:

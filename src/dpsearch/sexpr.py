@@ -1,22 +1,31 @@
 """Whitespace-tokenized s-expression grammar for expression texts.
 
 The grammar has no infix forms; every compound expression is a
-parenthesized operator application.  The vocabulary:
+parenthesized operator application.  ``_FORMS`` is the vocabulary: for
+each result family (element, set, numeric, condition) it maps an
+operator head to its node class and the families of its arguments, and
+both the parser and :func:`unparse` read it.  Its forms are:
 
 * element / numeric: ``(+ a b)`` ``(- a b)`` ``(* a b)`` ``(/ a b)``
-  (``%`` on elements only), ``(min a b)`` ``(max a b)`` ``(abs a)``
-  ``(floor a)`` ``(ceil a)`` (numeric only), ``(if cond a b)``,
-  table access ``(name idx...)``, ``(card S)``, and set reductions
-  ``(sum name S)`` / ``(product name S)`` / ``(max name S)`` /
-  ``(min name S)``; a partial table application fixes leading indices:
-  ``(sum (name idx...) S)``.
+  (``%`` on elements only), ``(if cond a b)``, and on numerics only
+  ``(min a b)`` ``(max a b)`` ``(abs a)`` ``(floor a)`` ``(ceil a)``
+  ``(card S)``;
 * set: ``(add e S)`` ``(remove e S)`` ``(union A B)``
-  ``(intersection A B)`` ``(difference A B)`` ``(complement S)`` and the
-  literal ``(set-of universe members...)``.
+  ``(intersection A B)`` ``(difference A B)`` ``(complement S)``;
 * condition: ``(= a b)`` ``(!= a b)`` ``(< a b)`` ``(<= a b)``
   ``(> a b)`` ``(>= a b)`` ``(is_in e S)`` ``(is_subset A B)``
-  ``(is_empty S)`` ``(not c)`` ``(and c...)`` ``(or c...)``, the
-  literals ``true`` / ``false``, and boolean table access.
+  ``(is_empty S)`` ``(not c)`` ``(and c...)`` ``(or c...)``.
+
+Numeric ``+`` ``*`` ``max`` ``min`` and ``and`` ``or`` take two or more
+operands; the numeric ones fold left, so ``(+ a b c)`` is
+``(+ (+ a b) c)``.  The remaining forms are written as code: table
+access ``(name idx...)`` in every family (a boolean table is a
+condition), the set literal ``(set-of universe members...)``, the
+literals ``true`` / ``false``, and the set reductions ``(sum name S)`` /
+``(product name S)`` / ``(max name S)`` / ``(min name S)``, where a
+partial table application fixes leading indices: ``(sum (name idx...)
+S)``.  A ``max`` or ``min`` is a reduction when its first argument names
+a table and its second looks like a set.
 
 Atoms are integers, floats, exact fractions written ``p/q``, and
 symbols.  Symbols resolve, in order, against bound parameters, declared
@@ -32,11 +41,13 @@ required is an evaluation error, never a silent truncation.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
+from . import bitset
 from . import expressions as ex
 from .errors import ExpressionParseError, UnknownSymbolError
 from .model import CONTINUOUS, ELEMENT, INTEGER, SET, StateMetadata
@@ -45,8 +56,67 @@ Ast = Union[int, float, Fraction, str, list]
 
 _FRACTION = re.compile(r"^-?\d+/\d+$")
 
-_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
-_REDUCTIONS = ("sum", "product", "max", "min")
+NUMERIC, CONDITION = "numeric", "condition"  # the families besides ELEMENT and SET
+
+# family -> head -> (node class, argument families).  A trailing ``...``
+# takes two or more operands of the family before it.
+_FORMS = {
+    ELEMENT: {
+        "if": (ex.ElementIf, (CONDITION, ELEMENT, ELEMENT)),
+        **{op: (ex.ElementBinary, (ELEMENT, ELEMENT)) for op in ("+", "-", "*", "/", "%")},
+    },
+    SET: {
+        "add": (ex.SetAdd, (ELEMENT, SET)),
+        "remove": (ex.SetRemove, (ELEMENT, SET)),
+        "union": (ex.SetUnion, (SET, SET)),
+        "intersection": (ex.SetIntersection, (SET, SET)),
+        "difference": (ex.SetDifference, (SET, SET)),
+        "complement": (ex.SetComplement, (SET,)),
+    },
+    NUMERIC: {
+        "if": (ex.NumericIf, (CONDITION, NUMERIC, NUMERIC)),
+        "+": (ex.NumericBinary, (NUMERIC, ...)),
+        "*": (ex.NumericBinary, (NUMERIC, ...)),
+        "-": (ex.NumericBinary, (NUMERIC, NUMERIC)),
+        "/": (ex.NumericBinary, (NUMERIC, NUMERIC)),
+        "max": (ex.NumericMax, (NUMERIC, ...)),
+        "min": (ex.NumericMin, (NUMERIC, ...)),
+        "abs": (ex.NumericAbs, (NUMERIC,)),
+        "floor": (ex.NumericFloor, (NUMERIC,)),
+        "ceil": (ex.NumericCeil, (NUMERIC,)),
+        "card": (ex.Cardinality, (SET,)),
+    },
+    CONDITION: {
+        **{op: (ex.Comparison, (NUMERIC, NUMERIC)) for op in ex.COMPARISONS},
+        "is_in": (ex.SetMember, (ELEMENT, SET)),
+        "is_subset": (ex.SetSubset, (SET, SET)),
+        "is_empty": (ex.SetIsEmpty, (SET,)),
+        "not": (ex.Not, (CONDITION,)),
+        "and": (ex.And, (CONDITION, ...)),
+        "or": (ex.Or, (CONDITION, ...)),
+    },
+}
+# The inverse, for unparsing; a class with an ``op`` field prints that.
+_HEADS = {cls: head for forms in _FORMS.values() for head, (cls, _) in forms.items()}
+
+# family -> (table node class, the table kinds the family reads)
+_TABLES = {
+    ELEMENT: (ex.ElementTable, (INTEGER, ELEMENT)),
+    SET: (ex.SetTable, (SET,)),
+    NUMERIC: (ex.NumericTable, (INTEGER, CONTINUOUS, ELEMENT)),
+    CONDITION: (ex.BooleanTable, ("boolean",)),
+}
+_NOUNS = {
+    ELEMENT: "an element expression",
+    SET: "a set expression",
+    NUMERIC: "a numeric expression",
+    CONDITION: "a condition",
+}
+
+
+def _node(cls, head: str, *args):
+    """A table form's node; the classes with an ``op`` field take the head."""
+    return cls(head, *args) if "op" in cls.__dataclass_fields__ else cls(*args)
 
 
 def tokenize(text: str) -> list[str]:
@@ -120,194 +190,108 @@ class _Parser:
     def __init__(self, ctx: ParseContext):
         self.ctx = ctx
 
-    # -- element ------------------------------------------------------
-
-    def element(self, ast: Ast) -> ex.ElementExpression:
-        if isinstance(ast, int) and not isinstance(ast, bool):
+    def parse(self, family: str, ast: Ast):
+        """Type ``ast`` as an expression of ``family``."""
+        if isinstance(ast, list) and ast:
+            return self._compound(family, ast)
+        if isinstance(ast, str):
+            return self._symbol(family, ast)
+        if family == NUMERIC and not isinstance(ast, list):
+            return ex.NumericConst(ast)
+        if family == ELEMENT and isinstance(ast, int):
             if ast < 0:
                 raise ExpressionParseError(f"negative element literal {ast}")
             return ex.ElementConst(ast)
-        if isinstance(ast, str):
-            return self._element_symbol(ast)
-        if isinstance(ast, list) and ast:
-            return self._element_list(ast)
-        raise ExpressionParseError(f"expected an element expression, got {ast!r}")
+        raise ExpressionParseError(f"expected {_NOUNS[family]}, got {ast!r}")
 
-    def _element_symbol(self, name: str) -> ex.ElementExpression:
-        if name in self.ctx.parameters:
-            return ex.ElementConst(self.ctx.parameters[name])
-        kind = self.ctx.variable_kind(name)
-        if kind == ELEMENT:
-            return self.ctx.metadata.element(name)
-        if kind is not None:
-            raise ExpressionParseError(f"{name!r} is not an element variable")
-        if self.ctx.table_kind(name) in (INTEGER, ELEMENT):
-            return ex.ElementTable(name, ())
-        raise UnknownSymbolError(f"unknown symbol {name!r} in element context")
-
-    def _element_list(self, ast: list) -> ex.ElementExpression:
-        head = ast[0]
-        if head == "if":
-            self._arity(ast, 3)
-            return ex.ElementIf(
-                self.condition(ast[1]), self.element(ast[2]), self.element(ast[3])
-            )
-        if head in ("+", "-", "*", "/", "%"):
-            self._arity(ast, 2)
-            return ex.ElementBinary(head, self.element(ast[1]), self.element(ast[2]))
-        if isinstance(head, str) and self.ctx.table_kind(head) in (INTEGER, ELEMENT):
-            return ex.ElementTable(head, tuple(self.element(a) for a in ast[1:]))
-        raise ExpressionParseError(f"unknown element operator {head!r}")
-
-    # -- set ------------------------------------------------------------
-
-    def set_(self, ast: Ast) -> ex.SetExpression:
-        if isinstance(ast, str):
-            kind = self.ctx.variable_kind(ast)
-            if kind == SET:
-                return self.ctx.metadata.set_(ast)
-            if self.ctx.table_kind(ast) == SET:
-                table = self.ctx.tables.lookup(ast)
-                return ex.SetTable(ast, (), table.value_universe)
-            raise UnknownSymbolError(f"unknown symbol {ast!r} in set context")
-        if isinstance(ast, list) and ast:
-            return self._set_list(ast)
-        raise ExpressionParseError(f"expected a set expression, got {ast!r}")
-
-    def _set_list(self, ast: list) -> ex.SetExpression:
-        head = ast[0]
-        if head == "set-of":
-            if len(ast) < 2 or not isinstance(ast[1], int):
-                raise ExpressionParseError("(set-of universe members...) needs a universe")
-            universe = ast[1]
-            members = 0
-            for item in ast[2:]:
-                if not isinstance(item, int) or not 0 <= item < universe:
-                    raise ExpressionParseError(f"bad set literal member {item!r}")
-                members |= 1 << item
-            return ex.SetConst(members, universe)
-        if head == "add":
-            self._arity(ast, 2)
-            return ex.SetAdd(self.element(ast[1]), self.set_(ast[2]))
-        if head == "remove":
-            self._arity(ast, 2)
-            return ex.SetRemove(self.element(ast[1]), self.set_(ast[2]))
-        if head in ("union", "intersection", "difference"):
-            self._arity(ast, 2)
-            nodes = {
-                "union": ex.SetUnion,
-                "intersection": ex.SetIntersection,
-                "difference": ex.SetDifference,
-            }
-            lhs, rhs = self.set_(ast[1]), self.set_(ast[2])
-            if lhs.universe != rhs.universe:
-                raise ExpressionParseError(f"({head} ...) mixes set universes")
-            return nodes[head](lhs, rhs)
-        if head == "complement":
-            self._arity(ast, 1)
-            return ex.SetComplement(self.set_(ast[1]))
-        if isinstance(head, str) and self.ctx.table_kind(head) == SET:
-            table = self.ctx.tables.lookup(head)
-            args = tuple(self.element(a) for a in ast[1:])
-            return ex.SetTable(head, args, table.value_universe)
-        raise ExpressionParseError(f"unknown set operator {head!r}")
-
-    # -- numeric ----------------------------------------------------------
-
-    def numeric(self, ast: Ast) -> ex.NumericExpression:
-        if isinstance(ast, bool):
-            raise ExpressionParseError("boolean literal in numeric context")
-        if isinstance(ast, (int, float, Fraction)):
-            return ex.NumericConst(ast)
-        if isinstance(ast, str):
-            return self._numeric_symbol(ast)
-        if isinstance(ast, list) and ast:
-            return self._numeric_list(ast)
-        raise ExpressionParseError(f"expected a numeric expression, got {ast!r}")
-
-    def _numeric_symbol(self, name: str) -> ex.NumericExpression:
-        if name == "cost":
-            if not self.ctx.allow_cost:
+    def _symbol(self, family: str, name: str):
+        ctx = self.ctx
+        if family == CONDITION:
+            if name in ("true", "false"):
+                return ex.BoolConst(name == "true")
+            if ctx.table_kind(name) == "boolean":
+                return ex.BooleanTable(name, ())
+            raise ExpressionParseError(f"expected a condition, got symbol {name!r}")
+        if family == NUMERIC and name == "cost":
+            if not ctx.allow_cost:
                 raise ExpressionParseError(
                     "'cost' is only legal inside a transition cost expression"
                 )
             return ex.SuccessorCost()
-        if name in self.ctx.parameters:
-            return ex.NumericConst(self.ctx.parameters[name])
-        kind = self.ctx.variable_kind(name)
-        if kind in (INTEGER, CONTINUOUS, ELEMENT):
-            return self.ctx.metadata.numeric(name)
-        if kind is not None:
-            raise ExpressionParseError(f"{name!r} is not usable in numeric context")
-        if self.ctx.table_kind(name) in (INTEGER, CONTINUOUS, ELEMENT):
-            return ex.NumericTable(name, ())
-        raise UnknownSymbolError(f"unknown symbol {name!r} in numeric context")
+        if family != SET and name in ctx.parameters:
+            const = ex.ElementConst if family == ELEMENT else ex.NumericConst
+            return const(ctx.parameters[name])
+        kind = ctx.variable_kind(name)
+        if family == ELEMENT and kind is not None:
+            if kind != ELEMENT:
+                raise ExpressionParseError(f"{name!r} is not an element variable")
+            return ctx.metadata.element(name)
+        if family == NUMERIC and kind is not None:
+            if kind == SET:
+                raise ExpressionParseError(f"{name!r} is not usable in numeric context")
+            return ctx.metadata.numeric(name)
+        if family == SET and kind == SET:
+            return ctx.metadata.set_(name)
+        if ctx.table_kind(name) in _TABLES[family][1]:
+            return self._table(family, name, ())
+        raise UnknownSymbolError(f"unknown symbol {name!r} in {family} context")
 
-    def _numeric_list(self, ast: list) -> ex.NumericExpression:
+    def _compound(self, family: str, ast: list):
         head = ast[0]
-        if head == "if":
-            self._arity(ast, 3)
-            return ex.NumericIf(
-                self.condition(ast[1]), self.numeric(ast[2]), self.numeric(ast[3])
-            )
-        if head in ("sum", "product") or (
-            head in ("max", "min") and self._is_reduction(ast)
+        if family == SET and head == "set-of":
+            return self._set_of(ast)
+        if family == NUMERIC and (
+            head in ("sum", "product") or (head in ("max", "min") and self._is_reduction(ast))
         ):
             return self._reduction(ast)
-        if head in ("+", "*"):
-            if len(ast) < 3:
+        if isinstance(head, str) and head in _FORMS[family]:
+            return self._form(family, ast)
+        if self.ctx.table_kind(head) in _TABLES[family][1]:
+            return self._table(family, head, tuple(self.parse(ELEMENT, a) for a in ast[1:]))
+        raise ExpressionParseError(f"unknown {family} operator {head!r}")
+
+    def _form(self, family: str, ast: list):
+        head, args = ast[0], ast[1:]
+        cls, families = _FORMS[family][head]
+        if families[-1] is ...:
+            if len(args) < 2:
                 raise ExpressionParseError(f"({head} ...) needs at least two operands")
-            expr = self.numeric(ast[1])
-            for item in ast[2:]:
-                expr = ex.NumericBinary(head, expr, self.numeric(item))
-            return expr
-        if head in ("-", "/"):
-            self._arity(ast, 2)
-            return ex.NumericBinary(head, self.numeric(ast[1]), self.numeric(ast[2]))
-        if head in ("max", "min"):
-            if len(ast) < 3:
-                raise ExpressionParseError(f"({head} ...) needs at least two operands")
-            node = ex.NumericMax if head == "max" else ex.NumericMin
-            expr = self.numeric(ast[1])
-            for item in ast[2:]:
-                expr = node(expr, self.numeric(item))
-            return expr
-        if head == "abs":
-            self._arity(ast, 1)
-            return ex.NumericAbs(self.numeric(ast[1]))
-        if head == "floor":
-            self._arity(ast, 1)
-            return ex.NumericFloor(self.numeric(ast[1]))
-        if head == "ceil":
-            self._arity(ast, 1)
-            return ex.NumericCeil(self.numeric(ast[1]))
-        if head == "card":
-            self._arity(ast, 1)
-            return ex.Cardinality(self.set_(ast[1]))
-        if isinstance(head, str) and self.ctx.table_kind(head) in (
-            INTEGER,
-            CONTINUOUS,
-            ELEMENT,
-        ):
-            return ex.NumericTable(head, tuple(self.element(a) for a in ast[1:]))
-        raise ExpressionParseError(f"unknown numeric operator {head!r}")
+            operands = [self.parse(families[0], a) for a in args]
+            if cls in (ex.And, ex.Or):
+                return cls(tuple(operands))
+            return functools.reduce(lambda lhs, rhs: _node(cls, head, lhs, rhs), operands)
+        self._arity(ast, len(families))
+        operands = [self.parse(f, a) for f, a in zip(families, args)]
+        if family == SET and families == (SET, SET):
+            if operands[0].universe != operands[1].universe:
+                raise ExpressionParseError(f"({head} ...) mixes set universes")
+        return _node(cls, head, *operands)
+
+    def _table(self, family: str, name: str, args: tuple):
+        cls = _TABLES[family][0]
+        if family == SET:
+            return cls(name, args, self.ctx.tables.lookup(name).value_universe)
+        return cls(name, args)
+
+    def _set_of(self, ast: list) -> ex.SetConst:
+        if len(ast) < 2 or not isinstance(ast[1], int):
+            raise ExpressionParseError("(set-of universe members...) needs a universe")
+        universe = ast[1]
+        members = 0
+        for item in ast[2:]:
+            if not isinstance(item, int) or not 0 <= item < universe:
+                raise ExpressionParseError(f"bad set literal member {item!r}")
+            members |= 1 << item
+        return ex.SetConst(members, universe)
 
     def _looks_like_set(self, ast: Ast) -> bool:
         if isinstance(ast, str):
             return self.ctx.variable_kind(ast) == SET or self.ctx.table_kind(ast) == SET
         if isinstance(ast, list) and ast:
             head = ast[0]
-            if head in (
-                "add",
-                "remove",
-                "union",
-                "intersection",
-                "difference",
-                "complement",
-                "set-of",
-            ):
+            if head == "set-of" or (isinstance(head, str) and head in _FORMS[SET]):
                 return True
-            return isinstance(head, str) and self.ctx.table_kind(head) == SET
+            return self.ctx.table_kind(head) == SET
         return False
 
     def _is_reduction(self, ast: list) -> bool:
@@ -327,58 +311,17 @@ class _Parser:
 
     def _reduction(self, ast: list) -> ex.NumericExpression:
         self._arity(ast, 2)
-        op, target, over = ast[0], ast[1], ast[2]
+        op, target, over = ast
         if isinstance(target, str):
             name, prefix = target, ()
         elif isinstance(target, list) and target and isinstance(target[0], str):
             name = target[0]
-            prefix = tuple(self.element(a) for a in target[1:])
+            prefix = tuple(self.parse(ELEMENT, a) for a in target[1:])
         else:
             raise ExpressionParseError(f"({op} ...) needs a table to reduce")
-        if self.ctx.table_kind(name) not in (INTEGER, CONTINUOUS, ELEMENT):
+        if self.ctx.table_kind(name) not in _TABLES[NUMERIC][1]:
             raise ExpressionParseError(f"{name!r} is not a numeric table")
-        return ex.SetReduce(op, name, self.set_(over), prefix)
-
-    # -- condition -------------------------------------------------------
-
-    def condition(self, ast: Ast) -> ex.Condition:
-        if ast == "true" or ast is True:
-            return ex.BoolConst(True)
-        if ast == "false" or ast is False:
-            return ex.BoolConst(False)
-        if isinstance(ast, str):
-            if self.ctx.table_kind(ast) == "boolean":
-                return ex.BooleanTable(ast, ())
-            raise ExpressionParseError(f"expected a condition, got symbol {ast!r}")
-        if isinstance(ast, list) and ast:
-            return self._condition_list(ast)
-        raise ExpressionParseError(f"expected a condition, got {ast!r}")
-
-    def _condition_list(self, ast: list) -> ex.Condition:
-        head = ast[0]
-        if head in _COMPARISONS:
-            self._arity(ast, 2)
-            return ex.Comparison(head, self.numeric(ast[1]), self.numeric(ast[2]))
-        if head == "is_in":
-            self._arity(ast, 2)
-            return ex.SetMember(self.element(ast[1]), self.set_(ast[2]))
-        if head == "is_subset":
-            self._arity(ast, 2)
-            return ex.SetSubset(self.set_(ast[1]), self.set_(ast[2]))
-        if head == "is_empty":
-            self._arity(ast, 1)
-            return ex.SetIsEmpty(self.set_(ast[1]))
-        if head == "not":
-            self._arity(ast, 1)
-            return ex.Not(self.condition(ast[1]))
-        if head in ("and", "or"):
-            if len(ast) < 3:
-                raise ExpressionParseError(f"({head} ...) needs at least two operands")
-            node = ex.And if head == "and" else ex.Or
-            return node(tuple(self.condition(a) for a in ast[1:]))
-        if isinstance(head, str) and self.ctx.table_kind(head) == "boolean":
-            return ex.BooleanTable(head, tuple(self.element(a) for a in ast[1:]))
-        raise ExpressionParseError(f"unknown condition operator {head!r}")
+        return ex.SetReduce(op, name, self.parse(SET, over), prefix)
 
     @staticmethod
     def _arity(ast: list, count: int) -> None:
@@ -389,25 +332,20 @@ class _Parser:
 
 
 def parse_set(text: str, ctx: ParseContext) -> ex.SetExpression:
-    return _Parser(ctx).set_(read(text))
+    return _Parser(ctx).parse(SET, read(text))
 
 
 def parse_numeric(text: str, ctx: ParseContext) -> ex.NumericExpression:
-    return _Parser(ctx).numeric(read(text))
+    return _Parser(ctx).parse(NUMERIC, read(text))
 
 
 def parse_condition(text: str, ctx: ParseContext) -> ex.Condition:
-    return _Parser(ctx).condition(read(text))
+    return _Parser(ctx).parse(CONDITION, read(text))
 
 
 def parse_effect(text: str, ctx: ParseContext, kind: str):
-    parser = _Parser(ctx)
-    ast = read(text)
-    if kind == ELEMENT:
-        return parser.element(ast)
-    if kind == SET:
-        return parser.set_(ast)
-    return parser.numeric(ast)
+    """An effect on a variable of ``kind``; integer and continuous ones are numeric."""
+    return _Parser(ctx).parse(kind if kind in (ELEMENT, SET) else NUMERIC, read(text))
 
 
 def parse_cost(text: str, ctx: ParseContext) -> tuple[str, ex.NumericExpression]:
@@ -417,7 +355,7 @@ def parse_cost(text: str, ctx: ParseContext) -> tuple[str, ex.NumericExpression]
     where ``w`` never mentions ``cost``.
     """
     inner = ParseContext(ctx.metadata, ctx.tables, ctx.parameters, allow_cost=True)
-    expr = _Parser(inner).numeric(read(text))
+    expr = _Parser(inner).parse(NUMERIC, read(text))
     bad = ExpressionParseError(
         "cost term must combine a weight with 'cost', as in (+ w cost) or (max w cost)"
     )
@@ -440,85 +378,36 @@ def parse_cost(text: str, ctx: ParseContext) -> tuple[str, ex.NumericExpression]
 
 def unparse(expr) -> str:
     """Render an expression back to grammar text."""
-    e = ex
-    if isinstance(expr, e.FromElement):
+    if isinstance(expr, ex.FromElement):
         return unparse(expr.operand)
-    if isinstance(expr, (e.ElementConst,)):
+    if isinstance(expr, ex.ElementConst):
         return str(expr.value)
-    if isinstance(expr, e.NumericConst):
+    if isinstance(expr, ex.NumericConst):
         value = expr.value
         if isinstance(value, Fraction):
             return f"{value.numerator}/{value.denominator}"
         return repr(value) if isinstance(value, float) else str(value)
-    if isinstance(expr, (e.ElementVar, e.NumericVar, e.SetVar)):
+    if isinstance(expr, (ex.ElementVar, ex.NumericVar, ex.SetVar)):
         return expr.name
-    if isinstance(expr, (e.ElementTable, e.NumericTable, e.BooleanTable, e.SetTable)):
-        if not expr.args:
-            return expr.table
-        return f"({expr.table} {' '.join(unparse(a) for a in expr.args)})"
-    if isinstance(expr, e.ElementBinary):
-        return f"({expr.op} {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.NumericBinary):
-        return f"({expr.op} {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.NumericMin):
-        return f"(min {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.NumericMax):
-        return f"(max {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.NumericAbs):
-        return f"(abs {unparse(expr.operand)})"
-    if isinstance(expr, e.NumericFloor):
-        return f"(floor {unparse(expr.operand)})"
-    if isinstance(expr, e.NumericCeil):
-        return f"(ceil {unparse(expr.operand)})"
-    if isinstance(expr, e.Cardinality):
-        return f"(card {unparse(expr.operand)})"
-    if isinstance(expr, e.SetReduce):
-        if expr.prefix:
-            target = f"({expr.table} {' '.join(unparse(a) for a in expr.prefix)})"
-        else:
-            target = expr.table
-        return f"({expr.op} {target} {unparse(expr.over)})"
-    if isinstance(expr, (e.ElementIf, e.NumericIf)):
-        return (
-            f"(if {unparse(expr.condition)} {unparse(expr.then)} "
-            f"{unparse(expr.otherwise)})"
-        )
-    if isinstance(expr, e.SetConst):
-        from . import bitset
-
-        items = " ".join(str(i) for i in bitset.members(expr.mask))
-        return f"(set-of {expr.universe}{' ' + items if items else ''})"
-    if isinstance(expr, e.SetAdd):
-        return f"(add {unparse(expr.element)} {unparse(expr.operand)})"
-    if isinstance(expr, e.SetRemove):
-        return f"(remove {unparse(expr.element)} {unparse(expr.operand)})"
-    if isinstance(expr, e.SetUnion):
-        return f"(union {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.SetIntersection):
-        return f"(intersection {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.SetDifference):
-        return f"(difference {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.SetComplement):
-        return f"(complement {unparse(expr.operand)})"
-    if isinstance(expr, e.BoolConst):
+    if isinstance(expr, (ex.ElementTable, ex.NumericTable, ex.BooleanTable, ex.SetTable)):
+        return _application(expr.table, expr.args)
+    if isinstance(expr, ex.SetReduce):
+        return f"({expr.op} {_application(expr.table, expr.prefix)} {unparse(expr.over)})"
+    if isinstance(expr, ex.SetConst):
+        items = "".join(f" {i}" for i in bitset.members(expr.mask))
+        return f"(set-of {expr.universe}{items})"
+    if isinstance(expr, ex.BoolConst):
         return "true" if expr.value else "false"
-    if isinstance(expr, e.Comparison):
-        return f"({expr.op} {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.SetMember):
-        return f"(is_in {unparse(expr.element)} {unparse(expr.operand)})"
-    if isinstance(expr, e.SetSubset):
-        return f"(is_subset {unparse(expr.lhs)} {unparse(expr.rhs)})"
-    if isinstance(expr, e.SetIsEmpty):
-        return f"(is_empty {unparse(expr.operand)})"
-    if isinstance(expr, e.Not):
-        return f"(not {unparse(expr.operand)})"
-    if isinstance(expr, e.And):
-        return f"(and {' '.join(unparse(c) for c in expr.operands)})"
-    if isinstance(expr, e.Or):
-        return f"(or {' '.join(unparse(c) for c in expr.operands)})"
-    if isinstance(expr, e.SuccessorCost):
+    if isinstance(expr, ex.SuccessorCost):
         return "cost"
-    raise TypeError(f"cannot unparse {expr!r}")
+    if type(expr) not in _HEADS:
+        raise TypeError(f"cannot unparse {expr!r}")
+    head = getattr(expr, "op", _HEADS[type(expr)])
+    return f"({head} {' '.join(unparse(child) for child in ex.children(expr))})"
+
+
+def _application(name: str, args: tuple) -> str:
+    return f"({name} {' '.join(unparse(a) for a in args)})" if args else name
 
 
 def unparse_cost(operator: str, weight) -> str:

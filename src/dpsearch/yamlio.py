@@ -21,7 +21,9 @@ are assumed acyclic, which every shipped model class satisfies.
 
 from __future__ import annotations
 
+import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -90,8 +92,19 @@ def _load(text: str) -> dict:
     return data
 
 
-def _reject_unknown(mapping: Mapping, known: Sequence[str], where: str) -> None:
-    for key in mapping:
+_SHAPES = {dict: "a map", list: "a list", str: "a name", int: "an integer"}
+
+
+def _shaped(value, kind: type, where: str):
+    """Return ``value`` if it is a ``kind`` (a bool is no integer), else
+    raise a DocumentError naming ``where``."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise DocumentError(f"{where} must be {_SHAPES[kind]}, got {reprlib.repr(value)}")
+
+
+def _reject_unknown(mapping, known: Sequence[str], where: str) -> None:
+    for key in _shaped(mapping, dict, where):
         if key not in known:
             raise DocumentError(f"unknown key {key!r} in {where}")
 
@@ -100,6 +113,13 @@ def _require(mapping: Mapping, key: str, where: str):
     if key not in mapping:
         raise DocumentError(f"missing {key} in {where}")
     return mapping[key]
+
+
+def _section(mapping: Mapping, key: str, kind: type, where: str, required=False):
+    """``mapping[key]``, checked to be a ``kind``; an empty one when an
+    optional key is absent."""
+    value = _require(mapping, key, where) if required else mapping.get(key, kind())
+    return _shaped(value, kind, f"{key} in {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +192,7 @@ class ProblemDocument:
 
 
 def _parse_parameter(raw, where: str) -> ParameterDecl:
-    if not isinstance(raw, dict):
-        raise DocumentError(f"parameter in {where} must be a map")
-    _reject_unknown(raw, ("name", "object"), where)
+    _reject_unknown(raw, ("name", "object"), f"parameter in {where}")
     return ParameterDecl(
         name=str(_require(raw, "name", where)),
         object=str(_require(raw, "object", where)),
@@ -206,12 +224,10 @@ def parse_domain(text: str) -> DomainDocument:
     if reduce_ not in (MINIMIZE, MAXIMIZE):
         raise DocumentError(f"bad reduce {reduce_!r}")
 
-    objects = data.get("objects", [])
-    if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
-        raise DocumentError("objects must be a list of names")
+    objects = [_shaped(o, str, "object type") for o in _section(data, "objects", list, where)]
 
     variables = []
-    for raw in _require(data, "state_variables", where):
+    for raw in _section(data, "state_variables", list, where, required=True):
         _reject_unknown(raw, ("name", "type", "object", "preference"), "state variable")
         kind = _require(raw, "type", "state variable")
         if kind not in (ELEMENT, SET, INTEGER, CONTINUOUS):
@@ -229,14 +245,12 @@ def parse_domain(text: str) -> DomainDocument:
         )
 
     tables = []
-    for raw in data.get("tables", []):
+    for raw in _section(data, "tables", list, where):
         _reject_unknown(raw, ("name", "type", "args", "default", "object"), "table")
         kind = _require(raw, "type", "table")
         if kind not in ex.TABLE_KINDS:
             raise DocumentError(f"bad table type {kind!r}")
-        args = raw.get("args", [])
-        if not isinstance(args, list):
-            raise DocumentError("table args must be a list of object types")
+        args = _section(raw, "args", list, "table")
         tables.append(
             TableDecl(
                 name=str(_require(raw, "name", "table")),
@@ -248,31 +262,37 @@ def parse_domain(text: str) -> DomainDocument:
         )
 
     transitions = []
-    for raw in _require(data, "transitions", where):
+    for raw in _section(data, "transitions", list, where, required=True):
         _reject_unknown(
             raw,
             ("name", "parameters", "preconditions", "effect", "cost", "forced"),
             "transition",
         )
+        name = str(_require(raw, "name", "transition"))
+        here = f"transition {name!r}"
         params_raw = raw.get("parameters", [])
         if isinstance(params_raw, dict):
             params_raw = [params_raw]
-        name = str(_require(raw, "name", "transition"))
         transitions.append(
             TransitionDecl(
                 name=name,
                 parameters=[
-                    _parse_parameter(p, f"transition {name!r}") for p in params_raw
+                    _parse_parameter(p, here)
+                    for p in _shaped(params_raw, list, f"parameters in {here}")
                 ],
-                preconditions=[str(p) for p in raw.get("preconditions", [])],
-                effect={str(k): str(v) for k, v in raw.get("effect", {}).items()},
-                cost=str(raw.get("cost", "(+ 0 cost)")),
+                preconditions=[
+                    str(p) for p in _section(raw, "preconditions", list, here)
+                ],
+                effect={
+                    str(k): str(v) for k, v in _section(raw, "effect", dict, here).items()
+                },
+                cost=str(raw.get("cost", TransitionDecl.cost)),
                 forced=bool(raw.get("forced", False)),
             )
         )
 
     constraints = []
-    for raw in data.get("constraints", []):
+    for raw in _section(data, "constraints", list, where):
         if isinstance(raw, str):
             constraints.append(ConstraintDecl(condition=raw))
             continue
@@ -286,16 +306,17 @@ def parse_domain(text: str) -> DomainDocument:
         )
 
     base_cases = []
-    for raw in _require(data, "base_cases", where):
+    for raw in _section(data, "base_cases", list, where, required=True):
         _reject_unknown(raw, ("conditions", "cost"), "base case")
+        conditions = _section(raw, "conditions", list, "base case", required=True)
         base_cases.append(
             BaseCaseDecl(
-                conditions=[str(c) for c in _require(raw, "conditions", "base case")],
-                cost=str(raw.get("cost", "0")),
+                conditions=[str(c) for c in conditions],
+                cost=str(raw.get("cost", BaseCaseDecl.cost)),
             )
         )
 
-    bounds = [str(b) for b in data.get("dual_bounds", [])]
+    bounds = [str(b) for b in _section(data, "dual_bounds", list, where)]
 
     return DomainDocument(
         cost_type=cost_type,
@@ -314,17 +335,13 @@ def parse_problem(text: str) -> ProblemDocument:
     data = _load(text)
     where = "problem document"
     _reject_unknown(data, ("object_numbers", "target", "table_values"), where)
-    numbers = _require(data, "object_numbers", where)
-    if not isinstance(numbers, dict):
-        raise DocumentError("object_numbers must be a map")
-    target = _require(data, "target", where)
-    if not isinstance(target, dict):
-        raise DocumentError("target must be a map")
-    values = data.get("table_values", {})
-    if not isinstance(values, dict):
-        raise DocumentError("table_values must be a map")
+    numbers = _section(data, "object_numbers", dict, where, required=True)
+    target = _section(data, "target", dict, where, required=True)
+    values = _section(data, "table_values", dict, where)
     return ProblemDocument(
-        object_numbers={str(k): int(v) for k, v in numbers.items()},
+        object_numbers={
+            str(k): _shaped(v, int, f"object count of {k!r}") for k, v in numbers.items()
+        },
         target=dict(target),
         table_values=dict(values),
     )
@@ -377,7 +394,8 @@ def _table_from_decl(decl: TableDecl, objects: dict[str, int], raw_values) -> ex
         if decl.type == "set":
             if not isinstance(value, (list, tuple)):
                 raise DocumentError(f"set value in {where} must be an index list")
-            return bitset.from_items([int(v) for v in value], value_universe)
+            members = [_shaped(v, int, f"set member in {where}") for v in value]
+            return bitset.from_items(members, value_universe)
         return _numeric_value(value, decl.type, where)
 
     values: dict[tuple, object] = {}
@@ -389,7 +407,7 @@ def _table_from_decl(decl: TableDecl, objects: dict[str, int], raw_values) -> ex
         for key, value in raw_values.items():
             if not isinstance(key, tuple):
                 key = (key,)
-            key = tuple(int(k) for k in key)
+            key = tuple(_shaped(k, int, f"key of {where}") for k in key)
             if len(key) != len(shape):
                 raise DocumentError(f"key {key} has wrong arity for {where}")
             for position, (index, bound) in enumerate(zip(key, shape)):
@@ -434,11 +452,8 @@ def _target_state(
         if var.kind == SET:
             if not isinstance(value, (list, tuple)):
                 raise DocumentError(f"target {var.name!r} must be an index list")
-            values.append(
-                bitset.from_items(
-                    [int(v) for v in value], metadata.objects[var.object_type]
-                )
-            )
+            members = [_shaped(v, int, f"target {var.name!r} member") for v in value]
+            values.append(bitset.from_items(members, metadata.objects[var.object_type]))
         elif var.kind == CONTINUOUS:
             values.append(float(_numeric_value(value, CONTINUOUS, "target")))
         else:
@@ -511,7 +526,7 @@ def instantiate(domain: DomainDocument, problem: ProblemDocument) -> Model:
         ranges = [
             _parameter_ranges(p, metadata, target) for p in decl.parameters
         ]
-        for combo in _product(ranges):
+        for combo in itertools.product(*ranges):
             params = {p.name: v for p, v in zip(decl.parameters, combo)}
             ctx = context(params)
             preconditions = []
@@ -588,16 +603,6 @@ def instantiate(domain: DomainDocument, problem: ProblemDocument) -> Model:
         dual_bounds=dual_bounds,
         costs=costs,
     )
-
-
-def _product(ranges: list[list[int]]):
-    if not ranges:
-        yield ()
-        return
-    head, *tail = ranges
-    for value in head:
-        for rest in _product(tail):
-            yield (value, *rest)
 
 
 def load_model(domain_text: str, problem_text: str) -> Model:

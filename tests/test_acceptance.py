@@ -145,7 +145,9 @@ def test_criterion_5_beam_completeness():
     assert complete is True
     assert solution.status == dp.Status.OPTIMAL and solution.cost == 6
 
-    proof, complete = dp.beam_search(model, width=width, primal_bound=6)
+    proof, complete = dp.beam_search(
+        model, width=width, params=dp.SolverParams(initial_bound=6)
+    )
     assert complete is True
     assert proof.transitions is None  # no solution cheaper than the bound exists
     _verdict(5, "wide beam is complete at 6; bound 6 certifies no better")

@@ -32,7 +32,9 @@ def test_wide_beam_is_complete(desk_tsptw_model):
 
 def test_optimum_as_input_bound_proves_no_better(desk_tsptw_model):
     width = count_reachable_states(desk_tsptw_model)
-    solution, complete = dp.beam_search(desk_tsptw_model, width=width, primal_bound=6)
+    solution, complete = dp.beam_search(
+        desk_tsptw_model, width=width, params=dp.SolverParams(initial_bound=6)
+    )
     assert complete is True
     assert solution.transitions is None
     assert solution.status == dp.Status.INFEASIBLE  # no solution below the bound

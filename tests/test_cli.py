@@ -66,6 +66,24 @@ class TestSolve:
         assert code == 1
         assert "wobble" in capsys.readouterr().err
 
+    def test_malformed_document_exits_without_traceback(self, tmp_path, config_path):
+        domain = tmp_path / "domain.yaml"
+        text = (FIXTURES / "tsptw_domain.yaml").read_text()
+        domain.write_text(text[: text.index("dual_bounds:")] + "dual_bounds: 5\n")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "dpsearch.cli", "solve",
+                "--domain", str(domain),
+                "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+                "--config", config_path,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: dual_bounds in domain document must be a list")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "cost, fault",
         [

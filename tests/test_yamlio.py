@@ -1,6 +1,7 @@
 """Expression grammar, document parsing, grounding, and serialization."""
 
 import random
+import re
 import zlib
 
 import pytest
@@ -288,6 +289,45 @@ class TestRejectionCompleteness:
                 yamlio.parse_domain(domain),
                 yamlio.parse_problem("object_numbers: {}\ntarget: {x: 0}\n"),
             )
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            (("  - {name: x, type: integer}\n", "  - 5\n"), "state variable must be a map"),
+            (("  - {name: step, effect: {x: '(+ x 1)'}, cost: '(+ 1 cost)'}\n", "  7\n"),
+             "transitions in domain document must be a list"),
+            (("{name: step,", "{name: step, preconditions: 5,"),
+             "preconditions in transition 'step' must be a list"),
+            (("effect: {x: '(+ x 1)'}", "effect: [1]"),
+             "effect in transition 'step' must be a map"),
+            (("conditions: ['(>= x 2)']", "conditions: 3"),
+             "conditions in base case must be a list"),
+            (("base_cases:", "constraints: [5]\nbase_cases:"), "constraint must be a map"),
+            (("base_cases:", "dual_bounds: 5\nbase_cases:"),
+             "dual_bounds in domain document must be a list"),
+            (("object_numbers: {item: 2}", "object_numbers: {item: 2, a: x}"),
+             "object count of 'a' must be an integer"),
+            (("t: {0: 1}", "t: {a: 1}"), "key of table 't' must be an integer"),
+            (("s: {0: [1]}", "s: {0: [x]}"), "set member in table 's' must be an integer"),
+        ],
+    )
+    def test_malformed_shapes_are_document_errors(self, change, needle):
+        domain = MINIMAL_DOMAIN.replace(
+            "state_variables:", "objects: [item]\nstate_variables:"
+        ) + (
+            "tables:\n  - {name: t, type: integer, args: [item], default: 0}\n"
+            "  - {name: s, type: set, args: [item], object: item, default: []}\n"
+        )
+        problem = (
+            "object_numbers: {item: 2}\ntarget: {x: 0}\n"
+            "table_values: {t: {0: 1}, s: {0: [1]}}\n"
+        )
+        yamlio.load_model(domain, problem)  # well formed before the change
+        old, new = change
+        assert (old in domain) != (old in problem)
+        domain, problem = domain.replace(old, new), problem.replace(old, new)
+        with pytest.raises(DocumentError, match=re.escape(needle)):
+            yamlio.load_model(domain, problem)
 
 
 class TestRoundTrip:
