@@ -238,7 +238,10 @@ def generic_search(
 
     while True:
         if tracker is not None:
-            run.record_dual(tracker.probe(run.cutoff))
+            bound = tracker.probe(run.cutoff)
+            if bound is None and run.incumbent is not None:
+                bound = run.primal  # no open node beats the incumbent: proved
+            run.record_dual(bound)
         if run.out_of_time():
             return run.finish(natural=False)
         node = policy.pop()

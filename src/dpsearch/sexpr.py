@@ -42,6 +42,7 @@ required is an evaluation error, never a silent truncation.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,6 +198,8 @@ class _Parser:
         if isinstance(ast, str):
             return self._symbol(family, ast)
         if family == NUMERIC and not isinstance(ast, list):
+            if isinstance(ast, float) and math.isnan(ast):
+                raise ExpressionParseError(f"NaN is not a numeric constant: {ast!r}")
             return ex.NumericConst(ast)
         if family == ELEMENT and isinstance(ast, int):
             if ast < 0:
@@ -277,6 +280,8 @@ class _Parser:
         if len(ast) < 2 or not isinstance(ast[1], int):
             raise ExpressionParseError("(set-of universe members...) needs a universe")
         universe = ast[1]
+        if universe < 0:
+            raise ExpressionParseError(f"negative set-of universe {universe}")
         members = 0
         for item in ast[2:]:
             if not isinstance(item, int) or not 0 <= item < universe:

@@ -54,21 +54,35 @@ Number = Union[int, float]
 
 
 # ---------------------------------------------------------------------------
-# YAML plumbing: complex (sequence) keys become tuples
+# YAML plumbing: complex (sequence) keys become tuples.  The loader and
+# dumper run on libyaml when PyYAML was built with it, several times
+# faster than the pure-Python ones, which give the same data and text.
+
+if yaml.__with_libyaml__:
+    _BaseLoader, _BaseDumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _BaseLoader, _BaseDumper = yaml.SafeLoader, yaml.SafeDumper
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(_BaseLoader):
     def construct_mapping(self, node, deep=False):
         mapping = {}
         for key_node, value_node in node.value:
             key = self.construct_object(key_node, deep=True)
             if isinstance(key, list):
                 key = tuple(key)
+            try:
+                hash(key)
+            except TypeError:
+                raise DocumentError(
+                    f"map key {reprlib.repr(key)} on line {key_node.start_mark.line + 1} "
+                    "must be a scalar or a list of scalars"
+                ) from None
             mapping[key] = self.construct_object(value_node, deep=deep)
         return mapping
 
 
-class _Dumper(yaml.SafeDumper):
+class _Dumper(_BaseDumper):
     pass
 
 
@@ -85,6 +99,8 @@ def _load(text: str) -> dict:
         data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
         raise DocumentError(f"YAML syntax error: {err}") from err
+    except UnicodeEncodeError as err:  # libyaml reads UTF-8: a lone surrogate
+        raise DocumentError(f"document text is not valid Unicode: {err}") from err
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -191,6 +207,14 @@ class ProblemDocument:
     table_values: dict[str, object] = field(default_factory=dict)
 
 
+def _text(entry) -> str:
+    """An expression entry as grammar text.  YAML reads an unquoted
+    ``true``/``false`` as a bool, which the grammar spells in lower case."""
+    if isinstance(entry, bool):
+        return "true" if entry else "false"
+    return str(entry)
+
+
 def _parse_parameter(raw, where: str) -> ParameterDecl:
     _reject_unknown(raw, ("name", "object"), f"parameter in {where}")
     return ParameterDecl(
@@ -281,26 +305,26 @@ def parse_domain(text: str) -> DomainDocument:
                     for p in _shaped(params_raw, list, f"parameters in {here}")
                 ],
                 preconditions=[
-                    str(p) for p in _section(raw, "preconditions", list, here)
+                    _text(p) for p in _section(raw, "preconditions", list, here)
                 ],
                 effect={
-                    str(k): str(v) for k, v in _section(raw, "effect", dict, here).items()
+                    str(k): _text(v) for k, v in _section(raw, "effect", dict, here).items()
                 },
-                cost=str(raw.get("cost", TransitionDecl.cost)),
+                cost=_text(raw.get("cost", TransitionDecl.cost)),
                 forced=bool(raw.get("forced", False)),
             )
         )
 
     constraints = []
     for raw in _section(data, "constraints", list, where):
-        if isinstance(raw, str):
-            constraints.append(ConstraintDecl(condition=raw))
+        if isinstance(raw, (str, bool)):
+            constraints.append(ConstraintDecl(condition=_text(raw)))
             continue
         _reject_unknown(raw, ("condition", "forall"), "constraint")
         forall = raw.get("forall")
         constraints.append(
             ConstraintDecl(
-                condition=str(_require(raw, "condition", "constraint")),
+                condition=_text(_require(raw, "condition", "constraint")),
                 forall=_parse_parameter(forall, "constraint") if forall else None,
             )
         )
@@ -311,12 +335,12 @@ def parse_domain(text: str) -> DomainDocument:
         conditions = _section(raw, "conditions", list, "base case", required=True)
         base_cases.append(
             BaseCaseDecl(
-                conditions=[str(c) for c in conditions],
-                cost=str(raw.get("cost", BaseCaseDecl.cost)),
+                conditions=[_text(c) for c in conditions],
+                cost=_text(raw.get("cost", BaseCaseDecl.cost)),
             )
         )
 
-    bounds = [str(b) for b in _section(data, "dual_bounds", list, where)]
+    bounds = [_text(b) for b in _section(data, "dual_bounds", list, where)]
 
     return DomainDocument(
         cost_type=cost_type,
@@ -720,8 +744,11 @@ def serialize_model(model: Model) -> tuple[str, str]:
         del domain["tables"]
         del problem["table_values"]
 
-    domain_text = yaml.dump(domain, Dumper=_Dumper, sort_keys=False, width=100)
-    problem_text = yaml.dump(problem, Dumper=_Dumper, sort_keys=False, width=100)
+    try:
+        domain_text = yaml.dump(domain, Dumper=_Dumper, sort_keys=False, width=100)
+        problem_text = yaml.dump(problem, Dumper=_Dumper, sort_keys=False, width=100)
+    except UnicodeEncodeError as err:  # libyaml writes UTF-8: a lone surrogate
+        raise DocumentError(f"model text is not valid Unicode: {err}") from err
     return domain_text, problem_text
 
 

@@ -1,5 +1,6 @@
 """The generic engine and its six policy instantiations."""
 
+import itertools
 import random
 import zlib
 
@@ -245,3 +246,42 @@ def test_path_cost_overflow_is_an_evaluation_error(solver, step_weight, base_cos
     model = _overflow_model(step_weight, base_cost)
     with pytest.raises(dp.EvaluationError, match=f"^{where}: .*64-bit range"):
         dp.solve(model, solver)
+
+
+def _stop_after_pops(monkeypatch, solver, model, pops):
+    """Run ``solver`` with ``Run.out_of_time`` true once ``pops`` nodes
+    have been popped, so that it stops after exactly that many.  Returns
+    the solution and every node the run made."""
+    from dpsearch.search import engine
+
+    nodes, checks = [], itertools.count()
+    make_node = engine.make_node
+
+    def recording_make_node(*args):
+        nodes.append(make_node(*args))
+        return nodes[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "make_node", recording_make_node)
+        patch.setattr(engine.Run, "out_of_time", lambda run: next(checks) >= pops)
+        return dp.solve(model, solver), nodes
+
+
+@pytest.mark.parametrize("solver", [s for s in ALL_SOLVERS if s != "cabs"])
+@pytest.mark.parametrize("seed", range(8))
+def test_timed_out_bound_is_valid_and_live(monkeypatch, solver, seed):
+    # the bound reported at a timeout is at least min(primal, the best f
+    # still open): nodes alive after the stop are the open ones
+    model = CLASSES["tsptw"].build(CLASSES["tsptw"].random(random.Random(seed)))
+    optimum = dp.bellman_oracle(model).cost
+    if optimum is None:
+        return
+    full = dp.solve(model, solver)
+    for pops in range(1, full.expanded + 1):
+        solution, nodes = _stop_after_pops(monkeypatch, solver, model, pops)
+        assert solution.expanded == pops
+        assert solution.bound is not None and solution.bound <= optimum
+        open_f = [n.f for n in nodes if not n.dead]
+        if solution.cost is not None:
+            open_f = [f for f in open_f if f < solution.cost] + [solution.cost]
+        assert solution.bound >= min(open_f), (pops, solution.bound, open_f)

@@ -257,9 +257,11 @@ MESSAGES = [
     r"expected a set expression, got ",
     r"\(set-of universe members\.\.\.\) needs a universe",
     r"bad set literal member ",
+    r"negative set-of universe -\d+",
     r"\(\w+ \.\.\.\) mixes set universes",
     r"unknown set operator ",
     r"expected a numeric expression, got ",
+    r"NaN is not a numeric constant: ",
     r"'cost' is only legal inside a transition cost expression",
     r"'\w+' is not usable in numeric context",
     r"unknown symbol '\w+' in numeric context",

@@ -1,15 +1,17 @@
 """Expression grammar, document parsing, grounding, and serialization."""
 
+import dataclasses
 import random
 import re
 import zlib
 
 import pytest
+import yaml
 
 import dpsearch as dp
 from dpsearch import DocumentError, ExpressionParseError, UnknownSymbolError
 from dpsearch import sexpr, yamlio
-from dpsearch.expressions import NumericMax, NumericTable, SetIsEmpty
+from dpsearch.expressions import BoolConst, NumericMax, NumericTable, SetIsEmpty
 from dpsearch.problems import CLASSES, TsptwInstance, build_tsptw
 
 
@@ -123,6 +125,10 @@ class TestDomainParsing:
     def test_yaml_syntax_error(self):
         with pytest.raises(DocumentError, match="YAML"):
             yamlio.parse_domain("cost_type: [unclosed")
+
+    def test_lone_surrogate(self):
+        with pytest.raises(DocumentError, match="d800"):
+            yamlio.parse_domain("a: '\ud800'")
 
 
 class TestProblemParsing:
@@ -309,6 +315,8 @@ class TestRejectionCompleteness:
              "object count of 'a' must be an integer"),
             (("t: {0: 1}", "t: {a: 1}"), "key of table 't' must be an integer"),
             (("s: {0: [1]}", "s: {0: [x]}"), "set member in table 's' must be an integer"),
+            (("t: {0: 1}", "t: {? [[0], 1] : 1}"), "map key ([0], 1) on line 3 must be"),
+            (("t: {0: 1}", "t: {? {a: 0} : 1}"), "map key {'a': 0} on line 3 must be"),
         ],
     )
     def test_malformed_shapes_are_document_errors(self, change, needle):
@@ -330,6 +338,38 @@ class TestRejectionCompleteness:
             yamlio.load_model(domain, problem)
 
 
+class TestBooleanEntries:
+    """YAML reads an unquoted true/false as a bool; in a condition it is
+    the constant condition, in a numeric position a named error."""
+
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_precondition(self, literal):
+        domain = MINIMAL_DOMAIN.replace("{name: step,", f"{{name: step, preconditions: [{literal}],")
+        model = yamlio.load_model(domain, "object_numbers: {}\ntarget: {x: 0}\n")
+        assert model.transitions[0].preconditions == (BoolConst(literal == "true"),)
+        expected = dp.Status.OPTIMAL if literal == "true" else dp.Status.INFEASIBLE
+        assert dp.cabs(model).status == expected
+
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_base_case_condition(self, literal):
+        domain = MINIMAL_DOMAIN.replace("conditions: ['(>= x 2)']", f"conditions: [{literal}]")
+        model = yamlio.load_model(domain, "object_numbers: {}\ntarget: {x: 0}\n")
+        assert model.base_cases[0].conditions == (BoolConst(literal == "true"),)
+        if literal == "true":  # the target is a base state
+            assert dp.bellman_oracle(model).cost == 0
+
+    def test_bare_constraint(self):
+        domain = MINIMAL_DOMAIN.replace("base_cases:", "constraints: [false]\nbase_cases:")
+        model = yamlio.load_model(domain, "object_numbers: {}\ntarget: {x: 0}\n")
+        assert model.constraints == (BoolConst(False),)
+        assert dp.cabs(model).status == dp.Status.INFEASIBLE
+
+    def test_numeric_position_is_a_named_error(self):
+        domain = MINIMAL_DOMAIN.replace("effect: {x: '(+ x 1)'}", "effect: {x: true}")
+        with pytest.raises(UnknownSymbolError, match="'true'"):
+            yamlio.load_model(domain, "object_numbers: {}\ntarget: {x: 0}\n")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_serialize_parse_instantiate(self, name):
@@ -341,6 +381,51 @@ class TestRoundTrip:
             again = yamlio.load_model(domain_text, problem_text)
             assert again == model
             assert dp.bellman_oracle(again).cost == dp.bellman_oracle(model).cost
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+def test_pure_python_yaml_classes_agree(monkeypatch):
+    """The pure-Python loader and dumper, used where PyYAML has no
+    libyaml, give the same text and the same models as libyaml's."""
+
+    class Loader(yaml.SafeLoader):
+        construct_mapping = yamlio._Loader.construct_mapping
+
+    class Dumper(yaml.SafeDumper):
+        pass
+
+    Dumper.add_representer(tuple, yamlio._Dumper.yaml_representers[tuple])
+    assert not issubclass(yamlio._Loader, yaml.SafeLoader)
+    for name in sorted(CLASSES):
+        cls = CLASSES[name]
+        for seed in range(3):
+            model = cls.build(cls.random(random.Random(seed)))
+            texts = yamlio.serialize_model(model)
+            with monkeypatch.context() as patch:
+                patch.setattr(yamlio, "_Loader", Loader)
+                patch.setattr(yamlio, "_Dumper", Dumper)
+                assert yamlio.serialize_model(model) == texts, name
+                assert yamlio.load_model(*texts) == model, name
+
+
+def test_unencodable_name_is_a_document_error():
+    model = build_tsptw(TsptwInstance(((0, 2), (2, 0)), (0, 0), (10, 10)))
+    first = dataclasses.replace(model.transitions[0], name="visit-\ud800")
+    broken = dp.Model(
+        metadata=model.metadata,
+        tables=model.tables,
+        target=model.target,
+        transitions=[first, *model.transitions[1:]],
+        base_cases=model.base_cases,
+        constraints=model.constraints,
+        dual_bounds=model.dual_bounds,
+        costs=model.costs,
+    )
+    if yaml.__with_libyaml__:
+        with pytest.raises(DocumentError, match="d800"):
+            yamlio.serialize_model(broken)
+    else:  # the pure-Python emitter escapes it
+        yamlio.serialize_model(broken)
 
 
 class TestContinuousCostType:
