@@ -31,13 +31,11 @@ from .model import (
     BaseCase,
     CostStructure,
     Diagnostic,
-    Dominance,
     Model,
     StateMetadata,
     Transition,
     Variable,
     combine,
-    dominance_compare,
     validate,
 )
 from .oracle import OracleResult, bellman_oracle
@@ -66,7 +64,6 @@ __all__ = [
     "DepthLimitError",
     "Diagnostic",
     "DocumentError",
-    "Dominance",
     "DpsearchError",
     "EvaluationError",
     "ExpressionParseError",
@@ -94,7 +91,6 @@ __all__ = [
     "combine",
     "dbdfs",
     "dfbnb",
-    "dominance_compare",
     "eval_condition",
     "eval_element",
     "eval_numeric",

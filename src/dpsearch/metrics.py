@@ -25,8 +25,6 @@ def primal_gap(cost: Optional[Number], reference: Number) -> float:
     """Gap of a single solution against a reference cost, in [0, 1]."""
     if cost is None:
         return 1.0
-    if cost == reference == 0:
-        return 0.0
     if cost == reference:
         return 0.0
     return abs(reference - cost) / max(abs(reference), abs(cost))

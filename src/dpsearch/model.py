@@ -20,7 +20,6 @@ base case or dual bound where it arose.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -153,48 +152,6 @@ class StateMetadata:
                     isinstance(value, float) and not math.isfinite(value)
                 ):
                     raise ModelError(f"bad continuous value {value!r} for {var.name!r}")
-
-
-class Dominance(enum.Enum):
-    EQUAL = "equal"
-    FIRST = "first-dominates-second"
-    SECOND = "second-dominates-first"
-    INCOMPARABLE = "incomparable"
-
-
-def dominance_compare(meta: StateMetadata, a: State, b: State) -> Dominance:
-    """Resource-preference preorder between two states.
-
-    States differing on any non-resource variable are incomparable; among
-    states agreeing there, one dominates when every resource variable is
-    weakly preferred and at least one is strictly preferred.
-
-    Declaring a preference is a modeling contract: the preferred state
-    must lead to an equally good solution using no more transitions.
-    The transition-count half cannot be checked structurally, so it is
-    the modeler's obligation (typically every solution from both states
-    has the same length, as when each transition consumes one element of
-    a shrinking set).
-    """
-    for i in meta.non_resource_indices:
-        if a[i] != b[i]:
-            return Dominance.INCOMPARABLE
-    a_wins = b_wins = False
-    for i in meta.resource_indices:
-        if a[i] == b[i]:
-            continue
-        prefers_a = (a[i] < b[i]) == (meta.variables[i].preference == LESS)
-        if prefers_a:
-            a_wins = True
-        else:
-            b_wins = True
-    if a_wins and b_wins:
-        return Dominance.INCOMPARABLE
-    if a_wins:
-        return Dominance.FIRST
-    if b_wins:
-        return Dominance.SECOND
-    return Dominance.EQUAL
 
 
 # ---------------------------------------------------------------------------

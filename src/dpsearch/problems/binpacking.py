@@ -78,13 +78,9 @@ class BinPackingInstance:
 
 def parse_binpacking(text: str) -> BinPackingInstance:
     """Text form: the capacity, the item count, then the weights."""
-    fields = iter(text.split())
-    try:
-        capacity = int(next(fields))
-        n = int(next(fields))
-        weights = tuple(int(next(fields)) for _ in range(n))
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    capacity = read()
+    weights = tuple(read() for _ in range(read()))
     return BinPackingInstance(weights, capacity)
 
 

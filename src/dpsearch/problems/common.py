@@ -5,6 +5,35 @@ from __future__ import annotations
 from .. import expressions as ex
 
 
+def field_reader(text: str):
+    """A function returning the next whitespace-separated field of
+    ``text``, converted by its argument (``int`` by default).  Past the
+    last field it raises ValueError; a bare ``next`` would stop an
+    enclosing generator expression with RuntimeError instead."""
+    fields = iter(text.split())
+
+    def read(convert=int):
+        field = next(fields, None)
+        if field is None:
+            raise ValueError("truncated instance text")
+        return convert(field)
+
+    return read
+
+
+def precedence_sets(fields: list[str], n: int) -> tuple[frozenset[int], ...]:
+    """Predecessor sets of ``n`` tasks from ``before after`` index pairs."""
+    if len(fields) % 2:
+        raise ValueError("precedence lines must hold pairs")
+    pred = [set() for _ in range(n)]
+    for pos in range(0, len(fields), 2):
+        before, after = int(fields[pos]), int(fields[pos + 1])
+        if not (0 <= before < n and 0 <= after < n):
+            raise ValueError(f"precedence pair {before} {after} is outside tasks 0..{n - 1}")
+        pred[after].add(before)
+    return tuple(frozenset(p) for p in pred)
+
+
 def floyd_warshall(travel: list[list[int]]) -> list[list[int]]:
     """All-pairs shortest travel times over a complete cost matrix."""
     n = len(travel)

@@ -63,15 +63,12 @@ class CvrpInstance:
 def parse_cvrp(text: str) -> CvrpInstance:
     """Text form: customer count, travel matrix rows, a demand line,
     then ``capacity vehicles`` on the final line."""
-    fields = iter(text.split())
-    try:
-        n = int(next(fields))
-        travel = tuple(tuple(int(next(fields)) for _ in range(n)) for _ in range(n))
-        demands = tuple(int(next(fields)) for _ in range(n))
-        capacity = int(next(fields))
-        vehicles = int(next(fields))
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    n = read()
+    travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
+    demands = tuple(read() for _ in range(n))
+    capacity = read()
+    vehicles = read()
     return CvrpInstance(travel, demands, capacity, vehicles)
 
 

@@ -51,17 +51,12 @@ class GraphClearInstance:
 def parse_graphclear(text: str) -> GraphClearInstance:
     """Text form: the node count, the node weight line, the edge count,
     then one ``i j weight`` line per edge."""
-    fields = iter(text.split())
-    try:
-        n = int(next(fields))
-        nodes = tuple(int(next(fields)) for _ in range(n))
-        edges = int(next(fields))
-        weights = {}
-        for _ in range(edges):
-            i, j, w = int(next(fields)), int(next(fields)), int(next(fields))
-            weights[(i, j)] = w
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    nodes = tuple(read() for _ in range(read()))
+    weights = {}
+    for _ in range(read()):
+        i, j, w = read(), read(), read()
+        weights[(i, j)] = w
     return GraphClearInstance(nodes, weights)
 
 

@@ -109,15 +109,12 @@ def parse_mdkp(text: str, allow_fractional: bool = False) -> MdkpInstance:
                 ) from None
             return value
 
-    fields = iter(text.split())
-    try:
-        n = int(next(fields))
-        m = int(next(fields))
-        profits = tuple(int(next(fields)) for _ in range(n))
-        weights = tuple(tuple(number(next(fields)) for _ in range(m)) for _ in range(n))
-        capacities = tuple(number(next(fields)) for _ in range(m))
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    n = read()
+    m = read()
+    profits = tuple(read() for _ in range(n))
+    weights = tuple(tuple(read(number) for _ in range(m)) for _ in range(n))
+    capacities = tuple(read(number) for _ in range(m))
     return MdkpInstance(profits, weights, capacities)
 
 

@@ -51,17 +51,11 @@ class MospInstance:
 def parse_mosp(text: str) -> MospInstance:
     """Text form: ``customers products``, then one line per customer:
     the order size followed by its product indices."""
-    fields = iter(text.split())
-    try:
-        customers = int(next(fields))
-        products = int(next(fields))
-        orders = []
-        for _ in range(customers):
-            size = int(next(fields))
-            orders.append(frozenset(int(next(fields)) for _ in range(size)))
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
-    return MospInstance(tuple(orders), products)
+    read = c.field_reader(text)
+    customers = read()
+    products = read()
+    orders = tuple(frozenset(read() for _ in range(read())) for _ in range(customers))
+    return MospInstance(orders, products)
 
 
 def build_mosp(instance: MospInstance) -> Model:

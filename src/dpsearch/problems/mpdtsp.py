@@ -38,6 +38,13 @@ class MpdtspInstance:
     capacity: int
     commodities: tuple[tuple[int, int, int], ...]  # (pickup, delivery, weight)
 
+    def __post_init__(self):
+        for pickup, delivery, _ in self.commodities:
+            if not (0 <= pickup < self.n and 0 <= delivery < self.n):
+                raise ValueError(
+                    f"commodity {pickup} -> {delivery} is outside customers 0..{self.n - 1}"
+                )
+
     @property
     def n(self) -> int:
         return len(self.travel)
@@ -77,24 +84,14 @@ def parse_mpdtsp(text: str) -> MpdtspInstance:
     matrix rows, one ``pickup delivery weight`` line per commodity, then
     one ``i j`` line per directed edge (``edge-count = -1`` means the
     complete graph)."""
-    fields = iter(text.split())
-    try:
-        n = int(next(fields))
-        m = int(next(fields))
-        capacity = int(next(fields))
-        edge_count = int(next(fields))
-        travel = tuple(tuple(int(next(fields)) for _ in range(n)) for _ in range(n))
-        commodities = tuple(
-            (int(next(fields)), int(next(fields)), int(next(fields))) for _ in range(m)
-        )
-        if edge_count < 0:
-            edges = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
-        else:
-            edges = frozenset(
-                (int(next(fields)), int(next(fields))) for _ in range(edge_count)
-            )
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    n, m, capacity, edge_count = read(), read(), read(), read()
+    travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
+    commodities = tuple((read(), read(), read()) for _ in range(m))
+    if edge_count < 0:
+        edges = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
+    else:
+        edges = frozenset((read(), read()) for _ in range(edge_count))
     return MpdtspInstance(travel, edges, capacity, commodities)
 
 

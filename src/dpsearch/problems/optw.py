@@ -86,15 +86,10 @@ class OptwInstance:
 def parse_optw(text: str) -> OptwInstance:
     """Text form: customer count, travel matrix rows, then one
     ``profit ready deadline`` line per customer."""
-    fields = iter(text.split())
-    try:
-        n = int(next(fields))
-        travel = tuple(tuple(int(next(fields)) for _ in range(n)) for _ in range(n))
-        rows = tuple(
-            (int(next(fields)), int(next(fields)), int(next(fields))) for _ in range(n)
-        )
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    n = read()
+    travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
+    rows = tuple((read(), read(), read()) for _ in range(n))
     return OptwInstance(
         travel=travel,
         profits=tuple(r[0] for r in rows),

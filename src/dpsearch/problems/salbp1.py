@@ -76,14 +76,7 @@ def parse_salbp1(text: str) -> Salbp1Instance:
             raise IndexError
     except (IndexError, ValueError):
         raise ValueError("truncated instance text") from None
-    rest = fields[2 + n :]
-    if len(rest) % 2:
-        raise ValueError("precedence lines must hold pairs")
-    pred = [set() for _ in range(n)]
-    for pos in range(0, len(rest), 2):
-        before, after = int(rest[pos]), int(rest[pos + 1])
-        pred[after].add(before)
-    return Salbp1Instance(weights, capacity, tuple(frozenset(p) for p in pred))
+    return Salbp1Instance(weights, capacity, c.precedence_sets(fields[2 + n :], n))
 
 
 def build_salbp1(instance: Salbp1Instance) -> Model:

@@ -81,19 +81,15 @@ def merge_identical_scenes(instance: TalentInstance) -> TalentInstance:
 def parse_talent(text: str) -> TalentInstance:
     """Text form: ``scenes actors``, one ``duration size actor...`` line
     per scene, then the per-actor daily cost line."""
-    fields = iter(text.split())
-    try:
-        scenes = int(next(fields))
-        actors = int(next(fields))
-        casts = []
-        durations = []
-        for _ in range(scenes):
-            durations.append(int(next(fields)))
-            size = int(next(fields))
-            casts.append(frozenset(int(next(fields)) for _ in range(size)))
-        costs = tuple(int(next(fields)) for _ in range(actors))
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    scenes = read()
+    actors = read()
+    casts = []
+    durations = []
+    for _ in range(scenes):
+        durations.append(read())
+        casts.append(frozenset(read() for _ in range(read())))
+    costs = tuple(read() for _ in range(actors))
     return TalentInstance(tuple(casts), tuple(durations), costs)
 
 

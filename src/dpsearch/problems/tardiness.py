@@ -55,18 +55,11 @@ def parse_wt(text: str) -> WtInstance:
             raise IndexError
     except (IndexError, ValueError):
         raise ValueError("truncated instance text") from None
-    rest = fields[1 + 3 * n :]
-    if len(rest) % 2:
-        raise ValueError("precedence lines must hold pairs")
-    pred = [set() for _ in range(n)]
-    for pos in range(0, len(rest), 2):
-        before, after = int(rest[pos]), int(rest[pos + 1])
-        pred[after].add(before)
     return WtInstance(
         processing=tuple(r[0] for r in rows),
         due=tuple(r[1] for r in rows),
         weights=tuple(r[2] for r in rows),
-        predecessors=tuple(frozenset(p) for p in pred),
+        predecessors=c.precedence_sets(fields[1 + 3 * n :], n),
     )
 
 

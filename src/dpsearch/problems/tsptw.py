@@ -76,20 +76,10 @@ def parse_tsptw(text: str) -> TsptwInstance:
     """Parse the plain text form: the customer count, then the travel
     matrix one row per line, then one ``ready deadline`` line per
     customer."""
-    fields = text.split()
-    if not fields:
-        raise ValueError("empty instance text")
-    cursor = iter(fields)
-    try:
-        n = int(next(cursor))
-        travel = tuple(
-            tuple(int(next(cursor)) for _ in range(n)) for _ in range(n)
-        )
-        windows = tuple(
-            (int(next(cursor)), int(next(cursor))) for _ in range(n)
-        )
-    except StopIteration:
-        raise ValueError("truncated instance text") from None
+    read = c.field_reader(text)
+    n = read()
+    travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
+    windows = tuple((read(), read()) for _ in range(n))
     return TsptwInstance(
         travel=travel,
         ready=tuple(w[0] for w in windows),

@@ -229,16 +229,16 @@ def generic_search(
 
     policy = policy_factory(run.is_live)
     registry = StateRegistry(model.metadata, model.costs)
-    tracker = BoundTracker(model.costs) if run.has_bound else None
+    tracker = BoundTracker(run.is_live) if run.has_bound else None
 
     registry.insert(root)
     policy.push((root,))
     if tracker is not None:
-        tracker.push(root)
+        tracker.push((root,))
 
     while True:
         if tracker is not None:
-            bound = tracker.probe(run.cutoff)
+            bound = tracker.probe()
             if bound is None and run.incumbent is not None:
                 bound = run.primal  # no open node beats the incumbent: proved
             run.record_dual(bound)
@@ -256,8 +256,7 @@ def generic_search(
             continue
         policy.push(children)
         if tracker is not None:
-            for child in children:
-                tracker.push(child)
+            tracker.push(children)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Optional, Union
 
-from ..model import CostStructure, Dominance, StateMetadata, State, dominance_compare
+from ..model import LESS, CostStructure, StateMetadata, State
 
 Number = Union[int, float]
 
@@ -28,18 +29,11 @@ class SearchNode:
     f: Number
     depth: int
     counter: int
+    order: tuple
     parent: Optional["SearchNode"] = None
     transition: Optional[str] = None
     dead: bool = False
     discrepancy: int = 0
-    order: tuple = field(init=False)
-
-    def __post_init__(self):
-        self.order = (self.f, self.h, -self.counter)
-
-    def flip_order(self) -> None:
-        """Maximization flips the comparison of f and h."""
-        self.order = (-self.f, -self.h, -self.counter)
 
     def path(self) -> list[str]:
         names: list[str] = []
@@ -62,82 +56,93 @@ def make_node(
     parent: Optional[SearchNode] = None,
     transition: Optional[str] = None,
 ) -> SearchNode:
-    node = SearchNode(state, g, h, f, depth, counter, parent, transition)
-    if not costs.minimize:
-        node.flip_order()
-    return node
+    # maximization flips the comparison of f and h
+    order = (f, h, -counter) if costs.minimize else (-f, -h, -counter)
+    return SearchNode(state, g, h, f, depth, counter, order, parent, transition)
 
 
 class StateRegistry:
     """Generated states bucketed by their non-resource variable values.
 
-    Within a bucket, nodes differ on resource variables or path weight.
-    The registry never keeps two nodes where one weakly dominates the
-    other with a weakly better g; the dominated one is evicted.
+    In a bucket, a state weakly dominates another when each of its
+    resource values is weakly preferred.  The registry never keeps two
+    nodes where one weakly dominates the other with a weakly better g:
+    the dominated one is evicted, and a dominated newcomer is blocked.
+
+    Declaring a preference is a modeling contract: the preferred state
+    must lead to an equally good solution using no more transitions.
+    The transition-count half cannot be checked structurally (typically
+    every solution from both states has the same length, as when each
+    transition consumes one element of a shrinking set).
     """
 
     def __init__(self, metadata: StateMetadata, costs: CostStructure):
-        self._meta = metadata
-        self._costs = costs
-        self._key_indices = metadata.non_resource_indices
-        self._buckets: dict[tuple, list[SearchNode]] = {}
+        self._better = costs.better
+        keys = metadata.non_resource_indices
+        self._key = itemgetter(*keys) if keys else lambda state: ()
+        self._resources = tuple(
+            (i, metadata.variables[i].preference == LESS) for i in metadata.resource_indices
+        )
+        self._buckets: dict[object, list[SearchNode]] = {}
 
-    def _key(self, state: State) -> tuple:
-        return tuple(state[i] for i in self._key_indices)
+    def _covers(self, a: State, b: State) -> bool:
+        """Whether ``a`` weakly dominates ``b``, which shares its key."""
+        for i, less in self._resources:
+            if (a[i] > b[i]) if less else (a[i] < b[i]):
+                return False
+        return True
 
     def blocked(self, state: State, g: Number) -> bool:
         """True if some kept node weakly dominates ``state`` with a
         weakly better g; such a newcomer must not be inserted."""
-        better = self._costs.better
+        better, covers = self._better, self._covers
         for node in self._buckets.get(self._key(state), ()):
-            cmp = dominance_compare(self._meta, node.state, state)
-            if cmp in (Dominance.FIRST, Dominance.EQUAL) and not better(g, node.g):
+            if covers(node.state, state) and not better(g, node.g):
                 return True
         return False
 
     def insert(self, node: SearchNode) -> list[SearchNode]:
         """Insert, evicting nodes the newcomer weakly dominates with a
         weakly better g.  Returns the evicted nodes (marked dead)."""
-        better = self._costs.better
-        bucket = self._buckets.setdefault(self._key(node.state), [])
+        better, covers = self._better, self._covers
+        key, state, g = self._key(node.state), node.state, node.g
         evicted = []
         kept = []
-        for old in bucket:
-            cmp = dominance_compare(self._meta, node.state, old.state)
-            if cmp in (Dominance.FIRST, Dominance.EQUAL) and not better(old.g, node.g):
+        for old in self._buckets.get(key, ()):
+            if covers(state, old.state) and not better(old.g, g):
                 old.dead = True
                 evicted.append(old)
             else:
                 kept.append(old)
         kept.append(node)
-        self._buckets[self._key(node.state)] = kept
+        self._buckets[key] = kept
         return evicted
 
 
 class BoundTracker:
-    """Lazy min-heap over the f-values of live open nodes.
+    """Lazy heap of open nodes in the deterministic node order.
 
     The best f-value among open nodes is a valid dual bound whenever the
     model declares one, regardless of the expansion policy, so a single
-    tracker serves every solver.  Entries whose node died or no longer
-    beats the primal bound are discarded on probe.
+    tracker serves every solver.  Entries the liveness predicate rejects
+    are discarded on probe.
     """
 
-    def __init__(self, costs: CostStructure):
-        self._sign = 1 if costs.minimize else -1  # heap keys: smaller is better
+    def __init__(self, is_live: Callable[[SearchNode], bool]):
+        self._is_live = is_live
         self._heap: list[tuple] = []
 
-    def push(self, node: SearchNode) -> None:
-        heapq.heappush(self._heap, (self._sign * node.f, node.counter, node))
+    def push(self, nodes) -> None:
+        heap, heappush = self._heap, heapq.heappush
+        for node in nodes:
+            heappush(heap, (node.order, node))
 
-    def probe(self, primal: Number) -> Optional[Number]:
-        """Best f among live entries strictly better than ``primal``."""
-        heap, limit = self._heap, self._sign * primal
+    def probe(self) -> Optional[Number]:
+        """Best f among live open nodes, or None when none is left."""
+        heap, is_live = self._heap, self._is_live
         while heap:
-            key, _, node = heap[0]
-            if node.dead or not key < limit:
-                node.dead = True
-                heapq.heappop(heap)
-                continue
-            return node.f
+            node = heap[0][1]
+            if is_live(node):
+                return node.f
+            heapq.heappop(heap)
         return None

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -108,7 +108,13 @@ def _load(text: str) -> dict:
     return data
 
 
-_SHAPES = {dict: "a map", list: "a list", str: "a name", int: "an integer"}
+_SHAPES = {
+    dict: "a map",
+    list: "a list",
+    str: "a name",
+    int: "an integer",
+    bool: "true or false",
+}
 
 
 def _shaped(value, kind: type, where: str):
@@ -311,7 +317,7 @@ def parse_domain(text: str) -> DomainDocument:
                     str(k): _text(v) for k, v in _section(raw, "effect", dict, here).items()
                 },
                 cost=_text(raw.get("cost", TransitionDecl.cost)),
-                forced=bool(raw.get("forced", False)),
+                forced=_section(raw, "forced", bool, here),
             )
         )
 
@@ -762,29 +768,17 @@ class SolverConfig:
     params: SolverParams
 
 
-_CONFIG_KEYS = (
-    "solver",
-    "time_limit",
-    "initial_bound",
-    "beam_initial_width",
-    "beam_growth",
-    "acps_initial_budget",
-    "acps_budget_step",
-    "apps_initial_budget",
-    "apps_budget_step",
-    "apps_max_budget",
-    "dbdfs_k",
-)
+_PARAM_KEYS = tuple(f.name for f in fields(SolverParams))
 
 
 def parse_solver_config(text: str) -> SolverConfig:
     data = _load(text)
-    _reject_unknown(data, _CONFIG_KEYS, "solver config")
+    _reject_unknown(data, ("solver", *_PARAM_KEYS), "solver config")
     solver = _require(data, "solver", "solver config")
     if solver not in SOLVER_NAMES:
         raise DocumentError(f"unknown solver {solver!r}")
     kwargs = {}
-    for key in _CONFIG_KEYS[1:]:
+    for key in _PARAM_KEYS:
         if key in data and data[key] is not None:
             kwargs[key] = data[key]
     try:

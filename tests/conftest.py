@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from dpsearch import Model, StateMetadata, Variable, combine
+from dpsearch import CostStructure, Model, StateMetadata, Variable, combine
 from dpsearch.problems import TsptwInstance, build_tsptw
+from dpsearch.search.nodes import StateRegistry, make_node
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,6 +63,29 @@ def strip_preferences(model: Model) -> Model:
         dual_bounds=model.dual_bounds,
         costs=model.costs,
     )
+
+
+def registry_admits(meta: StateMetadata, kept, newcomer, g=0, costs=CostStructure()) -> bool:
+    """Whether a ``StateRegistry`` holding ``kept`` at path weight 0 lets
+    ``newcomer`` in at path weight ``g``.
+
+    Checks that the registry's two uses of its dominance rule agree: a
+    blocked newcomer is one that, inserted anyway, would have been
+    evicted by ``kept`` coming second at weight 0.
+    """
+    registry = StateRegistry(meta, costs)
+    registry.insert(make_node(costs, kept, 0, 0, 0, 0, 0))
+    blocked = registry.blocked(newcomer, g)
+    reverse = StateRegistry(meta, costs)
+    reverse.insert(make_node(costs, newcomer, g, 0, g, 0, 0))
+    assert bool(reverse.insert(make_node(costs, kept, 0, 0, 0, 0, 1))) == blocked
+    return not blocked
+
+
+def weakly_dominates(meta: StateMetadata, a, b) -> bool:
+    """The registry's dominance preorder: ``a`` weakly dominates ``b``
+    when a kept ``a`` blocks ``b`` at an equal path weight."""
+    return not registry_admits(meta, a, b)
 
 
 def with_bounds(model: Model, bounds) -> Model:

@@ -195,6 +195,23 @@ class TestConvert:
         assert code == 0
         assert "cost: 6" in out.read_text()
 
+    def test_truncated_text_exits_without_traceback(self, tmp_path):
+        raw = tmp_path / "truncated.txt"
+        raw.write_text("3\n0 1 2\n1 0\n")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "dpsearch.cli", "convert", "tsptw",
+                "--input", str(raw),
+                "--domain-out", str(tmp_path / "d.yaml"),
+                "--problem-out", str(tmp_path / "p.yaml"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: truncated instance text\n"
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_class(self, capsys, tmp_path):
         raw = tmp_path / "x.txt"
         raw.write_text("whatever")

@@ -9,7 +9,6 @@ import pytest
 from dpsearch import (
     BaseCase,
     CostStructure,
-    Dominance,
     EvaluationError,
     Model,
     ModelError,
@@ -20,7 +19,6 @@ from dpsearch import (
     bitset,
     caasdy,
     combine,
-    dominance_compare,
     validate,
 )
 from dpsearch.expressions import (
@@ -35,6 +33,8 @@ from dpsearch.expressions import (
     TableRegistry,
 )
 from dpsearch.problems import TsptwInstance, build_tsptw
+
+from conftest import registry_admits, weakly_dominates
 
 
 def state_of(model, unvisited, location, time):
@@ -275,29 +275,34 @@ class TestCombine:
 
 
 class TestDominance:
+    """The dominance preorder, as ``StateRegistry`` applies it."""
+
     def test_less_time_dominates(self, desk_tsptw_model):
         meta = desk_tsptw_model.metadata
         a = state_of(desk_tsptw_model, [1], 1, 3)
         b = state_of(desk_tsptw_model, [1], 1, 5)
-        assert dominance_compare(meta, a, b) == Dominance.FIRST
-        assert dominance_compare(meta, b, a) == Dominance.SECOND
+        assert weakly_dominates(meta, a, b)
+        assert not weakly_dominates(meta, b, a)
 
     def test_identical_states_equal(self, desk_tsptw_model):
         meta = desk_tsptw_model.metadata
         a = state_of(desk_tsptw_model, [1], 1, 3)
-        assert dominance_compare(meta, a, a) == Dominance.EQUAL
+        assert weakly_dominates(meta, a, a)
+        assert weakly_dominates(meta, a, state_of(desk_tsptw_model, [1], 1, 3))
 
     def test_different_nonresource_incomparable(self, desk_tsptw_model):
         meta = desk_tsptw_model.metadata
         a = state_of(desk_tsptw_model, [1], 1, 3)
-        b = state_of(desk_tsptw_model, [2], 1, 3)
-        assert dominance_compare(meta, a, b) == Dominance.INCOMPARABLE
+        for b in (state_of(desk_tsptw_model, [2], 1, 3), state_of(desk_tsptw_model, [1], 2, 9)):
+            assert not weakly_dominates(meta, a, b)
+            assert not weakly_dominates(meta, b, a)
 
     def test_greater_preference(self):
         meta = StateMetadata(
             {}, [Variable("r", "integer", preference="greater")]
         )
-        assert dominance_compare(meta, (5,), (3,)) == Dominance.FIRST
+        assert weakly_dominates(meta, (5,), (3,))
+        assert not weakly_dominates(meta, (3,), (5,))
 
     def test_mixed_resources_incomparable(self):
         meta = StateMetadata(
@@ -307,7 +312,39 @@ class TestDominance:
                 Variable("k", "integer", preference="less"),
             ],
         )
-        assert dominance_compare(meta, (5, 5), (3, 3)) == Dominance.INCOMPARABLE
+        assert not weakly_dominates(meta, (5, 5), (3, 3))
+        assert not weakly_dominates(meta, (3, 3), (5, 5))
+        assert weakly_dominates(meta, (5, 3), (3, 5))  # wins on both
+
+    @pytest.mark.parametrize("direction, worse", [("min", 1), ("max", -1)])
+    def test_no_resource_variable_is_duplicate_detection(self, direction, worse):
+        meta = StateMetadata({"item": 3}, [Variable("U", "set", "item"), Variable("x", "integer")])
+        costs = CostStructure("+", direction, "integer")
+        state = (0b101, 2)
+        assert not registry_admits(meta, state, state, g=0, costs=costs)
+        assert not registry_admits(meta, state, state, g=worse, costs=costs)
+        assert registry_admits(meta, state, state, g=-worse, costs=costs)
+        assert registry_admits(meta, state, (0b101, 3), g=worse, costs=costs)
+
+    def test_one_key_slot(self):
+        meta = StateMetadata(
+            {}, [Variable("x", "integer"), Variable("r", "integer", preference="less")]
+        )
+        assert weakly_dominates(meta, (1, 2), (1, 4))
+        assert not weakly_dominates(meta, (1, 4), (1, 2))
+        assert not weakly_dominates(meta, (1, 2), (0, 4))
+
+    def test_zero_key_slots_share_one_bucket(self):
+        meta = StateMetadata(
+            {},
+            [
+                Variable("r", "integer", preference="less"),
+                Variable("c", "continuous", preference="greater"),
+            ],
+        )
+        assert weakly_dominates(meta, (1, 2.5), (3, 2.5))
+        assert weakly_dominates(meta, (1, 2.5), (1, 0.5))
+        assert not weakly_dominates(meta, (1, 0.5), (3, 2.5))
 
 
 class TestDualBound:

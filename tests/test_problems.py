@@ -38,6 +38,7 @@ from dpsearch.problems import (
     merge_identical_scenes,
     parse_binpacking,
     parse_mdkp,
+    parse_mpdtsp,
     parse_tsptw,
 )
 from conftest import exhaustive_optimum, strip_preferences
@@ -343,3 +344,45 @@ def test_parse_formats_roundtrip_through_text(name):
     # every class must at least reject empty text
     with pytest.raises(ValueError):
         cls.parse("")
+
+
+# One small valid text per class, in its documented format.
+VALID_TEXTS = {
+    "binpacking": "8\n4\n5 4 3 3\n",
+    "cvrp": "3\n0 2 3\n2 0 1\n3 1 0\n0 1 1\n2 2\n",
+    "graphclear": "3\n1 2 3\n2\n0 1 4\n1 2 5\n",
+    "mdkp": "2 1\n3 4\n2\n3\n4\n",
+    "mosp": "2 3\n2 0 1\n1 2\n",
+    "mpdtsp": "3 1 5 2\n0 2 3\n2 0 1\n3 1 0\n0 1 2\n0 1\n1 2\n",
+    "optw": "3\n0 2 3\n2 0 1\n3 1 0\n0 0 10\n5 0 10\n4 0 10\n",
+    "salbp1": "10\n3\n4 5 6\n",
+    "talent": "2 2\n1 1 0\n2 2 0 1\n3 4\n",
+    "tsptw": "3\n0 2 3\n2 0 1\n3 1 0\n0 10\n0 10\n0 10\n",
+    "wt": "2\n3 4 1\n2 5 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_parse_rejects_a_dropped_last_field(name):
+    cls = CLASSES[name]
+    text = VALID_TEXTS[name]
+    cls.build(cls.parse(text))
+    truncated = text.rstrip().rsplit(maxsplit=1)[0]
+    with pytest.raises(ValueError, match="^truncated instance text$"):
+        cls.parse(truncated)
+
+
+@pytest.mark.parametrize("name", ["salbp1", "wt"])
+@pytest.mark.parametrize("pair", ["0 3", "3 0", "-1 0", "0 -1"])
+def test_precedence_pair_outside_the_tasks(name, pair):
+    cls = CLASSES[name]
+    cls.parse(VALID_TEXTS[name] + "0 1\n")  # an in-range pair is fine
+    with pytest.raises(ValueError, match=f"precedence pair {pair} is outside tasks"):
+        cls.parse(VALID_TEXTS[name] + pair + "\n")
+
+
+@pytest.mark.parametrize("pickup, delivery", [(0, 3), (3, 1), (-1, 1)])
+def test_mpdtsp_commodity_outside_the_customers(pickup, delivery):
+    text = VALID_TEXTS["mpdtsp"].replace("\n0 1 2\n", f"\n{pickup} {delivery} 2\n")
+    with pytest.raises(ValueError, match=f"commodity {pickup} -> {delivery} is outside"):
+        parse_mpdtsp(text)

@@ -25,8 +25,10 @@ from dpsearch.expressions import (
     TableRegistry,
 )
 from dpsearch.metrics import optimality_gap, primal_integral
-from dpsearch.model import CostStructure, StateMetadata, Variable, combine, dominance_compare
+from dpsearch.model import CostStructure, StateMetadata, Variable, combine
 from dpsearch.problems import CLASSES
+
+from conftest import weakly_dominates
 
 # Context for random integer expressions: state = (element, set over 4, int).
 TABLES = TableRegistry(
@@ -136,18 +138,14 @@ resource_states = st.tuples(
 @given(a=resource_states)
 @settings(max_examples=50)
 def test_dominance_reflexive(a):
-    assert dominance_compare(META, a, a) == dp.Dominance.EQUAL
+    assert weakly_dominates(META, a, a)
 
 
 @given(a=resource_states, b=resource_states, c=resource_states)
 @settings(max_examples=300)
 def test_dominance_transitive(a, b, c):
-    weak = (dp.Dominance.FIRST, dp.Dominance.EQUAL)
-    if (
-        dominance_compare(META, a, b) in weak
-        and dominance_compare(META, b, c) in weak
-    ):
-        assert dominance_compare(META, a, c) in weak
+    if weakly_dominates(META, a, b) and weakly_dominates(META, b, c):
+        assert weakly_dominates(META, a, c)
 
 
 positive = st.integers(min_value=1, max_value=10**6)

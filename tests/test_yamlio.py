@@ -317,6 +317,12 @@ class TestRejectionCompleteness:
             (("s: {0: [1]}", "s: {0: [x]}"), "set member in table 's' must be an integer"),
             (("t: {0: 1}", "t: {? [[0], 1] : 1}"), "map key ([0], 1) on line 3 must be"),
             (("t: {0: 1}", "t: {? {a: 0} : 1}"), "map key {'a': 0} on line 3 must be"),
+            (("{name: step,", "{name: step, forced: 'no',"),
+             "forced in transition 'step' must be true or false, got 'no'"),
+            (("{name: step,", '{name: step, forced: "false",'),
+             "forced in transition 'step' must be true or false, got 'false'"),
+            (("{name: step,", "{name: step, forced: 1,"),
+             "forced in transition 'step' must be true or false, got 1"),
         ],
     )
     def test_malformed_shapes_are_document_errors(self, change, needle):
