@@ -26,14 +26,11 @@ is evaluated, so an unused faulty expression never breaks a model.  A
 read past the end of a short state raises ``IndexError`` from the slot
 read; the query entry points turn it into :class:`UnknownSymbolError`.
 
-A model compiles its queries in two groups through :class:`cached`
-attributes: :func:`transition_queries` (guards, successors, weights and
-base cases, which expanding a state or replaying a path needs) and
-:func:`state_queries` (state constraints and dual bounds).  Each group
-compiles on the first query that needs it, with a compiler whose caches
-are dropped afterwards, and is stored on the model without a lock: two
-threads that race on a group both compile it and one result wins, which
-is harmless because the closures are pure.
+A model compiles all its queries at once into :class:`Queries`, on the
+first query it answers, with one compiler whose caches are dropped
+afterwards.  The model caches the result with ``functools.cached_property``;
+where two threads race to compile it (Python 3.12 dropped the lock), one
+result wins, which is harmless because the closures are pure.
 """
 
 from __future__ import annotations
@@ -72,49 +69,26 @@ class Slot:
         self.index = index
 
 
-class cached:
-    """A non-data descriptor for one of the attributes that ``build``
-    computes together: the first access to any of them stores them all
-    in the instance, where later lookups find them directly."""
+class Queries:
+    """The query closures of one model, laid out by one compiler: the
+    guard of each transition, its successor and weight (keyed by the
+    transition's id), each base case's condition and cost, and the state
+    constraints and dual bounds."""
 
-    def __init__(self, build):
-        self.build = build
+    __slots__ = ("guards", "successors", "weights", "base_cases", "constraints", "bounds")
 
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        values = self.build(instance)
-        instance.__dict__.update(values)
-        return values[self.name]
-
-
-def transition_queries(model) -> dict:
-    """What expanding a state and replaying a path need: the guard of
-    each transition, its successor and weight closures (keyed by the
-    transition's id), and each base case's condition and cost."""
-    c = Compiler(model.tables)
-    variables = model.metadata.variables
-    return {
-        "_guards": tuple((t, c.conjunction(t.preconditions)) for t in model.transitions),
-        "_successors": {id(t): c.successor(t, variables) for t in model.transitions},
-        "_weights": {id(t): c.fn(t.weight) for t in model.transitions},
-        "_base_checks": tuple(
+    def __init__(self, model):
+        c = Compiler(model.tables)
+        variables = model.metadata.variables
+        transitions = model.transitions
+        self.guards = tuple((t, c.conjunction(t.preconditions)) for t in transitions)
+        self.successors = {id(t): c.successor(t, variables) for t in transitions}
+        self.weights = {id(t): c.fn(t.weight) for t in transitions}
+        self.base_cases = tuple(
             (c.conjunction(case.conditions), c.fn(case.cost)) for case in model.base_cases
-        ),
-    }
-
-
-def state_queries(model) -> dict:
-    """What filtering and ordering successors need: the state constraint
-    and dual bound closures."""
-    c = Compiler(model.tables)
-    return {
-        "_constraint_checks": tuple(c.fn(cond) for cond in model.constraints),
-        "_bound_checks": tuple(c.fn(bound) for bound in model.dual_bounds),
-    }
+        )
+        self.constraints = tuple(c.fn(cond) for cond in model.constraints)
+        self.bounds = tuple(c.fn(bound) for bound in model.dual_bounds)
 
 
 def _fold(fn, *parts):

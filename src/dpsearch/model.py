@@ -12,10 +12,10 @@ after construction and safe to share across threads.
 
 A model answers the solvers' queries (state constraints, applicable
 transitions, successors, weights, base costs, dual bounds) with closures
-that :mod:`dpsearch.compiler` builds from its expression trees on first
-use.  An arithmetic fault in a query (division by zero, 64-bit overflow)
-surfaces as :class:`EvaluationError` naming the constraint, transition,
-base case or dual bound where it arose.
+that :mod:`dpsearch.compiler` builds from its expression trees, all at
+once, on the first query.  An arithmetic fault in a query (division by
+zero, 64-bit overflow) surfaces as :class:`EvaluationError` naming the
+constraint, transition, base case or dual bound where it arose.
 """
 
 from __future__ import annotations
@@ -241,15 +241,6 @@ class Transition:
             self, "effects", tuple(sorted(self.effects, key=lambda pair: pair[0]))
         )
 
-    def is_applicable(self, state: State, tables: ex.TableRegistry) -> bool:
-        """Whether every precondition holds.  The preconditions compile on
-        each call; a model's own queries compile them once."""
-        guard = compiler.Compiler(tables).conjunction(self.preconditions)
-        try:
-            return guard(state)
-        except _FAULTS as err:
-            raise _fault(err, f"precondition of {self.name!r}") from err
-
 
 @dataclass(frozen=True)
 class BaseCase:
@@ -266,6 +257,10 @@ def _fault(err: Exception, where: str) -> EvaluationError:
     if isinstance(err, IndexError):
         return UnknownSymbolError(f"{where} reads a variable slot the state lacks")
     return EvaluationError(f"{where}: {err}")
+
+
+def _foreign(transition: Transition) -> ModelError:
+    return ModelError(f"transition {transition.name!r} is not one of the model's")
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +309,21 @@ class Model:
 
     # -- compiled queries ----------------------------------------------
     #
-    # The closures of the queries (compiler.py) are compiled in two
-    # groups, each on the first query that needs it, and cached on the
-    # model: a model only written and read back compiles nothing, and one
-    # only replayed never compiles its constraints and bounds.
+    # Every query compiles on the first one asked, so a model only written
+    # and read back compiles nothing; later reads find the closures in
+    # the instance dict.
 
-    _guards = compiler.cached(compiler.transition_queries)
-    _successors = compiler.cached(compiler.transition_queries)
-    _weights = compiler.cached(compiler.transition_queries)
-    _base_checks = compiler.cached(compiler.transition_queries)
-    _constraint_checks = compiler.cached(compiler.state_queries)
-    _bound_checks = compiler.cached(compiler.state_queries)
+    _queries = functools.cached_property(compiler.Queries)
 
     def __getstate__(self):
         """Pickle the declarations only; closures cannot be pickled, and
         the compiled queries rebuild on first use."""
-        compiled = [k for k, v in vars(Model).items() if isinstance(v, compiler.cached)]
-        return {k: v for k, v in self.__dict__.items() if k not in compiled}
+        return {k: v for k, v in self.__dict__.items() if k != "_queries"}
 
     # -- state queries ------------------------------------------------
 
     def check_constraints(self, state: State) -> bool:
-        checks = self._constraint_checks
+        checks = self._queries.constraints
         check = None
         try:
             for check in checks:
@@ -347,7 +335,7 @@ class Model:
 
     def base_cost(self, state: State) -> Optional[Number]:
         """Best base cost over satisfied base cases, or None if none holds."""
-        cases = self._base_checks
+        cases = self._queries.base_cases
         case = None
         values = []
         try:
@@ -363,24 +351,13 @@ class Model:
             return None
         return values[0] if len(values) == 1 else self.costs.reduce(values)
 
-    def is_base(self, state: State) -> bool:
-        cases = self._base_checks
-        case = None
-        try:
-            for case in cases:
-                if case[0](state):
-                    return True
-        except _FAULTS as err:
-            raise _fault(err, f"base case {cases.index(case)}") from err
-        return False
-
     def applicable_transitions(self, state: State) -> list[Transition]:
         """Transitions to expand: the first applicable forced one alone,
         otherwise every applicable non-forced one in declaration order."""
         regular = []
         transition = None
         try:
-            for transition, guard in self._guards:
+            for transition, guard in self._queries.guards:
                 if guard(state):
                     if transition.forced:
                         return [transition]
@@ -394,7 +371,7 @@ class Model:
         applicable = []
         transition = None
         try:
-            for transition, guard in self._guards:
+            for transition, guard in self._queries.guards:
                 if guard(state):
                     applicable.append(transition)
         except _FAULTS as err:
@@ -404,20 +381,18 @@ class Model:
     def successor(self, transition: Transition, state: State) -> State:
         """The state after ``transition``; every effect is evaluated on
         ``state`` and checked against the kind of its variable."""
-        effects = self._successors.get(id(transition))
-        if effects is None:  # a transition from elsewhere: compiled, not cached
-            effects = compiler.Compiler(self.tables).successor(
-                transition, self.metadata.variables
-            )
+        effects = self._queries.successors.get(id(transition))
+        if effects is None:
+            raise _foreign(transition)
         try:
             return effects(state)
         except _FAULTS as err:
             raise _fault(err, f"effect of {transition.name!r}") from err
 
     def weight(self, transition: Transition, state: State) -> Number:
-        weight = self._weights.get(id(transition))
-        if weight is None:  # a transition from elsewhere: compiled, not cached
-            weight = compiler.Compiler(self.tables).fn(transition.weight)
+        weight = self._queries.weights.get(id(transition))
+        if weight is None:
+            raise _foreign(transition)
         try:
             value = weight(state)
         except _FAULTS as err:
@@ -430,7 +405,7 @@ class Model:
         Absent when the model declares no dual bounds; solvers then guide
         by the path weight alone and do not prune.
         """
-        bounds = self._bound_checks
+        bounds = self._queries.bounds
         if not bounds:
             return None
         bound = None

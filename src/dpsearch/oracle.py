@@ -58,17 +58,20 @@ def bellman_oracle(
     memo: dict[State, Number] = {}
     on_stack: set[State] = set()
 
-    def children(state: State):
+    picker = (
+        model.applicable_transitions if use_forced else model.all_applicable_transitions
+    )
+
+    def settle(state: State):
+        """``(value, None)`` for a state worth a value of its own, else
+        ``(None, edges)`` with one ``(weight, successor)`` per transition."""
         if not model.check_constraints(state):
-            return None  # constraint violation: worth the worst sentinel
-        if model.is_base(state):
-            return []
-        picker = (
-            model.applicable_transitions if use_forced else model.all_applicable_transitions
-        )
-        return [
-            (model.weight(t, state), model.successor(t, state)) for t in picker(state)
-        ]
+            return worst, None  # constraint violation: worth the worst sentinel
+        base = model.base_cost(state)
+        if base is not None:
+            return base, None
+        edges = [(model.weight(t, state), model.successor(t, state)) for t in picker(state)]
+        return None, edges
 
     # Explicit post-order stack; frames are [state, edges, next-edge index].
     root = model.target
@@ -78,18 +81,13 @@ def bellman_oracle(
         frame = stack[-1]
         state, edges, cursor = frame
         if edges is None:
-            kids = children(state)
-            if kids is None:
-                memo[state] = worst
+            value, edges = settle(state)
+            if edges is None:
+                memo[state] = value
                 on_stack.discard(state)
                 stack.pop()
                 continue
-            if not kids and model.is_base(state):
-                memo[state] = model.base_cost(state)
-                on_stack.discard(state)
-                stack.pop()
-                continue
-            frame[1] = edges = kids
+            frame[1] = edges
         while cursor < len(edges) and edges[cursor][1] in memo:
             cursor += 1
         frame[2] = cursor

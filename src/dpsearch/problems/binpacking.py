@@ -78,9 +78,10 @@ class BinPackingInstance:
 
 def parse_binpacking(text: str) -> BinPackingInstance:
     """Text form: the capacity, the item count, then the weights."""
-    read = c.field_reader(text)
+    read = c.FieldReader(text)
     capacity = read()
-    weights = tuple(read() for _ in range(read()))
+    weights = tuple(read() for _ in range(read.count("item count")))
+    read.end()
     return BinPackingInstance(weights, capacity)
 
 

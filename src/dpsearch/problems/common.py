@@ -5,20 +5,40 @@ from __future__ import annotations
 from .. import expressions as ex
 
 
-def field_reader(text: str):
-    """A function returning the next whitespace-separated field of
-    ``text``, converted by its argument (``int`` by default).  Past the
-    last field it raises ValueError; a bare ``next`` would stop an
-    enclosing generator expression with RuntimeError instead."""
-    fields = iter(text.split())
+class FieldReader:
+    """The whitespace-separated fields of an instance text, in order.
 
-    def read(convert=int):
-        field = next(fields, None)
+    Calling it returns the next field, converted by its argument (``int``
+    by default).  Past the last field it raises ValueError; a bare
+    ``next`` would stop an enclosing generator expression with
+    RuntimeError instead.
+    """
+
+    def __init__(self, text: str):
+        self._fields = iter(text.split())
+
+    def __call__(self, convert=int):
+        field = next(self._fields, None)
         if field is None:
             raise ValueError("truncated instance text")
         return convert(field)
 
-    return read
+    def count(self, what: str) -> int:
+        """The next field as the number of ``what``, which is not negative."""
+        value = self()
+        if value < 0:
+            raise ValueError(f"negative {what} {value}")
+        return value
+
+    def rest(self) -> list[str]:
+        """Every field not read yet."""
+        return list(self._fields)
+
+    def end(self) -> None:
+        """Raise unless every field has been read."""
+        extra = next(self._fields, None)
+        if extra is not None:
+            raise ValueError(f"unexpected field {extra!r} past the end of the instance text")
 
 
 def precedence_sets(fields: list[str], n: int) -> tuple[frozenset[int], ...]:

@@ -63,12 +63,13 @@ class CvrpInstance:
 def parse_cvrp(text: str) -> CvrpInstance:
     """Text form: customer count, travel matrix rows, a demand line,
     then ``capacity vehicles`` on the final line."""
-    read = c.field_reader(text)
-    n = read()
+    read = c.FieldReader(text)
+    n = read.count("customer count")
     travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
     demands = tuple(read() for _ in range(n))
     capacity = read()
     vehicles = read()
+    read.end()
     return CvrpInstance(travel, demands, capacity, vehicles)
 
 

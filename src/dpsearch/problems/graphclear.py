@@ -51,12 +51,13 @@ class GraphClearInstance:
 def parse_graphclear(text: str) -> GraphClearInstance:
     """Text form: the node count, the node weight line, the edge count,
     then one ``i j weight`` line per edge."""
-    read = c.field_reader(text)
-    nodes = tuple(read() for _ in range(read()))
+    read = c.FieldReader(text)
+    nodes = tuple(read() for _ in range(read.count("node count")))
     weights = {}
-    for _ in range(read()):
+    for _ in range(read.count("edge count")):
         i, j, w = read(), read(), read()
         weights[(i, j)] = w
+    read.end()
     return GraphClearInstance(nodes, weights)
 
 

@@ -109,12 +109,13 @@ def parse_mdkp(text: str, allow_fractional: bool = False) -> MdkpInstance:
                 ) from None
             return value
 
-    read = c.field_reader(text)
-    n = read()
-    m = read()
+    read = c.FieldReader(text)
+    n = read.count("item count")
+    m = read.count("dimension count")
     profits = tuple(read() for _ in range(n))
     weights = tuple(tuple(read(number) for _ in range(m)) for _ in range(n))
     capacities = tuple(read(number) for _ in range(m))
+    read.end()
     return MdkpInstance(profits, weights, capacities)
 
 

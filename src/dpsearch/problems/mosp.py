@@ -51,10 +51,13 @@ class MospInstance:
 def parse_mosp(text: str) -> MospInstance:
     """Text form: ``customers products``, then one line per customer:
     the order size followed by its product indices."""
-    read = c.field_reader(text)
-    customers = read()
-    products = read()
-    orders = tuple(frozenset(read() for _ in range(read())) for _ in range(customers))
+    read = c.FieldReader(text)
+    customers = read.count("customer count")
+    products = read.count("product count")
+    orders = tuple(
+        frozenset(read() for _ in range(read.count("order size"))) for _ in range(customers)
+    )
+    read.end()
     return MospInstance(orders, products)
 
 

@@ -44,6 +44,9 @@ class MpdtspInstance:
                 raise ValueError(
                     f"commodity {pickup} -> {delivery} is outside customers 0..{self.n - 1}"
                 )
+        for i, j in sorted(self.edges):
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise ValueError(f"edge {i} {j} is outside customers 0..{self.n - 1}")
 
     @property
     def n(self) -> int:
@@ -84,14 +87,18 @@ def parse_mpdtsp(text: str) -> MpdtspInstance:
     matrix rows, one ``pickup delivery weight`` line per commodity, then
     one ``i j`` line per directed edge (``edge-count = -1`` means the
     complete graph)."""
-    read = c.field_reader(text)
-    n, m, capacity, edge_count = read(), read(), read(), read()
+    read = c.FieldReader(text)
+    n, m = read.count("customer count"), read.count("commodity count")
+    capacity, edge_count = read(), read()
+    if edge_count < -1:
+        raise ValueError(f"negative edge count {edge_count}")
     travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
     commodities = tuple((read(), read(), read()) for _ in range(m))
-    if edge_count < 0:
+    if edge_count == -1:
         edges = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
     else:
         edges = frozenset((read(), read()) for _ in range(edge_count))
+    read.end()
     return MpdtspInstance(travel, edges, capacity, commodities)
 
 

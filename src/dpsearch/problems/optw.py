@@ -86,10 +86,11 @@ class OptwInstance:
 def parse_optw(text: str) -> OptwInstance:
     """Text form: customer count, travel matrix rows, then one
     ``profit ready deadline`` line per customer."""
-    read = c.field_reader(text)
-    n = read()
+    read = c.FieldReader(text)
+    n = read.count("customer count")
     travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
     rows = tuple((read(), read(), read()) for _ in range(n))
+    read.end()
     return OptwInstance(
         travel=travel,
         profits=tuple(r[0] for r in rows),

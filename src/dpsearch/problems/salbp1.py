@@ -67,16 +67,10 @@ class Salbp1Instance:
 def parse_salbp1(text: str) -> Salbp1Instance:
     """Text form: the cycle time, the task count, the task times, then
     any number of ``before after`` precedence lines."""
-    fields = text.split()
-    try:
-        capacity = int(fields[0])
-        n = int(fields[1])
-        weights = tuple(int(v) for v in fields[2 : 2 + n])
-        if len(weights) != n:
-            raise IndexError
-    except (IndexError, ValueError):
-        raise ValueError("truncated instance text") from None
-    return Salbp1Instance(weights, capacity, c.precedence_sets(fields[2 + n :], n))
+    read = c.FieldReader(text)
+    capacity = read()
+    weights = tuple(read() for _ in range(read.count("task count")))
+    return Salbp1Instance(weights, capacity, c.precedence_sets(read.rest(), len(weights)))
 
 
 def build_salbp1(instance: Salbp1Instance) -> Model:

@@ -81,15 +81,16 @@ def merge_identical_scenes(instance: TalentInstance) -> TalentInstance:
 def parse_talent(text: str) -> TalentInstance:
     """Text form: ``scenes actors``, one ``duration size actor...`` line
     per scene, then the per-actor daily cost line."""
-    read = c.field_reader(text)
-    scenes = read()
-    actors = read()
+    read = c.FieldReader(text)
+    scenes = read.count("scene count")
+    actors = read.count("actor count")
     casts = []
     durations = []
     for _ in range(scenes):
         durations.append(read())
-        casts.append(frozenset(read() for _ in range(read())))
+        casts.append(frozenset(read() for _ in range(read.count("cast size"))))
     costs = tuple(read() for _ in range(actors))
+    read.end()
     return TalentInstance(tuple(casts), tuple(durations), costs)
 
 

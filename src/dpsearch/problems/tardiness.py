@@ -47,19 +47,14 @@ class WtInstance:
 def parse_wt(text: str) -> WtInstance:
     """Text form: the job count, one ``processing due weight`` line per
     job, then any number of optional ``before after`` precedence pairs."""
-    fields = text.split()
-    try:
-        n = int(fields[0])
-        rows = [tuple(int(v) for v in fields[1 + 3 * i : 4 + 3 * i]) for i in range(n)]
-        if any(len(r) != 3 for r in rows):
-            raise IndexError
-    except (IndexError, ValueError):
-        raise ValueError("truncated instance text") from None
+    read = c.FieldReader(text)
+    n = read.count("job count")
+    rows = [(read(), read(), read()) for _ in range(n)]
     return WtInstance(
         processing=tuple(r[0] for r in rows),
         due=tuple(r[1] for r in rows),
         weights=tuple(r[2] for r in rows),
-        predecessors=c.precedence_sets(fields[1 + 3 * n :], n),
+        predecessors=c.precedence_sets(read.rest(), n),
     )
 
 

@@ -76,10 +76,11 @@ def parse_tsptw(text: str) -> TsptwInstance:
     """Parse the plain text form: the customer count, then the travel
     matrix one row per line, then one ``ready deadline`` line per
     customer."""
-    read = c.field_reader(text)
-    n = read()
+    read = c.FieldReader(text)
+    n = read.count("customer count")
     travel = tuple(tuple(read() for _ in range(n)) for _ in range(n))
     windows = tuple((read(), read()) for _ in range(n))
+    read.end()
     return TsptwInstance(
         travel=travel,
         ready=tuple(w[0] for w in windows),

@@ -649,6 +649,11 @@ def _value_out(value):
     return value
 
 
+def _table_value_out(table: ex.Table, value):
+    """A set value as its member list, which ``load_model`` reads back."""
+    return list(bitset.members(value)) if table.kind == "set" else _value_out(value)
+
+
 def serialize_model(model: Model) -> tuple[str, str]:
     """Render a model as (domain text, problem text).
 
@@ -699,7 +704,7 @@ def serialize_model(model: Model) -> tuple[str, str]:
                 )
             entry["args"].append(object_of_count[count])
         if table.default is not None:
-            entry["default"] = _value_out(table.default)
+            entry["default"] = _table_value_out(table, table.default)
         if table.kind == "set":
             if table.value_universe not in object_of_count:
                 raise DocumentError(
@@ -710,17 +715,11 @@ def serialize_model(model: Model) -> tuple[str, str]:
         domain["tables"].append(entry)
         out = {}
         for key, value in sorted(table.values.items()):
-            if table.kind == "set":
-                rendered = list(bitset.members(value))
-            else:
-                rendered = _value_out(value)
-            out[key[0] if len(key) == 1 else key] = rendered
-        if not table.shape:
-            problem["table_values"][table.name] = (
-                out.get((), _value_out(table.default))
-            )
-        else:
+            out[key[0] if len(key) == 1 else key] = _table_value_out(table, value)
+        if table.shape:
             problem["table_values"][table.name] = out
+        elif () in out:  # a scalar with only a default reads back from the default
+            problem["table_values"][table.name] = out[()]
 
     for t in model.transitions:
         entry: dict = {"name": t.name}

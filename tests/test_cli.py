@@ -171,6 +171,54 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_reference_reports_the_primal_integral(self, tmp_path, config_path, capsys):
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+            "--time-limit", "5",
+            "--reference", "14",
+            "--output", str(tmp_path / "s.txt"),
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["cost"] == 14
+        # the gap is at most 1 until the optimum 14 is found and 0 after it
+        assert 0 <= report["primal_integral"] <= report["elapsed"]
+
+    def test_no_config_runs_cabs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("DPSEARCH_CONFIG", raising=False)
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--output", str(tmp_path / "s.txt"),
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["solver"] == "cabs"
+        assert "primal_integral" not in report
+
+    def test_invalid_model_exits_with_its_errors(self, tmp_path, config_path, capsys):
+        domain = (FIXTURES / "tsptw_domain.yaml").read_text()
+        weight = 'cost: "(+ (c i j) cost)"'
+        assert domain.count(weight) == 1
+        (tmp_path / "d.yaml").write_text(domain.replace(weight, 'cost: "(+ (c i) cost)"'))
+        out = tmp_path / "s.txt"
+        code = run_cli(
+            "solve",
+            "--domain", str(tmp_path / "d.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+            "--output", str(out),
+            "--quiet",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: table 'c' takes 2 indices, got 1 in weight of ")
+        assert captured.out == "" and not out.exists()
+
 
 class TestConvert:
     def test_tsptw_roundtrip_solves_equal(self, tmp_path, config_path, capsys):
@@ -211,6 +259,31 @@ class TestConvert:
         assert proc.returncode == 1
         assert proc.stderr == "error: truncated instance text\n"
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3\n0 2 3\n2 0 1\n3 1 0\n0 10\n0 10\n0 10\n 7 7 7\n",
+             "unexpected field '7' past the end of the instance text"),
+            ("-1\n", "negative customer count -1"),
+        ],
+    )
+    def test_malformed_counts_exit_without_traceback(self, tmp_path, text, message):
+        raw = tmp_path / "raw.txt"
+        raw.write_text(text)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "dpsearch.cli", "convert", "tsptw",
+                "--input", str(raw),
+                "--domain-out", str(tmp_path / "d.yaml"),
+                "--problem-out", str(tmp_path / "p.yaml"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "d.yaml").exists()
 
     def test_unknown_class(self, capsys, tmp_path):
         raw = tmp_path / "x.txt"

@@ -52,18 +52,25 @@ def _listed(result: dict) -> dict:
     return result
 
 
+def _is(result: dict, test) -> dict:
+    """``test`` of a query's value, or the query's error."""
+    return {"value": test(result["value"])} if "value" in result else result
+
+
 def observe(model, state) -> dict:
     """Every query result at ``state``, in JSON-ready form."""
+    base_cost = _query(model.base_cost, state)
     seen = {
         "constraints": _query(model.check_constraints, state),
         "applicable": _listed(_query(model.applicable_transitions, state)),
         "dual_bound": _query(model.eval_dual_bound, state),
-        "base_cost": _query(model.base_cost, state),
-        "is_base": _query(model.is_base, state),
+        "base_cost": base_cost,
+        "is_base": _is(base_cost, lambda cost: cost is not None),
     }
+    every = _query(model.all_applicable_transitions, state)
     edges = {}
     for transition in model.transitions:
-        applicable = _query(transition.is_applicable, state, model.tables)
+        applicable = _is(every, lambda options: any(t is transition for t in options))
         entry = {"applicable": applicable}
         if applicable.get("value"):
             entry["successor"] = _listed(_query(model.successor, transition, state))
@@ -80,7 +87,7 @@ def walk_states(model, rng: Random) -> list[tuple]:
     for _ in range(MAX_DEPTH):
         try:
             options = model.all_applicable_transitions(state)
-            if not options or model.is_base(state):
+            if not options or model.base_cost(state) is not None:
                 break
             state = model.successor(rng.choice(options), state)
         except Exception:

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from dpsearch import bitset
-from dpsearch import EvaluationError, Model, Transition, UnknownSymbolError, caasdy
+from dpsearch import (
+    EvaluationError,
+    Model,
+    StateMetadata,
+    Transition,
+    UnknownSymbolError,
+    Variable,
+    caasdy,
+)
 from dpsearch.expressions import (
     And,
     BoolConst,
@@ -380,3 +388,48 @@ def test_table_default_used_for_absent_keys():
     assert table.lookup((2, 3)) == 0
     with pytest.raises(EvaluationError):
         table.lookup((4, 0))
+
+
+class TestLoweringPaths:
+    """Shapes that each take a lowering of their own, against values
+    worked out by hand on TARGET (U = {1, 2}, i = 0, t = 0)."""
+
+    def test_successor_of_five_variables(self):
+        meta = StateMetadata({}, [Variable(f"x{k}", "integer") for k in range(5)])
+        x = [NumericVar(k, f"x{k}") for k in range(5)]
+        step = Transition(
+            "step",
+            (),
+            ((0, NumericBinary("+", x[0], x[4])), (3, NumericBinary("*", x[1], x[2]))),
+            NumericConst(1),
+        )
+        model = Model(meta, TableRegistry(), (1, 2, 3, 4, 5), [step], [])
+        assert model.successor(step, (1, 2, 3, 4, 5)) == (6, 2, 3, 6, 5)
+
+    def test_remove_of_a_state_element(self):
+        state = (bitset.from_items([1, 2], 3), 1, 0)
+        assert eval_set(SetRemove(LOC, U), state, TABLES) == bitset.from_items([2], 3)
+        assert eval_set(SetRemove(LOC, U), TARGET, TABLES) == TARGET[0]
+
+    def test_or_of_three_state_operands(self):
+        late = Comparison(">", TIME, NumericConst(5))
+        away = Comparison("=", FromElement(LOC), NumericConst(2))
+        has_zero = SetMember(ZERO, U)
+        three = Or((late, has_zero, away))
+        assert eval_condition(three, TARGET, TABLES) is False
+        assert eval_condition(three, (TARGET[0], 2, 0), TABLES) is True
+        assert eval_condition(three, (TARGET[0], 0, 6), TABLES) is True
+        assert eval_condition(three, (1, 0, 0), TABLES) is True
+
+    @pytest.mark.parametrize("op, value", [("max", 3), ("min", 2)])
+    def test_extreme_over_a_table_row(self, op, value):
+        # row c[0] is (0, 2, 3); U = {1, 2}
+        assert eval_numeric(SetReduce(op, "c", U, (ZERO,)), TARGET, TABLES) == value
+
+    @pytest.mark.parametrize("op, value", [("sum", 5), ("max", 3), ("product", 6)])
+    def test_checked_reduction_over_a_state_row(self, op, value):
+        # the row index i comes from the state, so every read is checked
+        assert eval_numeric(SetReduce(op, "c", U, (LOC,)), TARGET, TABLES) == value
+        assert eval_numeric(SetReduce(op, "c", U, (LOC,)), (0b011, 2, 0), TABLES) == {
+            "sum": 4, "max": 3, "product": 3
+        }[op]

@@ -21,6 +21,7 @@ from dpsearch import (
     combine,
     validate,
 )
+from dpsearch import yamlio
 from dpsearch.expressions import (
     BoolConst,
     Comparison,
@@ -210,7 +211,6 @@ def _faulty_model(zero_at: str) -> Model:
         ("constraint", lambda m: m.check_constraints((0,)), "state constraint 1"),
         ("bound", lambda m: m.eval_dual_bound((0,)), "dual bound 1"),
         ("base case", lambda m: m.base_cost((0,)), "base case 0"),
-        ("base case", lambda m: m.is_base((0,)), "base case 0"),
         ("precondition", lambda m: m.applicable_transitions((0,)), "precondition of 'step'"),
         ("precondition", lambda m: m.all_applicable_transitions((0,)), "precondition of 'step'"),
         ("effect", lambda m: m.successor(m.transitions[0], (0,)), "effect of 'step'"),
@@ -245,6 +245,27 @@ def test_pickled_model_recompiles(desk_tsptw_model):
     copy = pickle.loads(pickle.dumps(desk_tsptw_model))
     assert copy == desk_tsptw_model
     assert caasdy(copy).transitions == solved.transitions
+
+
+def test_queries_compile_once_on_first_use(desk_tsptw_model):
+    model = desk_tsptw_model
+    read_back = yamlio.load_model(*yamlio.serialize_model(model))
+    assert "_queries" not in vars(read_back) and "_queries" not in vars(model)
+    model.successor(model.transitions[0], model.target)
+    compiled = vars(model)["_queries"]
+    assert model.check_constraints(model.target) and model.base_cost(model.target) is None
+    assert model.eval_dual_bound(model.target) is not None
+    assert vars(model)["_queries"] is compiled
+    assert "_queries" not in model.__getstate__()
+
+
+def test_foreign_transition_is_a_model_error(desk_tsptw_model):
+    model = desk_tsptw_model
+    foreign = Transition("elsewhere", (), (), NumericConst(1))
+    with pytest.raises(ModelError, match="^transition 'elsewhere' is not one of the model's"):
+        model.successor(foreign, model.target)
+    with pytest.raises(ModelError, match="^transition 'elsewhere' is not one of the model's"):
+        model.weight(foreign, model.target)
 
 
 class TestCombine:

@@ -372,6 +372,55 @@ def test_parse_rejects_a_dropped_last_field(name):
         cls.parse(truncated)
 
 
+# salbp1 and wt read every field after the tasks as precedence pairs.
+@pytest.mark.parametrize("name", sorted(set(CLASSES) - {"salbp1", "wt"}))
+def test_parse_rejects_text_past_the_last_field(name):
+    cls = CLASSES[name]
+    with pytest.raises(ValueError, match="^unexpected field '7' past the end of the instance"):
+        cls.parse(VALID_TEXTS[name] + " 7 7 7")
+
+
+NEGATIVE_COUNTS = [
+    ("binpacking", "8\n-1\n", "item count -1"),
+    ("cvrp", "-1\n2 2\n", "customer count -1"),
+    ("graphclear", "-1\n", "node count -1"),
+    ("graphclear", "3\n1 2 3\n-2\n", "edge count -2"),
+    ("mdkp", "-1 1\n", "item count -1"),
+    ("mdkp", "2 -1\n3 4\n", "dimension count -1"),
+    ("mosp", "-2 3\n", "customer count -2"),
+    ("mosp", "2 -3\n", "product count -3"),
+    ("mosp", "2 3\n-1 0\n", "order size -1"),
+    ("mpdtsp", "-1 1 5 2\n", "customer count -1"),
+    ("mpdtsp", "3 -1 5 2\n", "commodity count -1"),
+    ("mpdtsp", "3 0 5 -2\n0 2 3\n2 0 1\n3 1 0\n", "edge count -2"),
+    ("optw", "-1\n", "customer count -1"),
+    ("salbp1", "10\n-1\n", "task count -1"),
+    ("talent", "-1 2\n", "scene count -1"),
+    ("talent", "2 -1\n", "actor count -1"),
+    ("talent", "2 2\n1 -1\n", "cast size -1"),
+    ("tsptw", "-1\n", "customer count -1"),
+    ("wt", "-1\n", "job count -1"),
+]
+
+
+@pytest.mark.parametrize("name, text, count", NEGATIVE_COUNTS)
+def test_parse_rejects_a_negative_count(name, text, count):
+    with pytest.raises(ValueError, match=f"^negative {count}$"):
+        CLASSES[name].parse(text)
+
+
+def test_every_class_rejects_a_negative_count():
+    assert {name for name, _, _ in NEGATIVE_COUNTS} == set(CLASSES)
+
+
+@pytest.mark.parametrize("edge", ["1 9", "3 0", "-1 0"])
+def test_mpdtsp_edge_outside_the_customers(edge):
+    text = VALID_TEXTS["mpdtsp"]
+    assert text.endswith("\n1 2\n")
+    with pytest.raises(ValueError, match=f"^edge {edge} is outside customers 0..2$"):
+        parse_mpdtsp(text[: -len("1 2\n")] + edge + "\n")
+
+
 @pytest.mark.parametrize("name", ["salbp1", "wt"])
 @pytest.mark.parametrize("pair", ["0 3", "3 0", "-1 0", "0 -1"])
 def test_precedence_pair_outside_the_tasks(name, pair):

@@ -113,7 +113,7 @@ def test_reconstructed_path_replays_to_the_reported_cost(desk_tsptw_model):
     folded = model.costs.identity
     for name in solution.transitions:
         transition = by_name[name]
-        assert transition.is_applicable(state, model.tables)
+        assert transition in model.all_applicable_transitions(state)
         folded = dp.combine(model.costs, folded, model.weight(transition, state))
         state = model.successor(transition, state)
     assert dp.combine(model.costs, folded, model.base_cost(state)) == solution.cost

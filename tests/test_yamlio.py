@@ -11,7 +11,15 @@ import yaml
 import dpsearch as dp
 from dpsearch import DocumentError, ExpressionParseError, UnknownSymbolError
 from dpsearch import sexpr, yamlio
-from dpsearch.expressions import BoolConst, NumericMax, NumericTable, SetIsEmpty
+from dpsearch.expressions import (
+    BoolConst,
+    NumericConst,
+    NumericMax,
+    NumericTable,
+    SetIsEmpty,
+    Table,
+    TableRegistry,
+)
 from dpsearch.problems import CLASSES, TsptwInstance, build_tsptw
 
 
@@ -387,6 +395,29 @@ class TestRoundTrip:
             again = yamlio.load_model(domain_text, problem_text)
             assert again == model
             assert dp.bellman_oracle(again).cost == dp.bellman_oracle(model).cost
+
+    def test_set_boolean_and_scalar_tables(self):
+        tables = [
+            Table("nbr", "set", (3,), {(0,): 0b110}, default=0b001, value_universe=3),
+            Table("seed", "set", (), {}, default=0b100, value_universe=3),
+            Table("ok", "boolean", (3,), {(1,): True}, default=False),
+            Table("k", "integer", (), {(): 7}),
+            Table("w", "integer", (3, 3), {(0, 2): 4}, default=1),
+        ]
+        model = dp.Model(
+            dp.StateMetadata({"item": 3}, [dp.Variable("U", "set", "item")]),
+            TableRegistry(tables),
+            (0b111,),
+            [],
+            [dp.BaseCase((BoolConst(True),), NumericConst(0))],
+        )
+        domain_text, problem_text = yamlio.serialize_model(model)
+        again = yamlio.load_model(domain_text, problem_text)
+        assert again == model
+        assert [again.tables.lookup("nbr").lookup((j,)) for j in range(3)] == [6, 1, 1]
+        assert again.tables.lookup("seed").lookup(()) == 4
+        assert [again.tables.lookup("ok").lookup((j,)) for j in range(3)] == [False, True, False]
+        assert yamlio.serialize_model(again) == (domain_text, problem_text)
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
