@@ -13,6 +13,11 @@ plain callables ``fn(state) -> value``:
   ``c[i][j]`` with a fixed ``j`` indexes one shared column slice);
 * a variable read is an ``operator.itemgetter`` per state slot, or an
   inline ``state[k]`` inside the closure that uses it;
+* the floor or ceiling of an integer times a read of a slice of ints and
+  Fractions (``a * p/q``), or of an integer quotient, is exact integer
+  floor division (``a * p // q``) while the operands are ints, the index
+  is in range and the result fits in 64 bits; otherwise it calls the
+  general closure, which builds the Fraction and raises what it raises;
 * captures are bound as default arguments, which the interpreter reads
   fastest and which keep each closure small.
 
@@ -308,6 +313,29 @@ class Compiler:
                 array = _slice(layout.array, pattern) if pattern else layout.array
             self._arrays[key] = array
         return self._arrays[key]
+
+    def ratios(self, read):
+        """For a numeric table read with one index that is not constant:
+        the index's code, and the numerators and denominators of the slice
+        it indexes.  None unless that slice holds only ints and Fractions.
+        The split is cached beside the slices, so reads of one slice share it."""
+        if not isinstance(read, ex.NumericTable) or read.table not in self.tables:
+            return None
+        table = self.tables.lookup(read.table)
+        codes = [self.code(a) for a in read.args]
+        free = [code for code in codes if not isinstance(code, Const)]
+        if len(codes) != table.arity or len(free) != 1:
+            return None
+        pattern = tuple(c.value if isinstance(c, Const) else None for c in codes)
+        key = (table.name, "ratios", pattern)
+        if key not in self._arrays:
+            array = self._array(table, "numeric", pattern)
+            split = None
+            if array is not None and {type(v) for v in array} <= {int, Fraction}:
+                split = tuple(v.numerator for v in array), tuple(v.denominator for v in array)
+            self._arrays[key] = split
+        split = self._arrays[key]
+        return None if split is None else (free[0], *split)
 
     def table_read(self, name: str, args, context: str):
         """A read of ``name`` at ``args`` whose value must pass the check
@@ -692,6 +720,61 @@ def _numeric_unary(apply):
     return rule
 
 
+def _rounding(apply, sign: int):
+    """Floor (``sign`` 1) or ceiling (``sign`` -1, as ``-floor(-x)``); an
+    integer times a read of a slice of ints and Fractions, and an integer
+    quotient, become integer floor division that falls back to the
+    general closure (see the module docstring)."""
+    general = _numeric_unary(apply)
+
+    def rule(c, e):
+        fallback = general(c, e)
+        operand = e.operand
+        if isinstance(c.code(operand), Const) or not isinstance(operand, ex.NumericBinary):
+            return fallback
+        if operand.op == "/":
+            return _quotient(c.fn(operand.lhs), c.fn(operand.rhs), fallback, sign)
+        if operand.op != "*":
+            return fallback
+        factor, found = operand.lhs, c.ratios(operand.rhs)
+        if found is None and isinstance(c.code(operand.rhs), Const):
+            # a constant factor raises nothing, so it may stand on either side
+            factor, found = operand.rhs, c.ratios(operand.lhs)
+        if found is None:
+            return fallback
+        index, numerators, denominators = found
+        return _scaled(c.fn(factor), c.callable(index), numerators, denominators, fallback, sign)
+
+    return rule
+
+
+def _scaled(factor, index, numerators, denominators, fallback, sign: int):
+    def scaled(s, factor=factor, index=index, p=numerators, q=denominators,
+               n=len(numerators), fallback=fallback, sign=sign):
+        a = factor(s)
+        i = index(s)
+        if a.__class__ is int and 0 <= i < n:
+            value = sign * (sign * a * p[i] // q[i])
+            if -_M <= value <= _M:
+                return value
+        return fallback(s)
+
+    return scaled
+
+
+def _quotient(left, right, fallback, sign: int):
+    def quotient(s, left=left, right=right, fallback=fallback, sign=sign):
+        a = left(s)
+        b = right(s)
+        if a.__class__ is int and b.__class__ is int and b:
+            value = sign * (sign * a // b)
+            if -_M <= value <= _M:
+                return value
+        return fallback(s)
+
+    return quotient
+
+
 def _set_reduce(c, e):
     if e.table not in c.tables:
         return c.table_read(e.table, (), "numeric")  # raises when evaluated
@@ -1004,8 +1087,8 @@ _RULES = {
     ex.NumericMin: _numeric_min,
     ex.NumericMax: _numeric_max,
     ex.NumericAbs: _numeric_unary(lambda v: _number(abs(v))),
-    ex.NumericFloor: _numeric_unary(lambda v: ex._check_int(math.floor(v))),
-    ex.NumericCeil: _numeric_unary(lambda v: ex._check_int(math.ceil(v))),
+    ex.NumericFloor: _rounding(lambda v: ex._check_int(math.floor(v)), sign=1),
+    ex.NumericCeil: _rounding(lambda v: ex._check_int(math.ceil(v)), sign=-1),
     ex.SetReduce: _set_reduce,
     ex.Cardinality: _cardinality,
     ex.NumericIf: _if,

@@ -97,6 +97,9 @@ class Table:
             raise ValueError(f"unknown table kind {self.kind!r}")
         if self.kind == "set" and self.value_universe is None:
             raise ValueError(f"set table {self.name!r} needs a value universe")
+        # NaN is the one value unequal to itself
+        if self.default != self.default or any(v != v for v in self.values.values()):
+            raise ValueError(f"table {self.name!r} holds NaN")
 
     @property
     def arity(self) -> int:

@@ -399,6 +399,8 @@ def _numeric_value(raw, kind: str, where: str):
         return raw
     if not isinstance(raw, (int, float)):
         raise DocumentError(f"bad numeric value {raw!r} in {where}")
+    if raw != raw:
+        raise DocumentError(f"NaN value in {where}")
     return raw
 
 

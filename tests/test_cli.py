@@ -1,11 +1,14 @@
 """The command-line interface: exit codes, conversions, and metrics."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dpsearch
 from conftest import FIXTURES
 from dpsearch.cli import main
 
@@ -134,6 +137,36 @@ class TestSolve:
         assert err.startswith("error: path cost through 'step'")
         assert "64-bit range" in err
         assert "Traceback" not in err
+
+    def test_nan_table_value_exits_with_message(self, tmp_path, config_path, capsys):
+        domain = tmp_path / "domain.yaml"
+        domain.write_text(
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "objects: [item]\n"
+            "state_variables:\n"
+            "  - {name: i, type: element, object: item}\n"
+            "tables:\n"
+            "  - {name: x, type: continuous, args: [item]}\n"
+            "transitions:\n"
+            "  - {name: step, preconditions: ['(< i 1)'], effect: {i: '(+ i 1)'},\n"
+            "     cost: '(+ (floor (x i)) cost)'}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(= i 1)'], cost: '0'}\n"
+        )
+        problem = tmp_path / "problem.yaml"
+        problem.write_text(
+            "object_numbers: {item: 2}\ntarget: {i: 0}\ntable_values: {x: {0: .nan, 1: 1.5}}\n"
+        )
+        code = run_cli(
+            "solve",
+            "--domain", str(domain),
+            "--problem", str(problem),
+            "--config", config_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: NaN value in table 'x'\n"
 
     def test_negative_time_limit_exits_with_message(self, config_path, capsys):
         code = run_cli(
@@ -338,3 +371,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"
+
+
+def test_package_runs_as_a_module(tmp_path, config_path):
+    """``python -m dpsearch`` works from a checkout with only its sources on the path."""
+    sources = Path(dpsearch.__file__).resolve().parents[1]
+    out = tmp_path / "solution.txt"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "dpsearch", "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+            "--output", str(out),
+            "--quiet",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(sources)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("status: optimal\ncost: 14\nbound: 14\n")

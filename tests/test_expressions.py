@@ -1,11 +1,13 @@
 """Expression evaluation: values, errors, and the purity contracts."""
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dpsearch import bitset
+from dpsearch import bitset, compiler
 from dpsearch import (
     EvaluationError,
     Model,
@@ -263,7 +265,6 @@ FAULTY = TableRegistry(
         Table("sparse", "integer", (3,), {(0,): 1}),
         Table("neg", "integer", (2,), {(0,): -1, (1,): 2}),
         Table("half", "continuous", (2,), {(0,): 0.5, (1,): 1.5}),
-        Table("nan", "continuous", (1,), {(0,): math.nan}),
         Table("big", "integer", (3,), {(j,): 2**62 for j in range(3)}),
     ]
 )
@@ -310,8 +311,8 @@ ERROR_CASES = {
     "numeric overflow": (eval_numeric, NumericBinary("+", TIME, NumericConst(2**63 - 1)),
                          (0, 0, 1), OverflowError),
     "reduction overflow": (eval_numeric, SetReduce("sum", "big", U), TARGET, OverflowError),
-    "NaN": (eval_numeric, NumericBinary("+", TIME, NumericTable("nan", (ZERO,))), TARGET,
-            EvaluationError),
+    "NaN": (eval_numeric, NumericBinary("+", TIME, NumericTable("half", (ZERO,))),
+            (TARGET[0], 0, math.nan), EvaluationError),
     "NaN from arithmetic": (eval_numeric, NumericBinary(
         "*", NumericConst(math.inf), NumericConst(0.0)), TARGET, EvaluationError),
     "element division by zero": (eval_element, ElementBinary("/", ONE, LOC), TARGET,
@@ -332,6 +333,12 @@ def test_each_check_raises(case):
     evaluate, expr, state, error = ERROR_CASES[case]
     with pytest.raises(error):
         evaluate(expr, state, FAULTY)
+
+
+@pytest.mark.parametrize("values, default", [({(0,): math.nan}, None), ({(0,): 1.5}, math.nan)])
+def test_nan_table_values_are_rejected(values, default):
+    with pytest.raises(ValueError, match="table 'x' holds NaN"):
+        Table("x", "continuous", (1,), values, default=default)
 
 
 def test_faults_in_unevaluated_branches_stay_silent():
@@ -390,9 +397,66 @@ def test_table_default_used_for_absent_keys():
         table.lookup((4, 0))
 
 
+# Floor and ceiling of ``a * r[i]`` and ``a / b``, which the compiler lowers
+# to integer floor division, on the state (a, i, b).
+M = 2**63 - 1
+RATES = TableRegistry(
+    [
+        Table(
+            "r",
+            "continuous",
+            (7,),
+            {(k,): v for k, v in enumerate([Fraction(7, 3), Fraction(-5, 2), 4, Fraction(6),
+                                            Fraction(1, 2), 1])},
+            default=-3,  # r[6]
+        )
+    ]
+)
+A, I, B = NumericVar(0, "a"), ElementVar(1, "i"), NumericVar(2, "b")
+RATE = NumericTable("r", (I,))
+ROUNDINGS = {"floor": (NumericFloor, math.floor), "ceil": (NumericCeil, math.ceil)}
+OPERANDS = {
+    "a * r[i]": NumericBinary("*", A, RATE),
+    "r[i] * 3": NumericBinary("*", RATE, NumericConst(3)),
+    "a / b": NumericBinary("/", A, B),
+}
+EDGES = [M, M + 1, 2 * M + 1, 2 * M + 2]  # results within one step of the 64-bit range
+NUMBERS = [-7, -1, 0, 1, 5] + EDGES + [-x for x in EDGES]
+
+
+def _outcome(expr, state):
+    """The value and its type, or the error type and message, of ``expr``."""
+    try:
+        value = eval_numeric(expr, state, RATES)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return type(err), str(err)
+    return type(value), value
+
+
+def _lines_run(fn) -> set:
+    """The stripped source lines of ``dpsearch.compiler`` that ``fn()`` runs."""
+    ran, source = set(), inspect.getsource(compiler).splitlines()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != compiler.__file__:
+            return None
+        if event == "line":
+            ran.add(source[frame.f_lineno - 1].strip())
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
 class TestLoweringPaths:
     """Shapes that each take a lowering of their own, against values
-    worked out by hand on TARGET (U = {1, 2}, i = 0, t = 0)."""
+    worked out by hand on TARGET (U = {1, 2}, i = 0, t = 0); the rational
+    roundings against their Fraction values on states (a, i, b)."""
 
     def test_successor_of_five_variables(self):
         meta = StateMetadata({}, [Variable(f"x{k}", "integer") for k in range(5)])
@@ -433,3 +497,79 @@ class TestLoweringPaths:
         assert eval_numeric(SetReduce(op, "c", U, (LOC,)), (0b011, 2, 0), TABLES) == {
             "sum": 4, "max": 3, "product": 3
         }[op]
+
+    ROUNDING_STATES = (
+        [(a, i, 1) for a in NUMBERS for i in range(-1, 8)]
+        + [(a, 0, b) for a in NUMBERS for b in (-3, -1, 0, 1, 2, 7)]
+        + [(2.5, 0, 2), (3, 0, 2.0), (2.5, 1, 1)]  # float operands
+    )
+
+    @pytest.mark.parametrize("rounding", sorted(ROUNDINGS))
+    @pytest.mark.parametrize("shape", sorted(OPERANDS))
+    def test_rational_rounding_against_its_fraction_value(self, rounding, shape):
+        """Each lowered floor/ceil against the Fraction value, and against the
+        general closure (the same operand under ``max(x, x)``, which no rule
+        lowers): equal values of equal type, or equal errors."""
+        node, exact = ROUNDINGS[rounding]
+        operand = OPERANDS[shape]
+        lowered, general = node(operand), node(NumericMax(operand, operand))
+        values = 0
+        for state in self.ROUNDING_STATES:
+            outcome = _outcome(lowered, state)
+            assert outcome == _outcome(general, state), state
+            a, i, b = state
+            if outcome[0] is int and type(a) is type(b) is int:
+                factor = {"a * r[i]": a, "r[i] * 3": 3, "a / b": a}[shape]
+                rate = RATES.lookup("r").lookup((i,)) if shape != "a / b" else Fraction(1, b)
+                assert outcome[1] == exact(factor * rate), state
+                values += 1
+        assert values >= 30
+
+    @pytest.mark.parametrize(
+        "state, error",
+        [
+            ((M + 1, 5, 1), "dual bound 0: integer value 9223372036854775808 exceeds 64-bit range"),
+            ((2 * M + 2, 4, 1),
+             "dual bound 0: integer value 9223372036854775808 exceeds 64-bit range"),
+            ((-M - 1, 2, 1),
+             "dual bound 0: integer value -36893488147419103232 exceeds 64-bit range"),
+            ((1, 7, 1), "index 7 out of range for argument 0 of table 'r'"),
+            ((1, -1, 1), "index -1 out of range for argument 0 of table 'r'"),
+        ],
+    )
+    def test_rational_rounding_faults_through_the_model(self, state, error):
+        meta = StateMetadata(
+            {"k": 7}, [Variable("a", "integer"), Variable("i", "element", "k"),
+                       Variable("b", "integer")]
+        )
+        bound = NumericFloor(OPERANDS["a * r[i]"])
+        model = Model(meta, RATES, (0, 0, 1), [], [], dual_bounds=[bound])
+        with pytest.raises(EvaluationError) as raised:
+            model.eval_dual_bound(state)
+        assert str(raised.value) == error
+
+    def test_rational_rounding_by_zero(self):
+        for node in (NumericFloor, NumericCeil):
+            with pytest.raises(ZeroDivisionError, match="^numeric division by zero$"):
+                eval_numeric(node(OPERANDS["a / b"]), (3, 0, 0), RATES)
+
+    @pytest.mark.parametrize(
+        "node, operand, branch, other",
+        [
+            (NumericFloor, "a * r[i]", "value = sign * (sign * a * p[i] // q[i])", (2.5, 0, 2)),
+            (NumericCeil, "a * r[i]", "value = sign * (sign * a * p[i] // q[i])", (2.5, 0, 2)),
+            (NumericFloor, "r[i] * 3", "value = sign * (sign * a * p[i] // q[i])", (5, 7, 2)),
+            (NumericFloor, "a / b", "value = sign * (sign * a // b)", (5, 0, 2.0)),
+            (NumericCeil, "a / b", "value = sign * (sign * a // b)", (5, 0, 0)),
+        ],
+    )
+    def test_rational_rounding_runs_its_integer_branch(self, node, operand, branch, other):
+        """The integer branch runs on int operands; a float operand, an
+        index out of range or a zero divisor takes the general closure."""
+        expr = node(OPERANDS[operand])
+        ran = _lines_run(lambda: eval_numeric(expr, (5, 0, 2), RATES))
+        assert branch in ran
+        assert "return fallback(s)" not in ran
+        ran = _lines_run(lambda: _outcome(expr, other))
+        assert branch not in ran
+        assert "return fallback(s)" in ran

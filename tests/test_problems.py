@@ -334,13 +334,65 @@ def test_matches_independent_enumeration(name):
         assert dp.bellman_oracle(model).cost == exhaustive_optimum(model)
 
 
+def _lines(*rows) -> str:
+    """Text with one line per row; a row is a sequence of fields."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _pairs(predecessors) -> list:
+    """``before after`` rows of a precedence relation."""
+    return [(b, a) for a, before in enumerate(predecessors) for b in sorted(before)]
+
+
+# Each instance written in its parser's documented text format.
+FORMATS = {
+    "binpacking": lambda x: _lines([x.capacity], [len(x.weights)], x.weights),
+    "cvrp": lambda x: _lines(
+        [len(x.travel)], *x.travel, x.demands, [x.capacity, x.vehicles]
+    ),
+    "graphclear": lambda x: _lines(
+        [len(x.node_weights)], x.node_weights, [len(x.edge_weights)],
+        *[(i, j, w) for (i, j), w in sorted(x.edge_weights.items())],
+    ),
+    "mdkp": lambda x: _lines(
+        [len(x.profits), len(x.capacities)], x.profits, *x.weights, x.capacities
+    ),
+    "mosp": lambda x: _lines(
+        [len(x.customer_products), x.products],
+        *[[len(order), *sorted(order)] for order in x.customer_products],
+    ),
+    "mpdtsp": lambda x: _lines(
+        [len(x.travel), len(x.commodities), x.capacity, len(x.edges)],
+        *x.travel, *x.commodities, *sorted(x.edges),
+    ),
+    "optw": lambda x: _lines(
+        [len(x.travel)], *x.travel, *zip(x.profits, x.ready, x.deadline)
+    ),
+    "salbp1": lambda x: _lines(
+        [x.capacity], [len(x.weights)], x.weights, *_pairs(x.predecessors)
+    ),
+    "talent": lambda x: _lines(
+        [len(x.scene_actors), len(x.actor_costs)],
+        *[[d, len(cast), *sorted(cast)] for d, cast in zip(x.durations, x.scene_actors)],
+        x.actor_costs,
+    ),
+    "tsptw": lambda x: _lines([len(x.travel)], *x.travel, *zip(x.ready, x.deadline)),
+    "wt": lambda x: _lines(
+        [len(x.processing)], *zip(x.processing, x.due, x.weights), *_pairs(x.predecessors)
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_parse_formats_roundtrip_through_text(name):
-    """Each parser reads its documented format; spot-check by formatting
-    a random instance by hand where the format is line-oriented."""
+    """Each parser reads its documented format: a random instance written
+    in that format parses back equal."""
     rng = random.Random(zlib.crc32(name.encode()) + 4)
     cls = CLASSES[name]
-    inst = cls.random(rng)
+    for _ in range(20):
+        inst = cls.random(rng)
+        text = FORMATS[name](inst)
+        assert cls.parse(text) == inst, text
     # every class must at least reject empty text
     with pytest.raises(ValueError):
         cls.parse("")

@@ -488,6 +488,26 @@ class TestContinuousCostType:
         assert solution.cost == pytest.approx(2.5)
         assert dp.bellman_oracle(model).cost == pytest.approx(2.5)
 
+    @pytest.mark.parametrize(
+        "table, values, target, needle",
+        [
+            ("{name: w, type: continuous, args: [item]}", "{w: {0: .nan, 1: 0.5}}", "0.0",
+             "NaN value in table 'w'"),
+            ("{name: w, type: continuous, args: [item], default: .nan}", "{w: {0: 0.5}}",
+             "0.0", "NaN value in table 'w'"),
+            ("{name: w, type: continuous, args: [item], default: 0}", "{}", ".nan",
+             "NaN value in target"),
+        ],
+    )
+    def test_nan_is_a_document_error(self, table, values, target, needle):
+        domain = self.DOMAIN.replace(
+            "state_variables:", "objects: [item]\nstate_variables:"
+        ) + f"tables:\n  - {table}\n"
+        problem = f"object_numbers: {{item: 2}}\ntarget: {{x: {target}}}\ntable_values: {values}\n"
+        yamlio.load_model(domain.replace(".nan", "1.5"), problem.replace(".nan", "1.5"))
+        with pytest.raises(DocumentError, match=re.escape(needle)):
+            yamlio.load_model(domain, problem)
+
     def test_unwrapped_fractional_division_errors_in_integer_models(self):
         domain = (
             "cost_type: integer\n"
