@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
 Number = Union[int, float]
@@ -10,24 +11,26 @@ Number = Union[int, float]
 def optimality_gap(primal: Optional[Number], dual: Optional[Number]) -> float:
     """Relative difference between primal and dual bounds, in [0, 1].
 
-    Missing either bound counts as a gap of 1.  Note that a proved
-    infeasibility is a gap of 0 by convention; callers must special-case
-    it since both bounds are absent then.
+    This is the primal gap of Kuroiwa and Beck (ICAPS 2023): 0 when the
+    bounds are equal, 1 when they differ in sign, and otherwise
+    ``|primal - dual| / max(|primal|, |dual|)``.  A missing or infinite
+    bound counts as a gap of 1.  Note that a proved infeasibility is a
+    gap of 0 by convention; callers must special-case it since both
+    bounds are absent then.
     """
     if primal is None or dual is None:
         return 1.0
     if primal == dual:
         return 0.0
+    if primal * dual < 0 or math.isinf(primal) or math.isinf(dual):
+        return 1.0
     return abs(primal - dual) / max(abs(primal), abs(dual))
 
 
 def primal_gap(cost: Optional[Number], reference: Number) -> float:
-    """Gap of a single solution against a reference cost, in [0, 1]."""
-    if cost is None:
-        return 1.0
-    if cost == reference:
-        return 0.0
-    return abs(reference - cost) / max(abs(reference), abs(cost))
+    """Gap of a single solution against a reference cost, in [0, 1], by
+    the same rule as ``optimality_gap``."""
+    return optimality_gap(cost, reference)
 
 
 def primal_integral(

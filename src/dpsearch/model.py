@@ -408,19 +408,18 @@ class Model:
         bounds = self._queries.bounds
         if not bounds:
             return None
-        bound = None
-        values = []
+        minimize, cost_class = self.costs.minimize, self._cost_class
+        best = bound = None
         try:
             for bound in bounds:
                 value = bound(state)
-                values.append(
-                    value if value.__class__ is self._cost_class else self._bound_value(value)
-                )
+                if value.__class__ is not cost_class:
+                    value = self._bound_value(value)
+                if best is None or (value > best if minimize else value < best):
+                    best = value
         except _FAULTS as err:
             raise _fault(err, f"dual bound {bounds.index(bound)}") from err
-        if len(values) == 1:
-            return values[0]
-        return max(values) if self.costs.minimize else min(values)
+        return best
 
     def _cost_value(self, value) -> Number:
         value = ex.collapse(value)

@@ -10,8 +10,9 @@ on a solution while deeper layers were nonempty.  The dual bound is the
 best f among the frontier, the states cut by the width so far, and the
 primal bound.
 
-The wrapper reruns beam search with the width doubling each iteration,
-carrying the primal bound forward, until a run comes back complete.
+The wrapper reruns beam search with the width doubling each iteration
+until a run comes back complete.  It carries forward the primal bound
+and the edges and dual bounds the previous pass computed (``PassCache``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,27 @@ from __future__ import annotations
 from typing import Optional
 
 from ..model import Model
-from .engine import Run
+from .engine import Run, edges_of
 
 # The kernel builds nodes through ``engine.make_node``; the name stays
 # importable here because perfbench/tracing.py patches it on this module.
 from .nodes import StateRegistry, make_node  # noqa: F401
 from .solution import DualCallback, PrimalCallback, Solution, SolverParams
+
+
+class PassCache(dict):
+    """``fn``, a pure function of the state that never returns None,
+    memoized for one pass; a miss looks in the previous pass's cache."""
+
+    def __init__(self, fn, previous=None):
+        self.fn, self.before = fn, dict(previous or ())  # a copy: no chain of passes
+
+    def __missing__(self, state):
+        value = self.before.get(state)
+        if value is None:
+            value = self.fn(state)
+        self[state] = value
+        return value
 
 
 def beam_search(
@@ -96,6 +112,7 @@ def cabs(
     """
     params = params or SolverParams()
     run = Run(model, params, on_primal, on_dual)
+    run.memo = (PassCache(lambda state: edges_of(model, state)), PassCache(model.eval_dual_bound))
     width = params.beam_initial_width
     while True:
         _, complete = beam_search(model, width, params=params, run=run)
@@ -104,3 +121,4 @@ def cabs(
         if run.out_of_time():
             return run.finish(natural=False)
         width *= params.beam_growth
+        run.memo = tuple(PassCache(cache.fn, cache) for cache in run.memo)

@@ -5,11 +5,13 @@ A ``Run`` holds one solver invocation's bookkeeping (primal and dual
 incumbents, event logs, counters, the wall clock) and the kernel:
 ``root`` builds the target node, and ``expand`` turns a node into its
 successors.  A base state is a candidate solution, recorded when it
-improves the primal bound.  Any other state's successors are filtered
-by state constraints, checked against the dominance registry, cut off
-when their f-value cannot beat the primal bound, and inserted into the
-registry.  Beam search (``beam.py``) drives the same kernel layer by
-layer.
+improves the primal bound.  Any other state's edges (``edges_of``) are
+all built before any dual bound is evaluated, so a fault in a later
+transition surfaces before one in an earlier successor's bound.  Each
+successor is checked against the dominance registry, cut off when its
+f-value cannot beat the primal bound, and inserted into the registry.
+Beam search (``beam.py``) drives the kernel layer by layer; ``cabs``
+keeps edges and bounds in ``Run.memo`` for two passes.
 
 ``generic_search`` drives it for every non-beam solver; the open-list
 policy is the only difference between them.  A popped node is closed,
@@ -27,10 +29,10 @@ run on the invoking thread.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ..errors import EvaluationError
-from ..model import Model, combine
+from ..model import Model, Number, combine
 from .nodes import BoundTracker, SearchNode, StateRegistry, make_node
 from .open_lists import (
     BestFirstList,
@@ -41,6 +43,21 @@ from .open_lists import (
     PackList,
 )
 from .solution import DualCallback, PrimalCallback, Solution, SolverParams, Status
+
+
+def edges_of(model: Model, state) -> Union[Number, list]:
+    """The base cost of ``state``, or else its edges ``(transition,
+    successor, weight)`` whose successor passes the state constraints."""
+    base = model.base_cost(state)
+    if base is not None:
+        return base
+    successor_of, check, weight = model.successor, model.check_constraints, model.weight
+    edges = []  # a list, not a generator: that measured slower
+    for transition in model.applicable_transitions(state):
+        successor = successor_of(transition, state)
+        if check(successor):
+            edges.append((transition, successor, weight(transition, state)))
+    return edges
 
 
 class Run:
@@ -72,6 +89,7 @@ class Run:
         self.first_solution_cost = None
         self.expanded = 0
         self.generated = 0
+        self.memo: Optional[tuple[dict, dict]] = None  # cabs: see beam.PassCache
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -162,12 +180,14 @@ class Run:
         pass the state constraints, dominance and the primal bound, each
         already inserted into ``registry``."""
         self.expanded += 1
-        model, costs = self.model, self.costs
-        state = node.state
-        base = model.base_cost(state)
-        if base is not None:
+        model, costs, memo = self.model, self.costs, self.memo
+        if memo is None:
+            edges, dual_bound = edges_of(model, node.state), model.eval_dual_bound
+        else:
+            edges, dual_bound = memo[0][node.state], memo[1].__getitem__
+        if edges.__class__ is not list:  # a base state: ``edges`` is its cost
             try:
-                cost = combine(costs, node.g, base)
+                cost = combine(costs, node.g, edges)
             except OverflowError as err:
                 raise EvaluationError(f"path cost at a base case: {err}") from err
             if costs.better(cost, self.cutoff):
@@ -176,19 +196,14 @@ class Run:
 
         # Locals for the successor loop, its hottest code.  The cutoff
         # stays fixed: only a base state changes it.
-        successor_of, check = model.successor, model.check_constraints
-        weight, dual_bound = model.weight, model.eval_dual_bound
         blocked, insert = registry.blocked, registry.insert
         better, add, new_node = costs.better, combine, make_node
         has_bound, cutoff, identity = self.has_bound, self.cutoff, costs.identity
         g0, depth, generated = node.g, node.depth + 1, self.generated
         children = []
         try:
-            for transition in model.applicable_transitions(state):
-                successor = successor_of(transition, state)
-                if not check(successor):
-                    continue
-                g = add(costs, g0, weight(transition, state))
+            for transition, successor, w in edges:
+                g = add(costs, g0, w)
                 if blocked(successor, g):
                     continue
                 if has_bound:

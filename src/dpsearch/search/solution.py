@@ -76,8 +76,14 @@ class SolverParams:
     dbdfs_k: int = 1
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool):  # a bool is an int: YAML true would read as 1
+                raise ValueError(f"{name} must be a number, not a boolean")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be at least 0")
+        bound = self.initial_bound
+        if bound is not None and not (isinstance(bound, (int, float)) and not math.isnan(bound)):
+            raise ValueError("initial_bound must be a number other than NaN")
         for name, least in (
             ("beam_initial_width", 1),
             ("beam_growth", 2),  # a width that never grows reruns one beam forever

@@ -1,6 +1,8 @@
 """Beam search semantics and the width-doubling wrapper."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -12,7 +14,9 @@ from dpsearch.problems import (
     build_salbp1,
     build_tsptw,
 )
-from dpsearch.search.engine import Run
+from dpsearch import yamlio
+from dpsearch.search import beam
+from dpsearch.search.engine import Run, edges_of
 from conftest import count_reachable_states
 
 
@@ -129,3 +133,115 @@ def test_timeout_inside_a_layer_keeps_the_dual_bound_valid():
             run = _Countdown(model, checks)
             solution, _ = dp.beam_search(model, width=1000, run=run)
             assert solution.bound is None or solution.bound <= optimum
+
+
+# -- the expansion memo of cabs
+
+MODEL_QUERIES = (
+    "applicable_transitions", "successor", "check_constraints", "weight",
+    "eval_dual_bound", "base_cost",
+)
+
+
+def _cvrp_of_six_passes():
+    cls = CLASSES["cvrp"]
+    return cls.build(cls.random(random.Random(6)))
+
+
+def _passes_without_memo(model):
+    """cabs without its memo: every pass queries the model afresh."""
+    run = Run(model, dp.SolverParams())
+    width = 1
+    while not dp.beam_search(model, width, run=run)[1]:
+        width *= 2
+    return run.finish(natural=True)
+
+
+def _outcome(solution):
+    return (
+        solution.status, solution.cost, solution.transitions, solution.bound,
+        solution.expanded, solution.generated, [c for _, c in solution.primal_events],
+    )
+
+
+def test_cabs_reuses_expansions_without_changing_its_answer():
+    model = _cvrp_of_six_passes()
+    expected = _outcome(_passes_without_memo(model))
+    calls = dict.fromkeys(MODEL_QUERIES, 0)
+    for query in MODEL_QUERIES:  # as perfbench/tracing.py wraps them
+        def counted(*args, _query=query, _fn=getattr(model, query)):
+            calls[_query] += 1
+            return _fn(*args)
+        setattr(model, query, counted)
+    solution = dp.cabs(model)
+    assert _outcome(solution) == expected
+    assert calls["applicable_transitions"] < solution.expanded
+    assert calls["eval_dual_bound"] < solution.generated
+
+
+def test_cabs_memo_keeps_only_the_last_two_passes(monkeypatch):
+    model = _cvrp_of_six_passes()
+    runs, passes = [], []
+
+    def beam_search(model, width, params=None, run=None):
+        runs.append(run)
+        passes.append([])
+        return search(model, width, params=params, run=run)
+
+    def expand(run, node, registry):
+        passes[-1].append(node.state)
+        return explore(run, node, registry)
+
+    search, explore = beam.beam_search, Run.expand
+    monkeypatch.setattr(beam, "beam_search", beam_search)
+    monkeypatch.setattr(Run, "expand", expand)
+    dp.cabs(model)
+    assert len(passes) >= 3
+    edges, bounds = runs[-1].memo
+    assert edges.keys() == set(passes[-1])
+    assert edges.before.keys() == set(passes[-2])
+    for cache, states in ((bounds, passes[-1]), (bounds.before, passes[-2])):
+        expansions = [edges_of(model, state) for state in states]
+        successors = {s for found in expansions if isinstance(found, list) for _, s, _ in found}
+        assert cache.keys() <= successors
+
+
+def test_cabs_memo_is_freed_with_its_run(monkeypatch):
+    # a memo that held its run would form a reference cycle, and then
+    # every finished run's memo would stay in memory until a collection
+    runs = []
+
+    def beam_search(model, width, params=None, run=None):
+        runs.append(weakref.ref(run))
+        return search(model, width, params=params, run=run)
+
+    search = beam.beam_search
+    monkeypatch.setattr(beam, "beam_search", beam_search)
+    gc.disable()
+    try:
+        dp.cabs(_cvrp_of_six_passes())
+        assert runs[-1]() is None
+    finally:
+        gc.enable()
+
+
+def test_cabs_reports_a_deep_effect_fault_as_caasdy_does():
+    # x goes 0 -> 1, then the effect divides by zero making the depth-2 successor
+    domain = (
+        "cost_type: integer\n"
+        "reduce: min\n"
+        "state_variables:\n"
+        "  - {name: x, type: integer}\n"
+        "transitions:\n"
+        "  - {name: step, effect: {x: '(+ x (/ 1 (- 1 x)))'}, cost: '(+ 1 cost)'}\n"
+        "base_cases:\n"
+        "  - {conditions: ['(>= x 3)'], cost: '0'}\n"
+    )
+    model = yamlio.load_model(domain, "object_numbers: {}\ntarget: {x: 0}\n")
+    messages = []
+    for solver in (dp.caasdy, dp.cabs):
+        with pytest.raises(dp.EvaluationError) as caught:
+            solver(model)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("effect of 'step'")

@@ -179,6 +179,26 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().err == "error: time_limit must be at least 0\n"
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("initial_bound: .nan", "initial_bound must be a number other than NaN"),
+            ("initial_bound: abc", "initial_bound must be a number other than NaN"),
+            ("beam_growth: true", "beam_growth must be a number, not a boolean"),
+        ],
+    )
+    def test_bad_config_value_exits_with_message(self, tmp_path, capsys, entry, message):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"{{solver: caasdy, {entry}}}\n")
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", str(config),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad solver config: {message}\n"
+
     def test_time_limit_zero_reports_bound(self, tmp_path, config_path, capsys):
         code = run_cli(
             "solve",

@@ -1,6 +1,7 @@
 """The generic engine and its six policy instantiations."""
 
 import itertools
+import math
 import random
 import zlib
 
@@ -89,6 +90,28 @@ def test_initial_bound_at_optimum_proves_no_better(desk_tsptw_model):
 def test_initial_bound_above_optimum_still_finds_it(desk_tsptw_model):
     params = dp.SolverParams(initial_bound=7)
     solution = dp.caasdy(desk_tsptw_model, params)
+    assert solution.status == dp.Status.OPTIMAL
+    assert solution.cost == 6
+
+
+@pytest.mark.parametrize(
+    "knob, value, message",
+    [
+        ("initial_bound", float("nan"), "initial_bound must be a number other than NaN"),
+        ("initial_bound", "abc", "initial_bound must be a number other than NaN"),
+        ("initial_bound", True, "initial_bound must be a number, not a boolean"),
+        ("time_limit", True, "time_limit must be a number, not a boolean"),
+        ("beam_initial_width", True, "beam_initial_width must be a number, not a boolean"),
+        ("apps_max_budget", False, "apps_max_budget must be a number, not a boolean"),
+    ],
+)
+def test_bad_params_are_rejected(knob, value, message):
+    with pytest.raises(ValueError, match=message):
+        dp.SolverParams(**{knob: value})
+
+
+def test_infinite_initial_bound_is_no_bound(desk_tsptw_model):
+    solution = dp.caasdy(desk_tsptw_model, dp.SolverParams(initial_bound=math.inf))
     assert solution.status == dp.Status.OPTIMAL
     assert solution.cost == 6
 

@@ -549,6 +549,12 @@ class TestSolverConfig:
             ("apps_max_budget: abc", "apps_max_budget must be a number of at least 1"),
             ("time_limit: -1", "time_limit must be at least 0"),
             ("time_limit: .nan", "time_limit must be at least 0"),
+            ("time_limit: true", "time_limit must be a number, not a boolean"),
+            ("initial_bound: .nan", "initial_bound must be a number other than NaN"),
+            ("initial_bound: abc", "initial_bound must be a number other than NaN"),
+            ("initial_bound: true", "initial_bound must be a number, not a boolean"),
+            ("dbdfs_k: true", "dbdfs_k must be a number, not a boolean"),
+            ("apps_max_budget: true", "apps_max_budget must be a number, not a boolean"),
         ],
     )
     def test_out_of_range_values_are_rejected(self, entry, message):
