@@ -79,6 +79,8 @@ class SolverParams:
         for name, value in vars(self).items():
             if isinstance(value, bool):  # a bool is an int: YAML true would read as 1
                 raise ValueError(f"{name} must be a number, not a boolean")
+        if self.time_limit is not None and not isinstance(self.time_limit, (int, float)):
+            raise ValueError("time_limit must be a number")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be at least 0")
         bound = self.initial_bound

@@ -8,9 +8,11 @@ for set-valued tables, ``object``), ``transitions`` (name/parameters/
 preconditions/effect/cost/forced), ``constraints`` (condition with an
 optional single-parameter ``forall``), ``base_cases`` (conditions/cost),
 and ``dual_bounds``.  The problem file keys: ``object_numbers``,
-``target``, and ``table_values``; multi-arity table keys are written as
-index lists (YAML complex keys).  Unknown keys are hard errors: a typo
-in ``dual_bounds`` must not silently degrade solving.
+``target``, and ``table_values``.  A table's values are a map from keys
+(a multi-arity key as an index list, a YAML complex key) or nested rows
+in row-major order, which must give every key a value; ``serialize_model``
+writes rows whenever every key has a value.  Unknown keys are hard
+errors: a typo in ``dual_bounds`` must not silently degrade solving.
 
 A transition parameter bound to a set variable ranges over that
 variable's value in the target state and adds the membership
@@ -26,7 +28,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import yaml
 
@@ -49,8 +51,6 @@ from .model import (
     Variable,
 )
 from .search import SOLVER_NAMES, Solution, SolverParams
-
-Number = Union[int, float]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def _numeric_value(raw, kind: str, where: str):
     if isinstance(raw, str):
         try:
             raw = Fraction(raw)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise DocumentError(f"bad numeric value {raw!r} in {where}") from None
     if kind in (INTEGER, ELEMENT):
         if isinstance(raw, Fraction) and raw.denominator == 1:
@@ -404,6 +404,17 @@ def _numeric_value(raw, kind: str, where: str):
     return raw
 
 
+def _set_value(value, universe: int, where: str) -> int:
+    """An index list as a bitmask, its members checked against ``universe``."""
+    if not isinstance(value, (list, tuple)):
+        raise DocumentError(f"set value in {where} must be an index list")
+    members = [_shaped(v, int, f"set member in {where}") for v in value]
+    try:
+        return bitset.from_items(members, universe)
+    except ValueError as err:
+        raise DocumentError(f"{err} in {where}") from None
+
+
 def _table_from_decl(decl: TableDecl, objects: dict[str, int], raw_values) -> ex.Table:
     where = f"table {decl.name!r}"
     for arg in decl.args:
@@ -418,24 +429,34 @@ def _table_from_decl(decl: TableDecl, objects: dict[str, int], raw_values) -> ex
             raise DocumentError(f"unknown object type {decl.object!r} in {where}")
         value_universe = objects[decl.object]
 
-    def convert(value):
+    def convert(value, here=where):
         if decl.type == "boolean":
             if not isinstance(value, bool):
-                raise DocumentError(f"non-boolean value {value!r} in {where}")
+                raise DocumentError(f"non-boolean value {value!r} in {here}")
             return value
         if decl.type == "set":
-            if not isinstance(value, (list, tuple)):
-                raise DocumentError(f"set value in {where} must be an index list")
-            members = [_shaped(v, int, f"set member in {where}") for v in value]
-            return bitset.from_items(members, value_universe)
-        return _numeric_value(value, decl.type, where)
+            return _set_value(value, value_universe, here)
+        return _numeric_value(value, decl.type, here)
+
+    def read_rows(rows, prefix=()):
+        here = f"row {list(prefix)} of {where}" if prefix else where
+        count, inner = shape[len(prefix)], len(prefix) + 1 < len(shape)
+        if not isinstance(rows, list) or len(rows) != count:
+            raise DocumentError(f"{here} must list {count} {'rows' if inner else 'values'}")
+        for index, row in enumerate(rows):
+            if inner:
+                read_rows(row, (*prefix, index))
+            else:
+                values[(*prefix, index)] = convert(row, here)
 
     values: dict[tuple, object] = {}
     if raw_values is None:
         raw_values = {}
-    if decl.args:
+    if decl.args and isinstance(raw_values, list):
+        read_rows(raw_values)
+    elif decl.args:
         if not isinstance(raw_values, dict):
-            raise DocumentError(f"values of {where} must be a map")
+            raise DocumentError(f"values of {where} must be a map or a list of rows")
         for key, value in raw_values.items():
             if not isinstance(key, tuple):
                 key = (key,)
@@ -482,10 +503,8 @@ def _target_state(
         seen.add(var.name)
         value = raw[var.name]
         if var.kind == SET:
-            if not isinstance(value, (list, tuple)):
-                raise DocumentError(f"target {var.name!r} must be an index list")
-            members = [_shaped(v, int, f"target {var.name!r} member") for v in value]
-            values.append(bitset.from_items(members, metadata.objects[var.object_type]))
+            universe = metadata.objects[var.object_type]
+            values.append(_set_value(value, universe, f"target {var.name!r}"))
         elif var.kind == CONTINUOUS:
             values.append(float(_numeric_value(value, CONTINUOUS, "target")))
         else:
@@ -656,6 +675,15 @@ def _table_value_out(table: ex.Table, value):
     return list(bitset.members(value)) if table.kind == "set" else _value_out(value)
 
 
+def _rows(table: ex.Table, prefix=()):
+    """A dense table's values under ``prefix`` as nested rows in row-major
+    order; the innermost rows are tuples, which the dumper writes as flow lists."""
+    keys = [(*prefix, i) for i in range(table.shape[len(prefix)])]
+    if len(prefix) + 1 < table.arity:
+        return [_rows(table, key) for key in keys]
+    return tuple(_table_value_out(table, table.values[key]) for key in keys)
+
+
 def serialize_model(model: Model) -> tuple[str, str]:
     """Render a model as (domain text, problem text).
 
@@ -715,13 +743,15 @@ def serialize_model(model: Model) -> tuple[str, str]:
                 )
             entry["object"] = object_of_count[table.value_universe]
         domain["tables"].append(entry)
-        out = {}
-        for key, value in sorted(table.values.items()):
-            out[key[0] if len(key) == 1 else key] = _table_value_out(table, value)
-        if table.shape:
-            problem["table_values"][table.name] = out
-        elif () in out:  # a scalar with only a default reads back from the default
-            problem["table_values"][table.name] = out[()]
+        if table.shape and len(table.values) == math.prod(table.shape):
+            problem["table_values"][table.name] = _rows(table)
+        elif table.shape:  # a key without a value: the keyed map
+            problem["table_values"][table.name] = {
+                key[0] if len(key) == 1 else key: _table_value_out(table, value)
+                for key, value in sorted(table.values.items())
+            }
+        elif () in table.values:  # a scalar with only a default reads back from the default
+            problem["table_values"][table.name] = _table_value_out(table, table.values[()])
 
     for t in model.transitions:
         entry: dict = {"name": t.name}

@@ -168,6 +168,35 @@ class TestSolve:
         assert code == 1
         assert err == "error: NaN value in table 'x'\n"
 
+    def test_zero_denominator_exits_with_message(self, tmp_path, config_path, capsys):
+        domain = tmp_path / "domain.yaml"
+        domain.write_text(
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "objects: [item]\n"
+            "state_variables:\n"
+            "  - {name: i, type: element, object: item}\n"
+            "tables:\n"
+            "  - {name: t, type: integer, args: [item]}\n"
+            "transitions:\n"
+            "  - {name: step, preconditions: ['(< i 1)'], effect: {i: '(+ i 1)'},\n"
+            "     cost: '(+ (t i) cost)'}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(= i 1)'], cost: '0'}\n"
+        )
+        problem = tmp_path / "problem.yaml"
+        problem.write_text(
+            "object_numbers: {item: 2}\ntarget: {i: 0}\ntable_values: {t: {0: '1/0', 1: 1}}\n"
+        )
+        code = run_cli(
+            "solve",
+            "--domain", str(domain),
+            "--problem", str(problem),
+            "--config", config_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: bad numeric value '1/0' in table 't'\n"
+
     def test_negative_time_limit_exits_with_message(self, config_path, capsys):
         code = run_cli(
             "solve",
@@ -412,3 +441,32 @@ def test_package_runs_as_a_module(tmp_path, config_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("status: optimal\ncost: 14\nbound: 14\n")
+
+
+def test_make_instance_writes_a_pair_that_solves_to_its_optimum(tmp_path, config_path, capsys):
+    """``scripts/make_instance.py`` writes a domain and problem file that
+    ``solve`` proves optimal at the oracle optimum the script prints."""
+    sources = Path(dpsearch.__file__).resolve().parents[1]
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_instance.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "tsptw", "--seed", "3", "--out", str(tmp_path / "tsptw")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(sources)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimum = proc.stdout.splitlines()[-1].removeprefix("oracle optimum: ")
+    assert optimum.isdigit(), proc.stdout
+    problem = tmp_path / "tsptw-problem.yaml"
+    assert "? [" not in problem.read_text()  # every table is dense: rows
+    out = tmp_path / "solution.txt"
+    code = run_cli(
+        "solve",
+        "--domain", str(tmp_path / "tsptw-domain.yaml"),
+        "--problem", str(problem),
+        "--config", config_path,
+        "--output", str(out),
+        "--quiet",
+    )
+    assert code == 0
+    assert out.read_text().startswith(f"status: optimal\ncost: {optimum}\nbound: {optimum}\n")

@@ -101,6 +101,7 @@ def test_initial_bound_above_optimum_still_finds_it(desk_tsptw_model):
         ("initial_bound", "abc", "initial_bound must be a number other than NaN"),
         ("initial_bound", True, "initial_bound must be a number, not a boolean"),
         ("time_limit", True, "time_limit must be a number, not a boolean"),
+        ("time_limit", "abc", "time_limit must be a number"),
         ("beam_initial_width", True, "beam_initial_width must be a number, not a boolean"),
         ("apps_max_budget", False, "apps_max_budget must be a number, not a boolean"),
     ],

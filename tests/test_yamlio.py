@@ -1,9 +1,12 @@
 """Expression grammar, document parsing, grounding, and serialization."""
 
 import dataclasses
+import itertools
+import math
 import random
 import re
 import zlib
+from fractions import Fraction
 
 import pytest
 import yaml
@@ -463,6 +466,182 @@ def test_unencodable_name_is_a_document_error():
             yamlio.serialize_model(broken)
     else:  # the pure-Python emitter escapes it
         yamlio.serialize_model(broken)
+
+
+class TestTableRows:
+    """A table with a value for every key is written as nested rows;
+    both the rows and the keyed map read back."""
+
+    DOMAIN = MINIMAL_DOMAIN.replace("state_variables:", "objects: [item]\nstate_variables:") + (
+        "tables:\n"
+        "  - {name: t, type: integer, args: [item]}\n"
+        "  - {name: c, type: integer, args: [item, item]}\n"
+        "  - {name: d, type: integer, args: [item, item, item]}\n"
+        "  - {name: x, type: continuous, args: [item, item]}\n"
+        "  - {name: s, type: set, args: [item], object: item}\n"
+        "  - {name: ok, type: boolean, args: [item]}\n"
+    )
+    PROBLEM = (
+        "object_numbers: {item: 2}\n"
+        "target: {x: 0}\n"
+        "table_values:\n"
+        "  t: [1, 2]\n"
+        "  c: [[1, 2], [3, 4]]\n"
+        "  d: [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]\n"
+        "  x: [[0.5, '1/3'], [2, 0]]\n"
+        "  s: [[0], [0, 1]]\n"
+        "  ok: [true, false]\n"
+    )
+
+    def test_dense_table_is_written_as_rows(self):
+        model = build_tsptw(TsptwInstance(((0, 2, 5), (2, 0, 8), (8, 8, 0)), (0, 3, 7), (30, 6, 9)))
+        problem_text = yamlio.serialize_model(model)[1]
+        assert "? [" not in problem_text
+        assert "  c:\n  - [0, 2, 5]\n  - [2, 0, 8]\n  - [8, 8, 0]\n" in problem_text
+        assert "  a: [0, 3, 7]\n" in problem_text
+
+    def test_table_with_a_missing_key_keeps_the_keyed_map(self):
+        cls = CLASSES["graphclear"]
+        model = cls.build(cls.random(random.Random(2)))
+        b = model.tables.lookup("b")
+        assert 0 < len(b.values) < math.prod(b.shape)
+        texts = yamlio.serialize_model(model)
+        dense, sparse = texts[1].split("  b:\n", 1)
+        assert sparse.startswith("    ? [")
+        assert "? [" not in dense
+        assert yamlio.load_model(*texts) == model
+
+    def test_rows_round_trip(self):
+        tables = [
+            Table("nbr", "set", (3,), {(0,): 0b110, (1,): 0, (2,): 0b011}, value_universe=3),
+            Table("ok", "boolean", (3, 2), {(i, j): i == j for i in range(3) for j in range(2)}),
+            Table("r", "continuous", (3,), {(0,): Fraction(1, 3), (1,): 2.5, (2,): Fraction(-7, 2)}),
+            Table("d", "integer", (2, 3, 2), {
+                key: 100 * key[0] + 10 * key[1] + key[2]
+                for key in itertools.product(range(2), range(3), range(2))
+            }),
+            Table("none", "integer", (0,), {}),
+            Table("empty", "integer", (2, 0), {}),
+            Table("w", "integer", (3, 3), {(0, 2): 4}, default=1),
+        ]
+        model = dp.Model(
+            dp.StateMetadata(
+                {"item": 3, "pair": 2, "nothing": 0}, [dp.Variable("U", "set", "item")]
+            ),
+            TableRegistry(tables),
+            (0b111,),
+            [],
+            [dp.BaseCase((BoolConst(True),), NumericConst(0))],
+        )
+        domain_text, problem_text = yamlio.serialize_model(model)
+        for excerpt in (
+            "  nbr: [[1, 2], [], [0, 1]]\n",
+            "  ok:\n  - [true, false]\n  - [false, true]\n  - [false, false]\n",
+            "  r: [1/3, 2.5, -7/2]\n",
+            "  d:\n  - - [0, 1]\n    - [10, 11]\n    - [20, 21]\n  - - [100, 101]\n",
+            "  none: []\n",
+            "  empty:\n  - []\n  - []\n",
+            "  w:\n    ? [0, 2]\n    : 4\n",
+        ):
+            assert excerpt in problem_text
+        assert problem_text.count("? [") == 1  # only the sparse w
+        again = yamlio.load_model(domain_text, problem_text)
+        assert again == model
+        assert again.tables.lookup("r").lookup((0,)) == Fraction(1, 3)
+        assert yamlio.serialize_model(again) == (domain_text, problem_text)
+
+    def test_keyed_fixture_and_its_rows_load_equal(self, fixture_texts):
+        domain_text, problem_text = fixture_texts
+        assert "? [" in problem_text
+        domain = yamlio.parse_domain(domain_text)
+        problem = yamlio.parse_problem(problem_text)
+
+        def rows(keyed, shape, prefix=()):
+            keys = [(*prefix, i) for i in range(shape[len(prefix)])]
+            if len(prefix) + 1 < len(shape):
+                return [rows(keyed, shape, key) for key in keys]
+            return [keyed[key if len(key) > 1 else key[0]] for key in keys]
+
+        table_values = {
+            decl.name: rows(
+                problem.table_values[decl.name],
+                [problem.object_numbers[arg] for arg in decl.args],
+            )
+            for decl in domain.tables
+        }
+        rewrite = yaml.safe_dump(
+            {
+                "object_numbers": problem.object_numbers,
+                "target": problem.target,
+                "table_values": table_values,
+            },
+            default_flow_style=None,
+        )
+        assert "c:\n  - [0, 3, 4, 5]\n" in rewrite
+        assert "?" not in rewrite
+        assert yamlio.load_model(domain_text, rewrite) == yamlio.load_model(*fixture_texts)
+
+    @pytest.mark.parametrize(
+        "old, new, needle",
+        [
+            ("c: [[1, 2], [3, 4]]", "c: [[1, 2], [3, 4, 5]]", "row [1] of table 'c' must list 2 values"),
+            ("c: [[1, 2], [3, 4]]", "c: [[1, 2]]", "table 'c' must list 2 rows"),
+            ("c: [[1, 2], [3, 4]]", "c: [[1, 2], 3]", "row [1] of table 'c' must list 2 values"),
+            ("c: [[1, 2], [3, 4]]", "c: [[1, [2]], [3, 4]]",
+             "non-integer value [2] in row [0] of table 'c'"),
+            ("c: [[1, 2], [3, 4]]", "c: 5", "values of table 'c' must be a map or a list of rows"),
+            ("t: [1, 2]", "t: [1, 2, 3]", "table 't' must list 2 values"),
+            ("t: [1, 2]", "t: [[1, 2], [3, 4]]", "non-integer value [1, 2] in table 't'"),
+            ("[[5, 6], [7, 8]]]", "[[5, 6], [7]]]", "row [1, 1] of table 'd' must list 2 values"),
+            ("[[5, 6], [7, 8]]]", "[5, 6]]", "row [1, 0] of table 'd' must list 2 values"),
+            ("[[0.5, '1/3']", "[[0.5, .nan]", "NaN value in row [0] of table 'x'"),
+            ("[[0.5, '1/3']", "[[0.5, '1/0']", "bad numeric value '1/0' in row [0] of table 'x'"),
+            ("s: [[0], [0, 1]]", "s: [[0], [0, 5]]", "element 5 outside universe of size 2 in table 's'"),
+            ("s: [[0], [0, 1]]", "s: [[0], 1]", "set value in table 's' must be an index list"),
+            ("ok: [true, false]", "ok: [true, 1]", "non-boolean value 1 in table 'ok'"),
+        ],
+    )
+    def test_malformed_rows_name_the_table_and_the_row(self, old, new, needle):
+        model = yamlio.load_model(self.DOMAIN, self.PROBLEM)  # well formed before the change
+        assert model.tables.lookup("d").lookup((1, 0, 1)) == 6
+        assert model.tables.lookup("x").lookup((0, 1)) == Fraction(1, 3)
+        assert self.PROBLEM.count(old) == 1
+        with pytest.raises(DocumentError, match=re.escape(needle)):
+            yamlio.load_model(self.DOMAIN, self.PROBLEM.replace(old, new))
+
+
+class TestValueFaults:
+    """A bad value in a table, a default or the target is a DocumentError
+    that names where it is."""
+
+    DOMAIN = MINIMAL_DOMAIN.replace(
+        "state_variables:\n", "objects: [item]\nstate_variables:\n  - {name: U, type: set, object: item}\n"
+    ) + (
+        "tables:\n"
+        "  - {name: t, type: integer, args: [item], default: 0}\n"
+        "  - {name: s, type: set, args: [item], object: item, default: []}\n"
+    )
+    PROBLEM = "object_numbers: {item: 2}\ntarget: {x: 0, U: [1]}\ntable_values: {t: {0: 1}, s: {0: [0, 1]}}\n"
+
+    @pytest.mark.parametrize(
+        "old, new, needle",
+        [
+            ("t: {0: 1}", "t: {0: '1/0', 1: 1}", "bad numeric value '1/0' in table 't'"),
+            ("default: 0}", "default: '1/0'}", "bad numeric value '1/0' in table 't'"),
+            ("x: 0,", "x: '1/0',", "bad numeric value '1/0' in target"),
+            ("s: {0: [0, 1]}", "s: {0: [0, 5]}", "element 5 outside universe of size 2 in table 's'"),
+            ("default: []}", "default: [2]}", "element 2 outside universe of size 2 in table 's'"),
+            ("U: [1]", "U: [5]", "element 5 outside universe of size 2 in target 'U'"),
+            ("U: [1]", "U: [-1]", "element -1 outside universe of size 2 in target 'U'"),
+            ("U: [1]", "U: 1", "set value in target 'U' must be an index list"),
+        ],
+    )
+    def test_bad_value_is_a_named_document_error(self, old, new, needle):
+        yamlio.load_model(self.DOMAIN, self.PROBLEM)  # well formed before the change
+        domain, problem = self.DOMAIN.replace(old, new), self.PROBLEM.replace(old, new)
+        assert (domain, problem) != (self.DOMAIN, self.PROBLEM)
+        with pytest.raises(DocumentError, match=re.escape(needle)):
+            yamlio.load_model(domain, problem)
 
 
 class TestContinuousCostType:
