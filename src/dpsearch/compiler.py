@@ -76,23 +76,26 @@ class Slot:
 
 class Queries:
     """The query closures of one model, laid out by one compiler: the
-    guard of each transition, its successor and weight (keyed by the
-    transition's id), each base case's condition and cost, and the state
-    constraints and dual bounds."""
+    edge table ``(transition, guard, successor, weight)`` in declaration
+    order, and each edge keyed by its transition's id (``edge_of``); each
+    base case's condition and cost; the state constraints one by one and
+    as one conjunction (``feasible``); and the dual bounds."""
 
-    __slots__ = ("guards", "successors", "weights", "base_cases", "constraints", "bounds")
+    __slots__ = ("edges", "edge_of", "base_cases", "constraints", "feasible", "bounds")
 
     def __init__(self, model):
         c = Compiler(model.tables)
         variables = model.metadata.variables
-        transitions = model.transitions
-        self.guards = tuple((t, c.conjunction(t.preconditions)) for t in transitions)
-        self.successors = {id(t): c.successor(t, variables) for t in transitions}
-        self.weights = {id(t): c.fn(t.weight) for t in transitions}
+        self.edges = tuple(
+            (t, c.conjunction(t.preconditions), c.successor(t, variables), c.fn(t.weight))
+            for t in model.transitions
+        )
+        self.edge_of = {id(edge[0]): edge for edge in self.edges}
         self.base_cases = tuple(
             (c.conjunction(case.conditions), c.fn(case.cost)) for case in model.base_cases
         )
         self.constraints = tuple(c.fn(cond) for cond in model.constraints)
+        self.feasible = c.conjunction(model.constraints)
         self.bounds = tuple(c.fn(bound) for bound in model.dual_bounds)
 
 

@@ -16,6 +16,13 @@ that :mod:`dpsearch.compiler` builds from its expression trees, all at
 once, on the first query.  An arithmetic fault in a query (division by
 zero, 64-bit overflow) surfaces as :class:`EvaluationError` naming the
 constraint, transition, base case or dual bound where it arose.
+
+The solvers expand a state with ``Model.edges``: one loop over the
+compiled edge table that runs guard, effects, state constraints and
+weight for each transition under a single ``try``.  On any fault it
+reruns the state through the separate queries, which raise the named
+error in their own order; every query is pure, so the rerun sees the
+same values.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from operator import gt, lt
+from typing import Callable, Optional, Sequence, Union
 
 from . import bitset, compiler
 from . import expressions as ex
@@ -189,9 +197,21 @@ class CostStructure:
     def worst(self) -> float:
         return math.inf if self.minimize else -math.inf
 
-    def better(self, a: Number, b: Number) -> bool:
-        """Strictly better in the optimization direction."""
-        return a < b if self.minimize else a > b
+    @functools.cached_property
+    def better(self) -> Callable[[Number, Number], bool]:
+        """``better(a, b)``: whether ``a`` is strictly better than ``b`` in
+        the optimization direction; a builtin comparison."""
+        return lt if self.minimize else gt
+
+    @functools.cached_property
+    def add(self) -> Callable[[Number, Number], Number]:
+        """``add(w, x)``: ``w (op) x`` with saturation at the infinite
+        sentinels, as ``combine`` defines it.  The builtin ``max`` for the
+        ``max`` operator; for ``+``, a module-level function, so that a
+        cost structure with its adder cached still pickles."""
+        if self.operator == "max":
+            return max
+        return _integer_sum if self.cost_type == INTEGER else _sum
 
     def reduce(self, values) -> Number:
         return min(values) if self.minimize else max(values)
@@ -199,8 +219,20 @@ class CostStructure:
 
 def combine(costs: CostStructure, w: Number, x: Number) -> Number:
     """``w (op) x`` with saturation at the infinite sentinels."""
-    if costs.operator == "max":
-        return max(w, x)
+    return costs.add(w, x)
+
+
+def _integer_sum(w: Number, x: Number) -> Number:
+    """``_sum``, returning at once a sum that is an integer within 64 bits."""
+    value = w + x
+    if value.__class__ is int and -ex.INT64_MAX <= value <= ex.INT64_MAX:
+        return value
+    return _sum(w, x)
+
+
+def _sum(w: Number, x: Number) -> Number:
+    """``w + x``: an infinite operand wins, the first one first, and an
+    integer sum beyond 64 bits raises ``OverflowError``."""
     if isinstance(w, float) and math.isinf(w):
         return w
     if isinstance(x, float) and math.isinf(x):
@@ -357,7 +389,7 @@ class Model:
         regular = []
         transition = None
         try:
-            for transition, guard in self._queries.guards:
+            for transition, guard, _, _ in self._queries.edges:
                 if guard(state):
                     if transition.forced:
                         return [transition]
@@ -371,33 +403,84 @@ class Model:
         applicable = []
         transition = None
         try:
-            for transition, guard in self._queries.guards:
+            for transition, guard, _, _ in self._queries.edges:
                 if guard(state):
                     applicable.append(transition)
         except _FAULTS as err:
             raise _fault(err, f"precondition of {transition.name!r}") from err
         return applicable
 
+    def _edge(self, transition: Transition) -> tuple:
+        edge = self._queries.edge_of.get(id(transition))
+        if edge is None:
+            raise _foreign(transition)
+        return edge
+
     def successor(self, transition: Transition, state: State) -> State:
         """The state after ``transition``; every effect is evaluated on
         ``state`` and checked against the kind of its variable."""
-        effects = self._queries.successors.get(id(transition))
-        if effects is None:
-            raise _foreign(transition)
+        effects = self._edge(transition)[2]
         try:
             return effects(state)
         except _FAULTS as err:
             raise _fault(err, f"effect of {transition.name!r}") from err
 
     def weight(self, transition: Transition, state: State) -> Number:
-        weight = self._queries.weights.get(id(transition))
-        if weight is None:
-            raise _foreign(transition)
+        weight = self._edge(transition)[3]
         try:
             value = weight(state)
         except _FAULTS as err:
             raise _fault(err, f"weight of {transition.name!r}") from err
         return value if value.__class__ is self._cost_class else self._cost_value(value)
+
+    def edges(self, state: State) -> Union[Number, list]:
+        """The base cost of ``state``, or else the edges ``(transition,
+        successor, weight)`` of the transitions ``applicable_transitions``
+        returns whose successor passes the state constraints.
+
+        On any exception the state runs again through the separate queries
+        (``_edges_by_query``), which name the fault in their own order
+        (every guard before any effect), or return the edges when the
+        fault lay in work they skip: the effects of regular transitions
+        that a later forced one overrides.
+        """
+        queries, cost_class = self._queries, self._cost_class
+        try:
+            for holds, _ in queries.base_cases:
+                if holds(state):
+                    return self.base_cost(state)
+            feasible = queries.feasible
+            edges = []
+            for transition, guard, successor_of, weight in queries.edges:
+                if not guard(state):
+                    continue
+                if transition.forced:  # the first applicable forced one alone
+                    edges = []
+                successor = successor_of(state)
+                if feasible(successor):
+                    w = weight(state)
+                    if w.__class__ is not cost_class:
+                        w = self._cost_value(w)
+                    edges.append((transition, successor, w))
+                if transition.forced:
+                    break
+            return edges
+        except Exception:  # rerun outside the handler: the named error chains to no other
+            pass
+        return self._edges_by_query(state)
+
+    def _edges_by_query(self, state: State) -> Union[Number, list]:
+        """``edges`` through the separate queries, each with its own fault
+        naming: the reference path that ``edges`` falls back on."""
+        base = self.base_cost(state)
+        if base is not None:
+            return base
+        edges = []
+        for transition in self.applicable_transitions(state):
+            successor = self.successor(transition, state)
+            if self.check_constraints(successor):
+                edges.append((transition, successor, self.weight(transition, state)))
+        return edges
 
     def eval_dual_bound(self, state: State) -> Optional[Number]:
         """Tightest declared bound: max for minimization, min for maximization.

@@ -64,7 +64,12 @@ def bellman_oracle(
 
     def settle(state: State):
         """``(value, None)`` for a state worth a value of its own, else
-        ``(None, edges)`` with one ``(weight, successor)`` per transition."""
+        ``(None, edges)`` with one ``(weight, successor)`` per transition.
+
+        It asks the model's separate queries, not the fused ``Model.edges``
+        loop the solvers expand with: the acceptance gate checks the
+        solvers against this oracle, so the oracle must not share the
+        fast path it checks."""
         if not model.check_constraints(state):
             return worst, None  # constraint violation: worth the worst sentinel
         base = model.base_cost(state)

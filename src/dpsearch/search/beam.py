@@ -11,8 +11,10 @@ best f among the frontier, the states cut by the width so far, and the
 primal bound.
 
 The wrapper reruns beam search with the width doubling each iteration
-until a run comes back complete.  It carries forward the primal bound
-and the edges and dual bounds the previous pass computed (``PassCache``).
+until a run comes back complete.  It checks the target's state
+constraints once, and carries forward the primal bound and the edges and
+dual bounds the previous pass computed (``PassCache``), the target's
+bound among them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..model import Model
-from .engine import Run, edges_of
+from .engine import Run
 
 # The kernel builds nodes through ``engine.make_node``; the name stays
 # importable here because perfbench/tracing.py patches it on this module.
@@ -112,7 +114,9 @@ def cabs(
     """
     params = params or SolverParams()
     run = Run(model, params, on_primal, on_dual)
-    run.memo = (PassCache(lambda state: edges_of(model, state)), PassCache(model.eval_dual_bound))
+    if not model.check_constraints(model.target):  # once: every pass starts there
+        return run.finish(natural=True)
+    run.memo = (PassCache(model.edges), PassCache(model.eval_dual_bound))
     width = params.beam_initial_width
     while True:
         _, complete = beam_search(model, width, params=params, run=run)

@@ -5,9 +5,14 @@ A ``Run`` holds one solver invocation's bookkeeping (primal and dual
 incumbents, event logs, counters, the wall clock) and the kernel:
 ``root`` builds the target node, and ``expand`` turns a node into its
 successors.  A base state is a candidate solution, recorded when it
-improves the primal bound.  Any other state's edges (``edges_of``) are
-all built before any dual bound is evaluated, so a fault in a later
-transition surfaces before one in an earlier successor's bound.  Each
+improves the primal bound.  Any other state's edges come from
+``Model.edges``, one fused loop over the compiled guards, effects, state
+constraints and weights that falls back on the per-query path when
+anything in it raises, so a fault is named as the separate queries name
+it.  The edges are all built before any dual bound is evaluated, so a
+fault in a later transition surfaces before one in an earlier
+successor's bound.  Path costs use the cost structure's builtin
+comparison and adder (``CostStructure.better`` and ``add``).  Each
 successor is checked against the dominance registry, cut off when its
 f-value cannot beat the primal bound, and inserted into the registry.
 Beam search (``beam.py``) drives the kernel layer by layer; ``cabs``
@@ -29,10 +34,10 @@ run on the invoking thread.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from ..errors import EvaluationError
-from ..model import Model, Number, combine
+from ..model import Model
 from .nodes import BoundTracker, SearchNode, StateRegistry, make_node
 from .open_lists import (
     BestFirstList,
@@ -43,21 +48,6 @@ from .open_lists import (
     PackList,
 )
 from .solution import DualCallback, PrimalCallback, Solution, SolverParams, Status
-
-
-def edges_of(model: Model, state) -> Union[Number, list]:
-    """The base cost of ``state``, or else its edges ``(transition,
-    successor, weight)`` whose successor passes the state constraints."""
-    base = model.base_cost(state)
-    if base is not None:
-        return base
-    successor_of, check, weight = model.successor, model.check_constraints, model.weight
-    edges = []  # a list, not a generator: that measured slower
-    for transition in model.applicable_transitions(state):
-        successor = successor_of(transition, state)
-        if check(successor):
-            edges.append((transition, successor, weight(transition, state)))
-    return edges
 
 
 class Run:
@@ -161,16 +151,21 @@ class Run:
 
     def root(self) -> Optional[SearchNode]:
         """The target node, counted as generated; None when the target
-        violates a state constraint."""
-        model, costs = self.model, self.costs
-        if not model.check_constraints(model.target):
+        violates a state constraint.  Under ``cabs`` (a ``memo`` is set)
+        the caller has checked the target once for every pass, and its
+        bound comes from the memo."""
+        model, costs, target = self.model, self.costs, self.model.target
+        if self.memo is not None:
+            h = self.memo[1][target] if self.has_bound else None
+        elif model.check_constraints(target):
+            h = model.eval_dual_bound(target)
+        else:
             return None
-        h = model.eval_dual_bound(model.target)
         if h is None:
             h = f = costs.identity
         else:
-            f = combine(costs, costs.identity, h)
-        node = make_node(costs, model.target, costs.identity, h, f, 0, self.generated)
+            f = costs.add(costs.identity, h)
+        node = make_node(costs, target, costs.identity, h, f, 0, self.generated)
         self.generated += 1
         return node
 
@@ -182,12 +177,12 @@ class Run:
         self.expanded += 1
         model, costs, memo = self.model, self.costs, self.memo
         if memo is None:
-            edges, dual_bound = edges_of(model, node.state), model.eval_dual_bound
+            edges, dual_bound = model.edges(node.state), model.eval_dual_bound
         else:
             edges, dual_bound = memo[0][node.state], memo[1].__getitem__
         if edges.__class__ is not list:  # a base state: ``edges`` is its cost
             try:
-                cost = combine(costs, node.g, edges)
+                cost = costs.add(node.g, edges)
             except OverflowError as err:
                 raise EvaluationError(f"path cost at a base case: {err}") from err
             if costs.better(cost, self.cutoff):
@@ -197,18 +192,18 @@ class Run:
         # Locals for the successor loop, its hottest code.  The cutoff
         # stays fixed: only a base state changes it.
         blocked, insert = registry.blocked, registry.insert
-        better, add, new_node = costs.better, combine, make_node
+        better, add, new_node = costs.better, costs.add, make_node
         has_bound, cutoff, identity = self.has_bound, self.cutoff, costs.identity
         g0, depth, generated = node.g, node.depth + 1, self.generated
         children = []
         try:
             for transition, successor, w in edges:
-                g = add(costs, g0, w)
+                g = add(g0, w)
                 if blocked(successor, g):
                     continue
                 if has_bound:
                     h = dual_bound(successor)
-                    f = add(costs, g, h)
+                    f = add(g, h)
                     if not better(f, cutoff):
                         continue
                 else:
@@ -220,7 +215,7 @@ class Run:
                 generated += 1
                 insert(child)
                 children.append(child)
-        except OverflowError as err:  # from combine: model queries report their own
+        except OverflowError as err:  # from ``add``: model queries report their own
             raise EvaluationError(f"path cost through {transition.name!r}: {err}") from err
         self.generated = generated
         return children

@@ -677,7 +677,8 @@ def _table_value_out(table: ex.Table, value):
 
 def _rows(table: ex.Table, prefix=()):
     """A dense table's values under ``prefix`` as nested rows in row-major
-    order; the innermost rows are tuples, which the dumper writes as flow lists."""
+    order; the innermost rows are tuples, which the dumper writes as flow
+    lists.  A key of the shape without a value raises ``KeyError``."""
     keys = [(*prefix, i) for i in range(table.shape[len(prefix)])]
     if len(prefix) + 1 < table.arity:
         return [_rows(table, key) for key in keys]
@@ -743,9 +744,15 @@ def serialize_model(model: Model) -> tuple[str, str]:
                 )
             entry["object"] = object_of_count[table.value_universe]
         domain["tables"].append(entry)
+        rows = None
         if table.shape and len(table.values) == math.prod(table.shape):
-            problem["table_values"][table.name] = _rows(table)
-        elif table.shape:  # a key without a value: the keyed map
+            try:
+                rows = _rows(table)
+            except KeyError:  # then a key lies outside the shape
+                pass
+        if rows is not None:
+            problem["table_values"][table.name] = rows
+        elif table.shape:  # a key without a value, or one outside the shape: the keyed map
             problem["table_values"][table.name] = {
                 key[0] if len(key) == 1 else key: _table_value_out(table, value)
                 for key, value in sorted(table.values.items())

@@ -16,7 +16,7 @@ from dpsearch.problems import (
 )
 from dpsearch import yamlio
 from dpsearch.search import beam
-from dpsearch.search.engine import Run, edges_of
+from dpsearch.search.engine import Run
 from conftest import count_reachable_states
 
 
@@ -137,9 +137,9 @@ def test_timeout_inside_a_layer_keeps_the_dual_bound_valid():
 
 # -- the expansion memo of cabs
 
-MODEL_QUERIES = (
+MODEL_QUERIES = (  # as perfbench/tracing.py wraps them, and the fused edge loop
     "applicable_transitions", "successor", "check_constraints", "weight",
-    "eval_dual_bound", "base_cost",
+    "eval_dual_bound", "base_cost", "edges",
 )
 
 
@@ -168,7 +168,7 @@ def test_cabs_reuses_expansions_without_changing_its_answer():
     model = _cvrp_of_six_passes()
     expected = _outcome(_passes_without_memo(model))
     calls = dict.fromkeys(MODEL_QUERIES, 0)
-    for query in MODEL_QUERIES:  # as perfbench/tracing.py wraps them
+    for query in MODEL_QUERIES:
         def counted(*args, _query=query, _fn=getattr(model, query)):
             calls[_query] += 1
             return _fn(*args)
@@ -176,6 +176,7 @@ def test_cabs_reuses_expansions_without_changing_its_answer():
     solution = dp.cabs(model)
     assert _outcome(solution) == expected
     assert calls["applicable_transitions"] < solution.expanded
+    assert calls["edges"] < solution.expanded
     assert calls["eval_dual_bound"] < solution.generated
 
 
@@ -201,9 +202,31 @@ def test_cabs_memo_keeps_only_the_last_two_passes(monkeypatch):
     assert edges.keys() == set(passes[-1])
     assert edges.before.keys() == set(passes[-2])
     for cache, states in ((bounds, passes[-1]), (bounds.before, passes[-2])):
-        expansions = [edges_of(model, state) for state in states]
+        expansions = [model.edges(state) for state in states]
         successors = {s for found in expansions if isinstance(found, list) for _, s, _ in found}
-        assert cache.keys() <= successors
+        assert cache.keys() <= successors | {model.target}  # the root's bound is memoized too
+
+
+def test_cabs_checks_the_target_once(monkeypatch):
+    model = _cvrp_of_six_passes()
+    expected = _outcome(_passes_without_memo(model))
+    on_target = {"check_constraints": 0, "eval_dual_bound": 0}
+    for query in on_target:
+        def counted(state, _query=query, _fn=getattr(model, query)):
+            on_target[_query] += state == model.target
+            return _fn(state)
+        setattr(model, query, counted)
+    widths = []
+
+    def beam_search(model, width, params=None, run=None):
+        widths.append(width)
+        return search(model, width, params=params, run=run)
+
+    search = beam.beam_search
+    monkeypatch.setattr(beam, "beam_search", beam_search)
+    assert _outcome(dp.cabs(model)) == expected
+    assert len(widths) >= 3
+    assert on_target == {"check_constraints": 1, "eval_dual_bound": 1}
 
 
 def test_cabs_memo_is_freed_with_its_run(monkeypatch):

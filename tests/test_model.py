@@ -1,9 +1,11 @@
 """Model operations: constraints, base costs, expansion, dominance,
 cost combination, dual bounds, and the validator."""
 
+import itertools
 import math
 import pickle
-
+import random
+import re
 import pytest
 
 from dpsearch import (
@@ -16,6 +18,7 @@ from dpsearch import (
     Transition,
     UnknownSymbolError,
     Variable,
+    bellman_oracle,
     bitset,
     caasdy,
     combine,
@@ -23,6 +26,7 @@ from dpsearch import (
 )
 from dpsearch import yamlio
 from dpsearch.expressions import (
+    INT64_MAX,
     BoolConst,
     Comparison,
     ElementConst,
@@ -33,7 +37,7 @@ from dpsearch.expressions import (
     SuccessorCost,
     TableRegistry,
 )
-from dpsearch.problems import TsptwInstance, build_tsptw
+from dpsearch.problems import CLASSES, TsptwInstance, build_tsptw
 
 from conftest import registry_admits, weakly_dominates
 
@@ -293,6 +297,184 @@ class TestCombine:
         costs = CostStructure("+", "min", "integer")
         with pytest.raises(OverflowError):
             combine(costs, 2**62, 2**62)
+
+
+def _old_combine(costs, w, x):
+    """``combine`` as it was written before ``CostStructure.add``."""
+    if costs.operator == "max":
+        return max(w, x)
+    if isinstance(w, float) and math.isinf(w):
+        return w
+    if isinstance(x, float) and math.isinf(x):
+        return x
+    value = w + x
+    if isinstance(value, int) and abs(value) > INT64_MAX:
+        raise OverflowError(f"cost {value} exceeds 64-bit range")
+    return value
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, with its class, or the class and text
+    of what it raises."""
+    try:
+        value = fn(*args)
+    except Exception as err:
+        return "raised", type(err), str(err)
+    return type(value), value
+
+
+COST_STRUCTURES = [
+    CostStructure(operator, direction, cost_type)
+    for operator, direction, cost_type in itertools.product(
+        ("+", "max"), ("min", "max"), ("integer", "continuous")
+    )
+]
+COST_VALUES = (
+    0, 7, -3, INT64_MAX, INT64_MAX + 1, -INT64_MAX, -INT64_MAX - 1, 2**62,
+    0.0, 2.5, -1.5, math.inf, -math.inf,
+)
+
+
+@pytest.mark.parametrize("costs", COST_STRUCTURES, ids=repr)
+def test_builtin_cost_arithmetic_matches_the_definition(costs):
+    for w, x in itertools.product(COST_VALUES, repeat=2):
+        expected = _outcome(_old_combine, costs, w, x)
+        assert _outcome(costs.add, w, x) == expected, (w, x)
+        assert _outcome(combine, costs, w, x) == expected, (w, x)
+        assert costs.better(w, x) is (w < x if costs.minimize else w > x), (w, x)
+
+
+@pytest.mark.parametrize("costs", COST_STRUCTURES, ids=repr)
+def test_cost_structure_pickles_with_its_helpers_cached(costs):
+    better, add = costs.better, costs.add
+    copy = pickle.loads(pickle.dumps(costs))
+    assert copy == costs and hash(copy) == hash(costs)
+    assert vars(copy)["better"] is better and vars(copy)["add"] is add
+    assert copy.add(2, 3) == costs.add(2, 3) and copy.better(2, 3) is costs.better(2, 3)
+
+
+def test_model_pickles_after_solving(desk_tsptw_model):
+    cls = CLASSES["mdkp"]
+    for model in (cls.build(cls.random(random.Random(4))), desk_tsptw_model):
+        solved = caasdy(model)
+        assert {"better", "add"} <= vars(model.costs).keys()
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model
+        again = caasdy(copy)
+        assert (again.cost, again.transitions) == (solved.cost, solved.transitions)
+
+
+# -- the fused edge loop against the separate queries
+
+
+def _per_query_edges(model, state):
+    """The edges of ``state`` through the separate public queries."""
+    base = model.base_cost(state)
+    if base is not None:
+        return base
+    edges = []
+    for transition in model.applicable_transitions(state):
+        successor = model.successor(transition, state)
+        if model.check_constraints(successor):
+            edges.append((transition, successor, model.weight(transition, state)))
+    return edges
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_fused_edges_match_the_queries_on_every_reached_state(name):
+    cls = CLASSES[name]
+    rng = random.Random(f"edges {name}")
+    forced = 0
+    for _ in range(6):
+        model = cls.build(cls.random(rng))
+        forced += any(t.forced for t in model.transitions)
+        for state in bellman_oracle(model).values:
+            assert model.edges(state) == _per_query_edges(model, state), state
+    assert forced == (6 if name in ("binpacking", "optw", "salbp1", "talent") else 0)
+
+
+def _one_variable_model(transitions, constraints=()):
+    """A model over one integer variable ``x`` that starts at 0 and has
+    no base state."""
+    return Model(
+        StateMetadata({}, [Variable("x", "integer")]),
+        TableRegistry(),
+        (0,),
+        transitions,
+        [BaseCase((BoolConst(False),), NumericConst(0))],
+        constraints=constraints,
+    )
+
+
+_X = NumericVar(0, "x")
+_SIX_BY_X = NumericBinary("/", NumericConst(6), _X)  # divides by zero at x = 0
+
+
+def _step(name, guard=BoolConst(True), effect=NumericConst(1), weight=NumericConst(1),
+          forced=False):
+    return Transition(name, (guard,), ((0, effect),), weight, forced)
+
+
+FAULT_ORDER = {
+    # the fused loop reaches a's effect first; the queries test every guard first
+    "effect, then a later guard": (
+        [
+            _step("a", effect=_SIX_BY_X),
+            _step("b", guard=Comparison("<=", _SIX_BY_X, NumericConst(9))),
+        ],
+        (),
+        "^precondition of 'b': numeric division by zero",
+    ),
+    "non-integer weight": (
+        [_step("a"), _step("b", weight=NumericBinary("/", NumericConst(1), NumericConst(4)))],
+        (),
+        "^integer cost expression produced non-integer Fraction",
+    ),
+    # a forced transition overrides a's effect, which the queries never evaluate
+    "forced after a faulty regular one": (
+        [_step("a", effect=_SIX_BY_X), _step("b", effect=NumericConst(2), forced=True)],
+        (),
+        ["b"],
+    ),
+    "forced after a regular one": (
+        [_step("a"), _step("b", effect=NumericConst(2), forced=True), _step("c", forced=True)],
+        (),
+        ["b"],
+    ),
+    "forced successor fails a state constraint": (
+        [_step("a"), _step("b", effect=NumericConst(2), forced=True), _step("c")],
+        (Comparison("<=", _X, NumericConst(1)),),
+        [],
+    ),
+    "constraint on a successor": (
+        [_step("a", effect=NumericConst(0)), _step("b")],
+        (Comparison(">", _SIX_BY_X, NumericConst(0)),),
+        "^state constraint 0: numeric division by zero",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_ORDER))
+def test_fused_edges_fault_as_the_queries_do(case):
+    """``expected`` is the pattern of the error raised, or the names of
+    the transitions of the edges returned."""
+    transitions, constraints, expected = FAULT_ORDER[case]
+    model = _one_variable_model(transitions, constraints)
+    fused = _outcome(model.edges, model.target)
+    assert fused == _outcome(_per_query_edges, model, model.target)
+    if isinstance(expected, str):
+        assert fused[:2] == ("raised", EvaluationError) and re.match(expected, fused[2])
+    else:
+        assert [t.name for t, _, _ in fused[1]] == expected
+
+
+@pytest.mark.parametrize(
+    "zero_at", ["constraint", "bound", "base case", "precondition", "effect", "weight"]
+)
+def test_fused_edges_name_each_fault_of_the_queries(zero_at):
+    model = _faulty_model(zero_at)
+    for state in ((0,), (1,), (-1,)):
+        assert _outcome(model.edges, state) == _outcome(_per_query_edges, model, state)
 
 
 class TestDominance:

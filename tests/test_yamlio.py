@@ -511,6 +511,27 @@ class TestTableRows:
         assert "? [" not in dense
         assert yamlio.load_model(*texts) == model
 
+    @pytest.mark.parametrize(
+        "shape, values, needle",
+        [
+            ((2,), {(0,): 1, (5,): 2}, "index 5 out of range at position 0 in table 't'"),
+            ((2, 1), {(0,): 1, (1,): 2}, "key (0,) has wrong arity for table 't'"),
+        ],
+    )
+    def test_key_outside_the_shape_keeps_the_keyed_map(self, shape, values, needle):
+        # as many keys as the shape holds, but not the keys of the shape
+        model = dp.Model(
+            dp.StateMetadata({"item": 2, "one": 1}, [dp.Variable("x", "integer")]),
+            TableRegistry([Table("t", "integer", shape, values)]),
+            (0,),
+            [],
+            [dp.BaseCase((BoolConst(True),), NumericConst(0))],
+        )
+        domain_text, problem_text = yamlio.serialize_model(model)
+        assert "  t:\n    0: 1\n" in problem_text
+        with pytest.raises(DocumentError, match=f"^{re.escape(needle)}$"):
+            yamlio.load_model(domain_text, problem_text)
+
     def test_rows_round_trip(self):
         tables = [
             Table("nbr", "set", (3,), {(0,): 0b110, (1,): 0, (2,): 0b011}, value_universe=3),
