@@ -102,21 +102,7 @@ def parse_mpdtsp(text: str) -> MpdtspInstance:
     return MpdtspInstance(travel, edges, capacity, commodities)
 
 
-def remove_unusable_edges(instance: MpdtspInstance) -> MpdtspInstance:
-    """Drop edges the tour structure can never use: self-loops, edges
-    into the start customer, and edges out of the stop customer."""
-    n = instance.n
-    kept = frozenset(
-        (i, j)
-        for i, j in instance.edges
-        if i != j and j != 0 and i != n - 1
-    )
-    return MpdtspInstance(instance.travel, kept, instance.capacity, instance.commodities)
-
-
-def build_mpdtsp(instance: MpdtspInstance, preprocess: bool = False) -> Model:
-    if preprocess:
-        instance = remove_unusable_edges(instance)
+def build_mpdtsp(instance: MpdtspInstance) -> Model:
     n = instance.n
     q = instance.capacity
     meta = StateMetadata(

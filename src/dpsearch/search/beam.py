@@ -11,10 +11,10 @@ best f among the frontier, the states cut by the width so far, and the
 primal bound.
 
 The wrapper reruns beam search with the width doubling each iteration
-until a run comes back complete.  It checks the target's state
-constraints once, and carries forward the primal bound and the edges and
-dual bounds the previous pass computed (``PassCache``), the target's
-bound among them.
+until a run comes back complete.  It carries forward the primal bound,
+and memoizes the run's state constraints, edges and dual bounds for all
+its passes (``PassCache``), so the target is checked once and a state
+any earlier pass expanded is not expanded through the model again.
 """
 
 from __future__ import annotations
@@ -31,17 +31,14 @@ from .solution import DualCallback, PrimalCallback, Solution, SolverParams
 
 
 class PassCache(dict):
-    """``fn``, a pure function of the state that never returns None,
-    memoized for one pass; a miss looks in the previous pass's cache."""
+    """``fn``, a pure function of the state, memoized across every pass
+    of one ``cabs`` run."""
 
-    def __init__(self, fn, previous=None):
-        self.fn, self.before = fn, dict(previous or ())  # a copy: no chain of passes
+    def __init__(self, fn):
+        self.fn = fn
 
     def __missing__(self, state):
-        value = self.before.get(state)
-        if value is None:
-            value = self.fn(state)
-        self[state] = value
+        value = self[state] = self.fn(state)
         return value
 
 
@@ -114,9 +111,10 @@ def cabs(
     """
     params = params or SolverParams()
     run = Run(model, params, on_primal, on_dual)
-    if not model.check_constraints(model.target):  # once: every pass starts there
-        return run.finish(natural=True)
-    run.memo = (PassCache(model.edges), PassCache(model.eval_dual_bound))
+    # bound to the memos, not the run: no reference cycle
+    run.feasible, run.edges, run.bound = (
+        PassCache(fn).__getitem__ for fn in (run.feasible, run.edges, run.bound)
+    )
     width = params.beam_initial_width
     while True:
         _, complete = beam_search(model, width, params=params, run=run)
@@ -125,4 +123,3 @@ def cabs(
         if run.out_of_time():
             return run.finish(natural=False)
         width *= params.beam_growth
-        run.memo = tuple(PassCache(cache.fn, cache) for cache in run.memo)

@@ -15,8 +15,10 @@ successor's bound.  Path costs use the cost structure's builtin
 comparison and adder (``CostStructure.better`` and ``add``).  Each
 successor is checked against the dominance registry, cut off when its
 f-value cannot beat the primal bound, and inserted into the registry.
-Beam search (``beam.py``) drives the kernel layer by layer; ``cabs``
-keeps edges and bounds in ``Run.memo`` for two passes.
+The kernel reads the model through three callables of the ``Run``,
+``feasible``, ``edges`` and ``bound``; beam search (``beam.py``) drives
+the kernel layer by layer, and ``cabs`` swaps the three for memos that
+last its whole run.
 
 ``generic_search`` drives it for every non-beam solver; the open-list
 policy is the only difference between them.  A popped node is closed,
@@ -54,7 +56,12 @@ class Run:
     """One solver invocation: its bookkeeping and the expansion kernel.
 
     ``generated`` doubles as the node counter behind the most-recently-
-    generated tie-break, so it keeps counting across beam passes.
+    generated tie-break, so it keeps counting across beam passes.  The
+    kernel reads the model only through ``feasible`` (the state
+    constraints), ``edges`` and ``bound`` (the dual bound), the model's
+    own queries unless a caller swaps them, as ``cabs`` does for its
+    memos.  A swapped-in callable must not hold the run, or the two form
+    a reference cycle.
     """
 
     def __init__(
@@ -79,7 +86,9 @@ class Run:
         self.first_solution_cost = None
         self.expanded = 0
         self.generated = 0
-        self.memo: Optional[tuple[dict, dict]] = None  # cabs: see beam.PassCache
+        self.feasible = model.check_constraints
+        self.edges = model.edges
+        self.bound = model.eval_dual_bound
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -151,16 +160,11 @@ class Run:
 
     def root(self) -> Optional[SearchNode]:
         """The target node, counted as generated; None when the target
-        violates a state constraint.  Under ``cabs`` (a ``memo`` is set)
-        the caller has checked the target once for every pass, and its
-        bound comes from the memo."""
-        model, costs, target = self.model, self.costs, self.model.target
-        if self.memo is not None:
-            h = self.memo[1][target] if self.has_bound else None
-        elif model.check_constraints(target):
-            h = model.eval_dual_bound(target)
-        else:
+        violates a state constraint."""
+        costs, target = self.costs, self.model.target
+        if not self.feasible(target):
             return None
+        h = self.bound(target)
         if h is None:
             h = f = costs.identity
         else:
@@ -175,11 +179,8 @@ class Run:
         pass the state constraints, dominance and the primal bound, each
         already inserted into ``registry``."""
         self.expanded += 1
-        model, costs, memo = self.model, self.costs, self.memo
-        if memo is None:
-            edges, dual_bound = model.edges(node.state), model.eval_dual_bound
-        else:
-            edges, dual_bound = memo[0][node.state], memo[1].__getitem__
+        costs = self.costs
+        edges = self.edges(node.state)
         if edges.__class__ is not list:  # a base state: ``edges`` is its cost
             try:
                 cost = costs.add(node.g, edges)
@@ -192,7 +193,7 @@ class Run:
         # Locals for the successor loop, its hottest code.  The cutoff
         # stays fixed: only a base state changes it.
         blocked, insert = registry.blocked, registry.insert
-        better, add, new_node = costs.better, costs.add, make_node
+        better, add, new_node, dual_bound = costs.better, costs.add, make_node, self.bound
         has_bound, cutoff, identity = self.has_bound, self.cutoff, costs.identity
         g0, depth, generated = node.g, node.depth + 1, self.generated
         children = []

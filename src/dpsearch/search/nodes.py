@@ -125,7 +125,8 @@ class BoundTracker:
     The best f-value among open nodes is a valid dual bound whenever the
     model declares one, regardless of the expansion policy, so a single
     tracker serves every solver.  Entries the liveness predicate rejects
-    are discarded on probe.
+    are discarded on probe.  ``open_lists.BestFirstList`` is this heap
+    plus ``pop``.
     """
 
     def __init__(self, is_live: Callable[[SearchNode], bool]):

@@ -26,7 +26,7 @@ import math
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .nodes import SearchNode
+from .nodes import BoundTracker, SearchNode
 
 IsLive = Callable[[SearchNode], bool]
 
@@ -38,24 +38,16 @@ class _OpenList:
         """Called after an expansion that improved the primal bound."""
 
 
-class BestFirstList(_OpenList):
-    """Plain best-first selection: the node with the best f-value, from a
-    binary heap over the deterministic node order."""
-
-    def __init__(self, is_live: IsLive):
-        self._is_live = is_live
-        self._entries: list[tuple] = []
-
-    def push(self, nodes):
-        entries, heappush = self._entries, heapq.heappush
-        for node in nodes:
-            heappush(entries, (node.order, node))
+class BestFirstList(BoundTracker, _OpenList):
+    """Plain best-first selection: the node with the best f-value, from
+    the bound tracker's lazy heap over the deterministic node order, so
+    ``probe()`` reads the best live f without popping."""
 
     def pop(self) -> Optional[SearchNode]:
-        entries = self._entries
-        while entries:
-            _, node = heapq.heappop(entries)
-            if self._is_live(node):
+        heap, is_live = self._heap, self._is_live
+        while heap:
+            node = heapq.heappop(heap)[1]
+            if is_live(node):
                 return node
         return None
 
@@ -116,7 +108,8 @@ class CyclicLayerList(LayerBudgetList):
 class PackList(_OpenList):
     """Expand a pack of best states; their best successors form the next
     pack and the rest are suspended.  When both run dry, the best states
-    are recalled from the suspend list and the pack size grows."""
+    are recalled from the suspend list and the pack size grows by
+    ``step``, never past ``max_budget`` (rounded down)."""
 
     def __init__(
         self,
@@ -131,7 +124,7 @@ class PackList(_OpenList):
         self._suspend = BestFirstList(is_live)
         self._budget = budget
         self._step = step
-        self._max_budget = max_budget
+        self._max_budget = max_budget if max_budget == math.inf else math.floor(max_budget)
 
     def push(self, nodes):
         self._staging += nodes
@@ -158,8 +151,7 @@ class PackList(_OpenList):
                 return None
             recalled.reverse()
             self._pack = recalled
-            if self._budget < self._max_budget:
-                self._budget += self._step
+            self._budget = min(self._budget + self._step, self._max_budget)
 
 
 class DiscrepancyList(_OpenList):

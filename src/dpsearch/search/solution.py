@@ -100,3 +100,5 @@ class SolverParams:
                 raise ValueError(f"{name} must be an integer of at least {least}")
         if not isinstance(self.apps_max_budget, (int, float)) or not self.apps_max_budget >= 1:
             raise ValueError("apps_max_budget must be a number of at least 1")
+        if self.apps_initial_budget > self.apps_max_budget:
+            raise ValueError("apps_initial_budget must be at most apps_max_budget")

@@ -180,31 +180,30 @@ def test_cabs_reuses_expansions_without_changing_its_answer():
     assert calls["eval_dual_bound"] < solution.generated
 
 
-def test_cabs_memo_keeps_only_the_last_two_passes(monkeypatch):
+def test_cabs_memo_holds_every_pass(monkeypatch):
     model = _cvrp_of_six_passes()
-    runs, passes = [], []
+    runs, expanded = [], []
 
     def beam_search(model, width, params=None, run=None):
         runs.append(run)
-        passes.append([])
         return search(model, width, params=params, run=run)
 
     def expand(run, node, registry):
-        passes[-1].append(node.state)
+        expanded.append(node.state)
         return explore(run, node, registry)
 
     search, explore = beam.beam_search, Run.expand
     monkeypatch.setattr(beam, "beam_search", beam_search)
     monkeypatch.setattr(Run, "expand", expand)
     dp.cabs(model)
-    assert len(passes) >= 3
-    edges, bounds = runs[-1].memo
-    assert edges.keys() == set(passes[-1])
-    assert edges.before.keys() == set(passes[-2])
-    for cache, states in ((bounds, passes[-1]), (bounds.before, passes[-2])):
-        expansions = [model.edges(state) for state in states]
-        successors = {s for found in expansions if isinstance(found, list) for _, s, _ in found}
-        assert cache.keys() <= successors | {model.target}  # the root's bound is memoized too
+    assert len(runs) >= 3 and len(set(map(id, runs))) == 1  # one run, one memo
+    edges, bounds = runs[-1].edges.__self__, runs[-1].bound.__self__
+    assert edges.keys() == set(expanded)  # over all passes, not the last two
+    assert len(expanded) > len(edges)  # later passes re-expanded earlier states
+    expansions = [model.edges(state) for state in edges]
+    successors = {s for found in expansions if isinstance(found, list) for _, s, _ in found}
+    assert model.target in bounds
+    assert bounds.keys() <= successors | {model.target}
 
 
 def test_cabs_checks_the_target_once(monkeypatch):

@@ -12,6 +12,9 @@ import dpsearch
 from conftest import FIXTURES
 from dpsearch.cli import main
 
+# subprocesses import dpsearch from this checkout, installed or not
+SOURCES_ENV = {**os.environ, "PYTHONPATH": str(Path(dpsearch.__file__).resolve().parents[1])}
+
 
 def run_cli(*argv, capsys=None):
     return main(list(argv))
@@ -82,6 +85,7 @@ class TestSolve:
             ],
             capture_output=True,
             text=True,
+            env=SOURCES_ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: dual_bounds in domain document must be a list")
@@ -337,6 +341,7 @@ class TestConvert:
             ],
             capture_output=True,
             text=True,
+            env=SOURCES_ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: truncated instance text\n"
@@ -362,6 +367,7 @@ class TestConvert:
             ],
             capture_output=True,
             text=True,
+            env=SOURCES_ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
@@ -417,6 +423,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "dpsearch.cli", "gap", "10", "5"],
         capture_output=True,
         text=True,
+        env=SOURCES_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"
@@ -424,7 +431,6 @@ def test_console_entry_point():
 
 def test_package_runs_as_a_module(tmp_path, config_path):
     """``python -m dpsearch`` works from a checkout with only its sources on the path."""
-    sources = Path(dpsearch.__file__).resolve().parents[1]
     out = tmp_path / "solution.txt"
     proc = subprocess.run(
         [
@@ -437,7 +443,7 @@ def test_package_runs_as_a_module(tmp_path, config_path):
         ],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(sources)},
+        env=SOURCES_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("status: optimal\ncost: 14\nbound: 14\n")
@@ -446,13 +452,12 @@ def test_package_runs_as_a_module(tmp_path, config_path):
 def test_make_instance_writes_a_pair_that_solves_to_its_optimum(tmp_path, config_path, capsys):
     """``scripts/make_instance.py`` writes a domain and problem file that
     ``solve`` proves optimal at the oracle optimum the script prints."""
-    sources = Path(dpsearch.__file__).resolve().parents[1]
     script = Path(__file__).resolve().parents[1] / "scripts" / "make_instance.py"
     proc = subprocess.run(
         [sys.executable, str(script), "tsptw", "--seed", "3", "--out", str(tmp_path / "tsptw")],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(sources)},
+        env=SOURCES_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     optimum = proc.stdout.splitlines()[-1].removeprefix("oracle optimum: ")

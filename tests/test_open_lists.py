@@ -1,5 +1,7 @@
 """Selection order of each open-list policy on synthetic nodes."""
 
+import pytest
+
 from dpsearch.model import CostStructure
 from dpsearch.search.nodes import SearchNode, make_node
 from dpsearch.search.open_lists import (
@@ -123,6 +125,24 @@ def test_pack_list_expands_packs_and_recalls_from_suspend():
     assert policy.pop() is kids[2]
     assert policy.pop() is kids[0]
     assert policy.pop() is None
+
+
+@pytest.mark.parametrize("max_budget", [2, 2.5])  # a fractional cap rounds down
+def test_pack_list_growth_stops_at_the_max_budget(max_budget):
+    nodes = NodeFactory()
+    policy = PackList(live, budget=1, step=5, max_budget=max_budget)
+    root = nodes(0)
+    policy.push((root,))
+    assert policy.pop() is root
+    kids = [nodes(f, depth=1) for f in range(1, 9)]
+    policy.push(kids)
+    assert policy.pop() is kids[0]  # the pack of one
+    assert policy.pop() is kids[1]  # a recall of one; the budget grows to 2, not 6
+    assert policy.pop() is kids[2]  # a recall of two
+    child = nodes(0, depth=2)
+    policy.push((child,))
+    assert policy.pop() is kids[3]  # the rest of the recalled pack comes first
+    assert policy.pop() is child  # the pack held two: its successors are next
 
 
 def test_discrepancy_defers_non_best_siblings():

@@ -116,10 +116,6 @@ class TestMpdtsp:
         model = build_mpdtsp(MpdtspInstance(DESK_TRAVEL, edges, 1, ()))
         assert oracle_cost(model) is None
 
-    def test_preprocess_flag_preserves_value(self):
-        inst = MpdtspInstance(DESK_TRAVEL, self.EDGES, 1, ((1, 2, 1),))
-        assert oracle_cost(build_mpdtsp(inst, preprocess=True)) == 3
-
 
 class TestOptw:
     def test_single_customer(self):

@@ -111,6 +111,12 @@ def test_bad_params_are_rejected(knob, value, message):
         dp.SolverParams(**{knob: value})
 
 
+def test_apps_initial_budget_above_the_max_is_rejected():
+    with pytest.raises(ValueError, match="apps_initial_budget must be at most apps_max_budget"):
+        dp.SolverParams(apps_initial_budget=3, apps_max_budget=2)
+    assert dp.SolverParams(apps_initial_budget=2, apps_max_budget=2).apps_max_budget == 2
+
+
 def test_infinite_initial_bound_is_no_bound(desk_tsptw_model):
     solution = dp.caasdy(desk_tsptw_model, dp.SolverParams(initial_bound=math.inf))
     assert solution.status == dp.Status.OPTIMAL
@@ -173,6 +179,45 @@ def test_solvers_match_oracle_on_random_instances(name, solver):
         else:
             assert solution.status == dp.Status.OPTIMAL
             assert solution.cost == expected
+
+
+# one non-default setting per policy knob, and the solver that reads it
+POLICY_SETTINGS = {
+    "beam_initial_width": ("cabs", {"beam_initial_width": 3}),
+    "beam_growth": ("cabs", {"beam_growth": 3}),
+    "acps_budget": ("acps", {"acps_initial_budget": 2, "acps_budget_step": 2}),
+    "apps_budget": (
+        "apps", {"apps_initial_budget": 2, "apps_budget_step": 2, "apps_max_budget": 3}
+    ),
+    "dbdfs_k": ("dbdfs", {"dbdfs_k": 2}),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(POLICY_SETTINGS))
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_solvers_match_oracle_with_a_policy_setting(solver, setting):
+    # a policy knob changes the search order, never the proved optimum;
+    # the solvers that do not read it ignore it
+    reader, knobs = POLICY_SETTINGS[setting]
+    params = dp.SolverParams(**knobs)
+    changed = False
+    for name in sorted(CLASSES):
+        rng = random.Random(zlib.crc32(f'{name}/{solver}/{setting}'.encode()))
+        cls = CLASSES[name]
+        for _ in range(5):
+            model = cls.build(cls.random(rng))
+            expected = dp.bellman_oracle(model).cost
+            solution = dp.solve(model, solver, params)
+            if expected is None:
+                assert solution.status == dp.Status.INFEASIBLE, name
+            else:
+                assert solution.status == dp.Status.OPTIMAL, name
+                assert solution.cost == expected, name
+            default = dp.solve(model, solver)
+            changed |= (solution.expanded, solution.generated) != (
+                default.expanded, default.generated
+            )
+    assert changed == (solver == reader)
 
 
 def test_timeout_with_incumbent_reports_feasible():
