@@ -3,8 +3,8 @@
 ``dpsearch solve`` reads domain/problem/config files, runs the chosen
 solver, writes the solution record, and prints a run report.  Exit
 status: 0 when optimality or infeasibility was proved, 2 on a feasible
-solution without proof, 3 when nothing was found, 1 on usage or parse
-errors.  ``dpsearch convert`` turns a raw instance text into domain and
+solution without proof, 3 when nothing was found, 1 on usage, parse or
+write errors.  ``dpsearch convert`` turns a raw instance text into domain and
 problem files.  ``dpsearch gap`` and ``dpsearch primal-integral``
 compute the two run metrics; the latter reads ``time,cost`` CSV lines.
 """
@@ -41,7 +41,16 @@ def _read(path: str) -> str:
         raise DpsearchError(f"cannot read {path}: {err}") from err
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise DpsearchError(f"cannot write {path}: {err}") from err
+
+
 def run_solve(args) -> int:
+    if args.reference is not None and math.isnan(args.reference):
+        raise DpsearchError("--reference must be a number other than NaN")
     domain_text = _read(args.domain)
     problem_text = _read(args.problem)
     config_path = args.config or os.environ.get(CONFIG_ENV)
@@ -64,7 +73,7 @@ def run_solve(args) -> int:
     solution = solve(model, config.solver, config.params)
     record = yamlio.write_solution(solution)
     if args.output:
-        Path(args.output).write_text(record)
+        _write(args.output, record)
     else:
         sys.stdout.write(record)
 
@@ -111,8 +120,8 @@ def run_convert(args) -> int:
         instance = CLASSES[args.problem_class].parse(text)
     model = CLASSES[args.problem_class].build(instance)
     domain_text, problem_text = yamlio.serialize_model(model)
-    Path(args.domain_out).write_text(domain_text)
-    Path(args.problem_out).write_text(problem_text)
+    _write(args.domain_out, domain_text)
+    _write(args.problem_out, problem_text)
     return EXIT_PROVED
 
 
@@ -126,12 +135,17 @@ def run_gap(args) -> int:
 
 def run_primal_integral(args) -> int:
     events = []
-    for line in _read(args.events).splitlines():
+    for number, line in enumerate(_read(args.events).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        time_text, cost_text = line.split(",")
-        events.append((float(time_text), float(cost_text)))
+        try:
+            time_text, cost_text = line.split(",")
+            events.append((float(time_text), float(cost_text)))
+        except ValueError as err:
+            raise DpsearchError(
+                f"{args.events} line {number}: expected 'time,cost', got {line!r}"
+            ) from err
     print(metrics.primal_integral(events, args.reference, args.horizon))
     return EXIT_PROVED
 
@@ -178,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse exits 2 on a usage error and 0 after --help
+        return EXIT_USAGE if stop.code else 0
     try:
         return args.handler(args)
     except DpsearchError as err:

@@ -191,22 +191,14 @@ def _fail(table: ex.Table, pattern, indices):
     raise EvaluationError(f"bad key {indices} for table {table.name!r}")
 
 
-def _read1(array, arg, n, table, pattern):
-    if isinstance(arg, Slot):
+def _read1(array, k, n, table, pattern):
+    """The read of ``array`` at the value of state slot ``k``."""
 
-        def read(s, array=array, k=arg.index, n=n, table=table, pattern=pattern):
-            i = s[k]
-            if 0 <= i < n:
-                return array[i]
-            _fail(table, pattern, (i,))
-
-    else:
-
-        def read(s, array=array, a=arg, n=n, table=table, pattern=pattern):
-            i = a(s)
-            if 0 <= i < n:
-                return array[i]
-            _fail(table, pattern, (i,))
+    def read(s, array=array, k=k, n=n, table=table, pattern=pattern):
+        i = s[k]
+        if 0 <= i < n:
+            return array[i]
+        _fail(table, pattern, (i,))
 
     return read
 
@@ -366,9 +358,8 @@ class Compiler:
             bounds = [n for p, n in zip(pattern, table.shape) if p is None]
             if not free:
                 read = Const(array)
-            elif len(free) == 1:
-                read = _read1(array, free[0] if isinstance(free[0], Slot)
-                              else self.callable(free[0]), bounds[0], table, pattern)
+            elif len(free) == 1 and isinstance(free[0], Slot):
+                read = _read1(array, free[0].index, bounds[0], table, pattern)
             else:
                 read = _read_n(array, tuple(self.callable(c) for c in free),
                                tuple(bounds), table, pattern)
@@ -739,14 +730,12 @@ def _rounding(apply, sign: int):
             return _quotient(c.fn(operand.lhs), c.fn(operand.rhs), fallback, sign)
         if operand.op != "*":
             return fallback
-        factor, found = operand.lhs, c.ratios(operand.rhs)
-        if found is None and isinstance(c.code(operand.rhs), Const):
-            # a constant factor raises nothing, so it may stand on either side
-            factor, found = operand.rhs, c.ratios(operand.lhs)
+        found = c.ratios(operand.rhs)
         if found is None:
             return fallback
         index, numerators, denominators = found
-        return _scaled(c.fn(factor), c.callable(index), numerators, denominators, fallback, sign)
+        return _scaled(c.fn(operand.lhs), c.callable(index), numerators, denominators,
+                       fallback, sign)
 
     return rule
 
@@ -788,32 +777,21 @@ def _set_reduce(c, e):
     if len(prefix) + 1 == table.arity and all(isinstance(p, Const) for p in prefix):
         head = tuple(p.value for p in prefix)
         col = c._array(table, "numeric", head + (None,))
-    if col is None:
+    if col is None or e.op != "sum" or any(type(v) is not int for v in col):
         return _checked_reduce(c, e, table, prefix, over)
-    mask_of, n, op = c.callable(over), len(col), e.op
-    if op == "sum" and all(type(v) is int for v in col):
 
-        def reduce(s, mask_of=mask_of, col=col, n=n, table=table, head=head):
-            mask = mask_of(s)
-            if mask >> n:
-                _beyond(table, head, n, mask)
-            value = 0
-            base = 0
-            while mask:
-                for j in _BYTE_MEMBERS[mask & 255]:
-                    value += col[base + j]
-                mask >>= 8
-                base += 8
-            return value if -_M <= value <= _M else _number(value)
-
-    else:
-        fold = _FOLDS[op]
-
-        def reduce(s, mask_of=mask_of, col=col, n=n, table=table, head=head, fold=fold):
-            mask = mask_of(s)
-            if mask >> n:
-                _beyond(table, head, n, mask)
-            return fold([col[j] for j in bitset.members(mask)])
+    def reduce(s, mask_of=c.callable(over), col=col, n=len(col), table=table, head=head):
+        mask = mask_of(s)
+        if mask >> n:
+            _beyond(table, head, n, mask)
+        value = 0
+        base = 0
+        while mask:
+            for j in _BYTE_MEMBERS[mask & 255]:
+                value += col[base + j]
+            mask >>= 8
+            base += 8
+        return value if -_M <= value <= _M else _number(value)
 
     return _fold(reduce, over)
 
@@ -863,22 +841,6 @@ def _checked_reduce(c, e, table, prefix, over):
 _BYTE_MEMBERS = tuple(tuple(bitset.members(byte)) for byte in range(256))
 
 
-def _cardinality(c, e):
-    operand = c.code(e.operand)
-    if isinstance(operand, Slot):
-
-        def size(s, k=operand.index):
-            return s[k].bit_count()
-
-        return size
-    mask = c.callable(operand)
-
-    def size(s, mask=mask):
-        return mask(s).bit_count()
-
-    return _fold(size, operand)
-
-
 def _successor_cost(c, e):
     def placeholder(s):
         raise EvaluationError("successor-cost placeholder cannot be evaluated")
@@ -894,22 +856,14 @@ def _bool_const(c, e):
     return Const(e.value)
 
 
-def _compare_const(op):
-    """Comparisons of a computed left side with a constant right side."""
-    if op == "<=":
-        return lambda left, r: lambda s, left=left, r=r: left(s) <= r
-    if op == "<":
-        return lambda left, r: lambda s, left=left, r=r: left(s) < r
-    if op == ">=":
-        return lambda left, r: lambda s, left=left, r=r: left(s) >= r
-    if op == ">":
-        return lambda left, r: lambda s, left=left, r=r: left(s) > r
-    if op == "=":
-        return lambda left, r: lambda s, left=left, r=r: left(s) == r
-    return lambda left, r: lambda s, left=left, r=r: left(s) != r
-
-
-_COMPARE_CONST = {op: _compare_const(op) for op in ("<=", "<", ">=", ">", "=", "!=")}
+# Comparisons of a computed left side with a constant right side.
+_COMPARE_CONST = {
+    "<=": lambda left, r: lambda s, left=left, r=r: left(s) <= r,
+    "<": lambda left, r: lambda s, left=left, r=r: left(s) < r,
+    ">=": lambda left, r: lambda s, left=left, r=r: left(s) >= r,
+    ">": lambda left, r: lambda s, left=left, r=r: left(s) > r,
+    "=": lambda left, r: lambda s, left=left, r=r: left(s) == r,
+}
 _COMPARE = {
     "<=": operator.le,
     "<": operator.lt,
@@ -922,7 +876,7 @@ _COMPARE = {
 
 def _comparison(c, e):
     lhs, rhs = c.code(e.lhs), c.code(e.rhs)
-    if isinstance(rhs, Const) and not isinstance(lhs, Const):
+    if isinstance(rhs, Const) and not isinstance(lhs, Const) and e.op in _COMPARE_CONST:
         return _COMPARE_CONST[e.op](c.callable(lhs), rhs.value)
     left, right, compare = c.callable(lhs), c.callable(rhs), _COMPARE[e.op]
 
@@ -1093,7 +1047,7 @@ _RULES = {
     ex.NumericFloor: _rounding(lambda v: ex._check_int(math.floor(v)), sign=1),
     ex.NumericCeil: _rounding(lambda v: ex._check_int(math.ceil(v)), sign=-1),
     ex.SetReduce: _set_reduce,
-    ex.Cardinality: _cardinality,
+    ex.Cardinality: _numeric_unary(int.bit_count),
     ex.NumericIf: _if,
     ex.SuccessorCost: _successor_cost,
     ex.BoolConst: _bool_const,

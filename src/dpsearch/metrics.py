@@ -8,6 +8,12 @@ from typing import Optional, Sequence, Union
 Number = Union[int, float]
 
 
+def _not_nan(value, what: str):
+    if value != value:
+        raise ValueError(f"{what} must not be NaN")
+    return value
+
+
 def optimality_gap(primal: Optional[Number], dual: Optional[Number]) -> float:
     """Relative difference between primal and dual bounds, in [0, 1].
 
@@ -16,8 +22,10 @@ def optimality_gap(primal: Optional[Number], dual: Optional[Number]) -> float:
     ``|primal - dual| / max(|primal|, |dual|)``.  A missing or infinite
     bound counts as a gap of 1.  Note that a proved infeasibility is a
     gap of 0 by convention; callers must special-case it since both
-    bounds are absent then.
+    bounds are absent then.  A NaN bound is a ValueError.
     """
+    _not_nan(primal, "primal bound")
+    _not_nan(dual, "dual bound")
     if primal is None or dual is None:
         return 1.0
     if primal == dual:
@@ -30,7 +38,7 @@ def optimality_gap(primal: Optional[Number], dual: Optional[Number]) -> float:
 def primal_gap(cost: Optional[Number], reference: Number) -> float:
     """Gap of a single solution against a reference cost, in [0, 1], by
     the same rule as ``optimality_gap``."""
-    return optimality_gap(cost, reference)
+    return optimality_gap(_not_nan(cost, "cost"), _not_nan(reference, "reference"))
 
 
 def primal_integral(
@@ -42,8 +50,12 @@ def primal_integral(
 
     ``events`` holds (time, cost) pairs with non-decreasing times; a cost
     of None marks a proved infeasibility, after which the gap is 0.  The
-    result lies in [0, horizon]; lower is better.
+    result lies in [0, horizon]; lower is better.  A NaN reference, cost
+    or horizon and a negative horizon are ValueErrors.
     """
+    _not_nan(reference, "reference")
+    if not horizon >= 0:
+        raise ValueError(f"horizon {horizon} must be a number of at least 0")
     last_time = 0.0
     gap = 1.0
     total = 0.0

@@ -1,6 +1,16 @@
-"""Shared helpers for the benchmark model builders."""
+"""Shared helpers for the benchmark model builders.
+
+:class:`Routing` is the travel-matrix record that the four routing
+instances (TSPTW, CVRP, m-PDTSP, OPTW) extend: it checks that the matrix
+is non-empty, square and of nonnegative integers, and derives the
+shortest paths and the cheapest edge into and out of each customer that
+their dual bounds read.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 from .. import expressions as ex
 
@@ -54,30 +64,60 @@ def precedence_sets(fields: list[str], n: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(p) for p in pred)
 
 
-def floyd_warshall(travel: list[list[int]]) -> list[list[int]]:
-    """All-pairs shortest travel times over a complete cost matrix."""
-    n = len(travel)
-    best = [row[:] for row in travel]
-    for k in range(n):
-        for i in range(n):
-            row_i, row_k = best[i], best[k]
-            via = row_i[k]
-            for j in range(n):
-                if via + row_k[j] < row_i[j]:
-                    row_i[j] = via + row_k[j]
-    return best
+@dataclass(frozen=True)
+class Routing:
+    """A complete travel matrix of nonnegative integers; customer 0 is
+    the depot.  ``lone_edge`` stands for the cheapest edge in or out of a
+    depot without customers, which has no edge."""
 
+    travel: tuple[tuple[int, ...], ...]
 
-def min_incoming(travel: list[list[int]]) -> list[int]:
-    """Per column j: the cheapest edge into j from any k != j."""
-    n = len(travel)
-    return [min(travel[k][j] for k in range(n) if k != j) for j in range(n)]
+    lone_edge = 0
 
+    def __post_init__(self):
+        n = len(self.travel)
+        if n == 0:
+            raise ValueError("instance needs at least the depot")
+        for row in self.travel:
+            if len(row) != n:
+                raise ValueError("travel matrix must be square")
+            for value in row:
+                if not isinstance(value, int) or value < 0:
+                    raise ValueError("travel times must be nonnegative integers")
 
-def min_outgoing(travel: list[list[int]]) -> list[int]:
-    """Per row j: the cheapest edge out of j to any k != j."""
-    n = len(travel)
-    return [min(travel[j][k] for k in range(n) if k != j) for j in range(n)]
+    @property
+    def n(self) -> int:
+        return len(self.travel)
+
+    @cached_property
+    def shortest(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs shortest travel times (Floyd-Warshall)."""
+        n = self.n
+        best = [list(row) for row in self.travel]
+        for k in range(n):
+            row_k = best[k]
+            for row_i in best:
+                via = row_i[k]
+                for j in range(n):
+                    if via + row_k[j] < row_i[j]:
+                        row_i[j] = via + row_k[j]
+        return tuple(map(tuple, best))
+
+    @cached_property
+    def cheapest_in(self) -> tuple[int, ...]:
+        """Per customer j: the cheapest edge into j from another customer."""
+        n, travel = self.n, self.travel
+        if n == 1:
+            return (self.lone_edge,)
+        return tuple(min(travel[k][j] for k in range(n) if k != j) for j in range(n))
+
+    @cached_property
+    def cheapest_out(self) -> tuple[int, ...]:
+        """Per customer j: the cheapest edge out of j to another customer."""
+        n, travel = self.n, self.travel
+        if n == 1:
+            return (self.lone_edge,)
+        return tuple(min(travel[j][k] for k in range(n) if k != j) for j in range(n))
 
 
 def matrix_table(name: str, matrix, kind: str = "integer") -> ex.Table:
@@ -158,10 +198,6 @@ def sum_over(table, over, *prefix):
 
 def eq(a, b):
     return ex.Comparison("=", num(a), num(b))
-
-
-def ne(a, b):
-    return ex.Comparison("!=", num(a), num(b))
 
 
 def le(a, b):

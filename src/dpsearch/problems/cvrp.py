@@ -11,7 +11,6 @@ outstanding demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .. import bitset
 from .. import expressions as ex
@@ -31,33 +30,17 @@ from . import common as c
 
 
 @dataclass(frozen=True)
-class CvrpInstance:
-    travel: tuple[tuple[int, ...], ...]
+class CvrpInstance(c.Routing):
     demands: tuple[int, ...]  # demands[0] = 0 for the depot
     capacity: int
     vehicles: int
 
     def __post_init__(self):
+        super().__post_init__()
         if any(d > self.capacity for d in self.demands):
             raise ValueError("a demand exceeds the vehicle capacity")
         if self.vehicles < 1:
             raise ValueError("at least one vehicle required")
-
-    @property
-    def n(self) -> int:
-        return len(self.travel)
-
-    @cached_property
-    def cheapest_in(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return (0,)
-        return tuple(c.min_incoming([list(r) for r in self.travel]))
-
-    @cached_property
-    def cheapest_out(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return (0,)
-        return tuple(c.min_outgoing([list(r) for r in self.travel]))
 
 
 def parse_cvrp(text: str) -> CvrpInstance:

@@ -32,13 +32,13 @@ from . import common as c
 
 
 @dataclass(frozen=True)
-class MpdtspInstance:
-    travel: tuple[tuple[int, ...], ...]
+class MpdtspInstance(c.Routing):
     edges: frozenset[tuple[int, int]]  # directed (i, j) pairs
     capacity: int
     commodities: tuple[tuple[int, int, int], ...]  # (pickup, delivery, weight)
 
     def __post_init__(self):
+        super().__post_init__()
         for pickup, delivery, _ in self.commodities:
             if not (0 <= pickup < self.n and 0 <= delivery < self.n):
                 raise ValueError(
@@ -47,10 +47,6 @@ class MpdtspInstance:
         for i, j in sorted(self.edges):
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge {i} {j} is outside customers 0..{self.n - 1}")
-
-    @property
-    def n(self) -> int:
-        return len(self.travel)
 
     @cached_property
     def net_change(self) -> tuple[int, ...]:
@@ -69,6 +65,7 @@ class MpdtspInstance:
 
     @cached_property
     def cheapest_in(self) -> tuple[int, ...]:
+        """The cheapest edge into each customer among ``edges`` only."""
         return tuple(
             min((self.travel[k][j] for k in range(self.n) if (k, j) in self.edges), default=0)
             for j in range(self.n)
@@ -76,6 +73,7 @@ class MpdtspInstance:
 
     @cached_property
     def cheapest_out(self) -> tuple[int, ...]:
+        """The cheapest edge out of each customer among ``edges`` only."""
         return tuple(
             min((self.travel[j][k] for k in range(self.n) if (j, k) in self.edges), default=0)
             for j in range(self.n)

@@ -34,41 +34,23 @@ from . import common as c
 
 
 @dataclass(frozen=True)
-class OptwInstance:
+class OptwInstance(c.Routing):
     """Off-diagonal travel times must be positive; service times are
     assumed to be folded into the travel times already."""
 
-    travel: tuple[tuple[int, ...], ...]
     profits: tuple[int, ...]  # profits[0] = 0 for the depot
     ready: tuple[int, ...]
     deadline: tuple[int, ...]
 
+    lone_edge = 1  # the efficiency tables divide by the cheapest edges
+
     def __post_init__(self):
-        n = len(self.travel)
+        super().__post_init__()
+        n = self.n
         for i in range(n):
             for j in range(n):
                 if i != j and self.travel[i][j] <= 0:
                     raise ValueError("off-diagonal travel times must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.travel)
-
-    @cached_property
-    def shortest(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in c.floyd_warshall([list(r) for r in self.travel]))
-
-    @cached_property
-    def cheapest_in(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return (1,)
-        return tuple(c.min_incoming([list(r) for r in self.travel]))
-
-    @cached_property
-    def cheapest_out(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return (1,)
-        return tuple(c.min_outgoing([list(r) for r in self.travel]))
 
     @cached_property
     def efficiency_in(self) -> tuple[Fraction, ...]:

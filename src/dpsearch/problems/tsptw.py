@@ -11,7 +11,6 @@ cheapest incoming/outgoing edges over the remaining customers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .. import bitset
 from .. import expressions as ex
@@ -31,45 +30,16 @@ from . import common as c
 
 
 @dataclass(frozen=True)
-class TsptwInstance:
-    """Customer 0 is the depot; travel times are integral and complete."""
+class TsptwInstance(c.Routing):
+    """Customer 0 is the depot; a time window per customer."""
 
-    travel: tuple[tuple[int, ...], ...]
     ready: tuple[int, ...]
     deadline: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.travel)
-        if n == 0:
-            raise ValueError("instance needs at least the depot")
-        for row in self.travel:
-            if len(row) != n:
-                raise ValueError("travel matrix must be square")
-            for value in row:
-                if not isinstance(value, int) or value < 0:
-                    raise ValueError("travel times must be nonnegative integers")
-        if len(self.ready) != n or len(self.deadline) != n:
+        super().__post_init__()
+        if len(self.ready) != self.n or len(self.deadline) != self.n:
             raise ValueError("time windows must cover every customer")
-
-    @property
-    def n(self) -> int:
-        return len(self.travel)
-
-    @cached_property
-    def shortest(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in c.floyd_warshall([list(r) for r in self.travel]))
-
-    @cached_property
-    def cheapest_in(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return (0,)
-        return tuple(c.min_incoming([list(r) for r in self.travel]))
-
-    @cached_property
-    def cheapest_out(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return (0,)
-        return tuple(c.min_outgoing([list(r) for r in self.travel]))
 
 
 def parse_tsptw(text: str) -> TsptwInstance:

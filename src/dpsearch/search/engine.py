@@ -83,7 +83,6 @@ class Run:
         self.best_dual = None
         self.primal_events: list[tuple[float, float]] = []
         self.dual_events: list[tuple[float, float]] = []
-        self.first_solution_cost = None
         self.expanded = 0
         self.generated = 0
         self.feasible = model.check_constraints
@@ -116,8 +115,6 @@ class Run:
     def record_solution(self, cost, transitions: list[str]) -> None:
         self.primal = cost
         self.incumbent = transitions
-        if self.first_solution_cost is None:
-            self.first_solution_cost = cost
         stamp = self.elapsed()
         self.primal_events.append((stamp, cost))
         if self.on_primal is not None:
@@ -153,7 +150,6 @@ class Run:
             elapsed=self.elapsed(),
             primal_events=self.primal_events,
             dual_events=self.dual_events,
-            first_solution_cost=self.first_solution_cost,
         )
 
     # -- the expansion kernel

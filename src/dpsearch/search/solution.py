@@ -40,7 +40,11 @@ class Solution:
     elapsed: float = 0.0
     primal_events: list[tuple[float, Number]] = field(default_factory=list)
     dual_events: list[tuple[float, Number]] = field(default_factory=list)
-    first_solution_cost: Optional[Number] = None
+
+    @property
+    def first_solution_cost(self) -> Optional[Number]:
+        """The cost of the first solution found, if any."""
+        return self.primal_events[0][1] if self.primal_events else None
 
     @property
     def proved(self) -> bool:

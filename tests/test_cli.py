@@ -273,6 +273,33 @@ class TestSolve:
         # the gap is at most 1 until the optimum 14 is found and 0 after it
         assert 0 <= report["primal_integral"] <= report["elapsed"]
 
+    def test_unwritable_output_exits_with_message(self, tmp_path, config_path, capsys):
+        missing = tmp_path / "missing" / "x"
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+            "--output", str(missing),
+            "--quiet",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+
+    def test_nan_reference_exits_before_solving(self, tmp_path, config_path, capsys):
+        out = tmp_path / "s.txt"
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+            "--reference", "nan",
+            "--output", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --reference must be a number other than NaN\n"
+        assert not out.exists()
+
     def test_no_config_runs_cabs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("DPSEARCH_CONFIG", raising=False)
         code = run_cli(
@@ -385,6 +412,19 @@ class TestConvert:
         assert code == 1
         assert "tsp2" in capsys.readouterr().err
 
+    def test_unwritable_domain_out_exits_with_message(self, capsys, tmp_path):
+        raw = tmp_path / "t.txt"
+        raw.write_text("3\n0 2 3\n2 0 1\n3 1 0\n0 10\n0 10\n0 10\n")
+        missing = tmp_path / "missing" / "d.yaml"
+        code = run_cli(
+            "convert", "tsptw",
+            "--input", str(raw),
+            "--domain-out", str(missing),
+            "--problem-out", str(tmp_path / "p.yaml"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+
     def test_mdkp_fractional_gate(self, capsys, tmp_path):
         raw = tmp_path / "frac.txt"
         raw.write_text("2 1\n3 4\n2.5\n3\n4\n")
@@ -416,6 +456,83 @@ class TestMetricsCommands:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "4.0"
+
+    @pytest.mark.parametrize(
+        "primal, dual, message",
+        [("nan", "1", "primal bound must not be NaN"), ("1", "nan", "dual bound must not be NaN")],
+    )
+    def test_gap_rejects_nan(self, capsys, primal, dual, message):
+        assert run_cli("gap", primal, dual) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "reference, horizon, events, message",
+        [
+            ("nan", "10", "2,10\n", "reference must not be NaN"),
+            ("5", "-1", "", "horizon -1.0 must be a number of at least 0"),
+            ("5", "nan", "", "horizon nan must be a number of at least 0"),
+            ("5", "10", "2,nan\n", "cost must not be NaN"),
+        ],
+    )
+    def test_primal_integral_rejects_nan_and_a_negative_horizon(
+        self, capsys, tmp_path, reference, horizon, events, message
+    ):
+        path = tmp_path / "events.csv"
+        path.write_text(events)
+        code = run_cli(
+            "primal-integral", "--events", str(path), "--reference", reference,
+            "--horizon", horizon,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, number, line",
+        [("2,10\n6\n", 2, "6"), ("\n 1,2,3\n", 2, "1,2,3"), ("x,1\n", 1, "x,1")],
+    )
+    def test_primal_integral_names_a_malformed_line(self, capsys, tmp_path, text, number, line):
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        code = run_cli(
+            "primal-integral", "--events", str(path), "--reference", "5", "--horizon", "10"
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line {number}: expected 'time,cost', got {line!r}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--domain", "d.yaml", "--problem", "p.yaml", "--time-limit", "abc"],
+        ["solve", "--domain", "d.yaml"],
+        ["gap", "10"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage: dpsearch" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: dpsearch" in capsys.readouterr().out
+
+
+def test_usage_error_is_the_exit_status_of_the_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpsearch", "solve", "--time-limit", "abc"],
+        capture_output=True,
+        text=True,
+        env=SOURCES_ENV,
+    )
+    assert proc.returncode == 1
+    assert "usage: dpsearch" in proc.stderr
 
 
 def test_console_entry_point():

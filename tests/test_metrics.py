@@ -69,3 +69,54 @@ def test_primal_gap_zero_reference():
     assert primal_gap(None, 5) == 1.0
     assert primal_gap(10, 5) == 0.5
     assert primal_gap(-1, 1) == primal_gap(1, -1) == 1.0
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "primal, dual, message",
+    [
+        (NAN, 1, "primal bound must not be NaN"),
+        (1, NAN, "dual bound must not be NaN"),
+        (NAN, None, "primal bound must not be NaN"),
+        (None, NAN, "dual bound must not be NaN"),
+    ],
+)
+def test_optimality_gap_rejects_nan(primal, dual, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        optimality_gap(primal, dual)
+
+
+@pytest.mark.parametrize(
+    "cost, reference, message",
+    [(NAN, 1, "cost must not be NaN"), (1, NAN, "reference must not be NaN")],
+)
+def test_primal_gap_rejects_nan(cost, reference, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        primal_gap(cost, reference)
+
+
+@pytest.mark.parametrize(
+    "events, reference, horizon, message",
+    [
+        ([], 5, -1.0, "horizon -1.0 must be a number of at least 0"),
+        ([], 5, NAN, "horizon nan must be a number of at least 0"),
+        ([], NAN, 10, "reference must not be NaN"),
+        ([(1.0, NAN)], 5, 10, "cost must not be NaN"),
+        ([(NAN, 5)], 5, 10, r"event time nan outside \[0, 10\]"),
+    ],
+)
+def test_primal_integral_rejects_nan_and_a_negative_horizon(events, reference, horizon, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        primal_integral(events, reference, horizon)
+
+
+def test_primal_integral_over_a_zero_horizon():
+    assert primal_integral([], reference=5, horizon=0) == 0.0
+    assert primal_integral([(0.0, 10)], reference=5, horizon=0.0) == 0.0
+
+
+def test_gap_of_a_large_integer_bound():
+    # NaN is found by self-inequality, which needs no float conversion
+    assert optimality_gap(10**400, 10**400) == 0.0

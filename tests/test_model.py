@@ -14,7 +14,9 @@ from dpsearch import (
     EvaluationError,
     Model,
     ModelError,
+    SOLVER_NAMES,
     StateMetadata,
+    Status,
     Transition,
     UnknownSymbolError,
     Variable,
@@ -22,6 +24,7 @@ from dpsearch import (
     bitset,
     caasdy,
     combine,
+    solve,
     validate,
 )
 from dpsearch import yamlio
@@ -576,6 +579,38 @@ class TestDualBound:
             dual_bounds=[NumericConst(0)],
         )
         assert model.eval_dual_bound((0,)) == 0
+
+    @staticmethod
+    def _bounded(bound, goal=2):
+        """x steps from 0 up to 2 at weight 1 a step; x = ``goal`` is the base state."""
+        step = Transition("up", (Comparison("<", _X, NumericConst(2)),),
+                          ((0, NumericBinary("+", _X, NumericConst(1))),), NumericConst(1))
+        return Model(
+            StateMetadata({}, [Variable("x", "integer")]),
+            TableRegistry(),
+            (0,),
+            [step],
+            [BaseCase((Comparison("=", _X, NumericConst(goal)),), NumericConst(0))],
+            dual_bounds=[bound],
+        )
+
+    @pytest.mark.parametrize("solver", SOLVER_NAMES)
+    def test_infinite_bound_proves_infeasibility(self, solver):
+        model = self._bounded(NumericConst(math.inf), goal=3)  # no state reaches x = 3
+        assert bellman_oracle(model).cost is None
+        assert model.eval_dual_bound(model.target) == math.inf
+        solution = solve(model, solver)
+        assert solution.status == Status.INFEASIBLE
+        assert solution.transitions is None
+
+    def test_rational_bound_in_an_integer_model(self):
+        whole = self._bounded(NumericBinary("/", NumericConst(4), NumericConst(2)))
+        value = whole.eval_dual_bound(whole.target)
+        assert (value, type(value)) == (2, int)
+        half = self._bounded(NumericBinary("/", NumericConst(1), NumericConst(2)))
+        with pytest.raises(EvaluationError) as raised:
+            half.eval_dual_bound(half.target)
+        assert str(raised.value) == "integer cost expression produced non-integer Fraction(1, 2)"
 
 
 class TestValidate:

@@ -129,6 +129,8 @@ class TestOptw:
     def test_depot_only(self):
         inst = OptwInstance(((0,),), (0,), (0,), (10,))
         assert oracle_cost(build_optw(inst)) == 0
+        # the efficiency tables divide by the cheapest edges, so not 0
+        assert inst.cheapest_in == inst.cheapest_out == (1,)
 
 
 class TestMdkp:
@@ -483,3 +485,42 @@ def test_mpdtsp_commodity_outside_the_customers(pickup, delivery):
     text = VALID_TEXTS["mpdtsp"].replace("\n0 1 2\n", f"\n{pickup} {delivery} 2\n")
     with pytest.raises(ValueError, match=f"commodity {pickup} -> {delivery} is outside"):
         parse_mpdtsp(text)
+
+
+ROUTING = {
+    "tsptw": lambda travel: TsptwInstance(travel, (0, 0, 0), (10, 10, 10)),
+    "cvrp": lambda travel: CvrpInstance(travel, (0, 1, 1), 2, 1),
+    "mpdtsp": lambda travel: MpdtspInstance(travel, TestMpdtsp.EDGES, 1, ()),
+    "optw": lambda travel: OptwInstance(travel, (0, 5, 5), (0, 0, 0), (10, 10, 10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTING))
+@pytest.mark.parametrize(
+    "travel, message",
+    [
+        ((), "instance needs at least the depot"),
+        (((0, 2, 3), (2, 0), (3, 1, 0)), "travel matrix must be square"),
+        (((0, 2, 3), (2, 0, 1)), "travel matrix must be square"),
+        (((0, 2, 3), (2, 0, -5), (3, 1, 0)), "travel times must be nonnegative integers"),
+        (((0, 2, 3), (2, 0, 1.5), (3, 1, 0)), "travel times must be nonnegative integers"),
+        (((0, 2, 3), (2, 0, "1"), (3, 1, 0)), "travel times must be nonnegative integers"),
+    ],
+)
+def test_routing_rejects_a_bad_travel_matrix(name, travel, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ROUTING[name](travel)
+
+
+def test_cvrp_rejects_a_negative_travel_time():
+    # the tour 0 -> 1 -> 0 would cost -10
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        CvrpInstance(((0, -5), (-5, 0)), (0, 1), 2, 1)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTING))
+def test_routing_derives_shortest_paths_and_cheapest_edges(name):
+    instance = ROUTING[name](((0, 2, 9), (2, 0, 1), (9, 1, 0)))
+    assert instance.n == 3
+    assert instance.shortest == ((0, 2, 3), (2, 0, 1), (3, 1, 0))
+    assert instance.cheapest_in == instance.cheapest_out == (2, 1, 1)

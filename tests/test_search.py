@@ -181,6 +181,36 @@ def test_solvers_match_oracle_on_random_instances(name, solver):
             assert solution.cost == expected
 
 
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_solvers_match_oracle_on_a_continuous_cost_model(solver):
+    # TSPTW's integer tables under a continuous cost type: every weight,
+    # base cost and bound is an int converted to a float
+    rng = random.Random(zlib.crc32(b"continuous"))
+    cls = CLASSES["tsptw"]
+    solved = 0
+    for _ in range(15):
+        built = cls.build(cls.random(rng))
+        model = dp.Model(
+            metadata=built.metadata,
+            tables=built.tables,
+            target=built.target,
+            transitions=built.transitions,
+            base_cases=built.base_cases,
+            constraints=built.constraints,
+            dual_bounds=built.dual_bounds,
+            costs=dp.CostStructure(operator="+", direction="min", cost_type="continuous"),
+        )
+        expected = dp.bellman_oracle(model).cost
+        solution = dp.solve(model, solver)
+        if expected is None:
+            assert solution.status == dp.Status.INFEASIBLE
+            continue
+        assert solution.status == dp.Status.OPTIMAL
+        assert (solution.cost, type(solution.cost)) == (expected, float)
+        solved += 1
+    assert solved >= 3
+
+
 # one non-default setting per policy knob, and the solver that reads it
 POLICY_SETTINGS = {
     "beam_initial_width": ("cabs", {"beam_initial_width": 3}),
