@@ -41,9 +41,10 @@ def _read(path: str) -> str:
         raise DpsearchError(f"cannot read {path}: {err}") from err
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, mode) as out:
+            out.write(text)
     except OSError as err:
         raise DpsearchError(f"cannot write {path}: {err}") from err
 
@@ -51,6 +52,11 @@ def _write(path: str, text: str) -> None:
 def run_solve(args) -> int:
     if args.reference is not None and math.isnan(args.reference):
         raise DpsearchError("--reference must be a number other than NaN")
+    if args.output:  # fail before the solve, leaving an existing file as it was
+        existed = os.path.lexists(args.output)
+        _write(args.output, "", "a")
+        if not existed:
+            os.remove(args.output)
     domain_text = _read(args.domain)
     problem_text = _read(args.problem)
     config_path = args.config or os.environ.get(CONFIG_ENV)
@@ -102,7 +108,7 @@ def run_solve(args) -> int:
     if not args.quiet:
         print(json.dumps(report))
 
-    if solution.status in (Status.OPTIMAL, Status.INFEASIBLE):
+    if solution.proved:
         return EXIT_PROVED
     if solution.status == Status.FEASIBLE:
         return EXIT_FEASIBLE

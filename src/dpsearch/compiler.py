@@ -30,6 +30,8 @@ per-read check.  A node whose check does fire still raises only when it
 is evaluated, so an unused faulty expression never breaks a model.  A
 read past the end of a short state raises ``IndexError`` from the slot
 read; the query entry points turn it into :class:`UnknownSymbolError`.
+Messages raised here do not say which part of the model raised them:
+the query entry points prefix each with it (``"weight of 't': ..."``).
 
 A model compiles all its queries at once into :class:`Queries`, on the
 first query it answers, with one compiler whose caches are dropped
@@ -279,12 +281,12 @@ class Compiler:
                 continue
             value = self.fn(effects.pop(index))
             if variable.kind == "integer":
-                value = _integer_effect(value, transition.name, variable.name)
+                value = _integer_effect(value, variable.name)
             elif variable.kind == "continuous":
-                value = _continuous_effect(value, transition.name, variable.name)
+                value = _continuous_effect(value, variable.name)
             parts.append(value)
         if effects:
-            return _no_slot(transition.name, min(effects))
+            return _no_slot(min(effects))
         return _tuple_of(parts)
 
     # -- tables --------------------------------------------------------
@@ -382,38 +384,32 @@ class Compiler:
         return _fold(read, *codes)
 
 
-def _integer_effect(value, transition: str, variable: str):
-    def effect(s, value=value, transition=transition, variable=variable):
+def _integer_effect(value, variable: str):
+    def effect(s, value=value, variable=variable):
         v = value(s)
         if v.__class__ is int:
             return v
         v = ex.collapse(v)
         if not isinstance(v, int) or isinstance(v, bool):
-            raise EvaluationError(
-                f"effect of {transition!r} produced {v!r} for the "
-                f"integer variable {variable!r}"
-            )
+            raise EvaluationError(f"integer variable {variable!r} cannot take {v!r}")
         return v
 
     return effect
 
 
-def _continuous_effect(value, transition: str, variable: str):
-    def effect(s, value=value, transition=transition, variable=variable):
+def _continuous_effect(value, variable: str):
+    def effect(s, value=value, variable=variable):
         v = float(value(s))
         if -_INF < v < _INF:
             return v
-        raise EvaluationError(
-            f"effect of {transition!r} produced {v!r} for the "
-            f"continuous variable {variable!r}"
-        )
+        raise EvaluationError(f"continuous variable {variable!r} cannot take {v!r}")
 
     return effect
 
 
-def _no_slot(transition: str, index: int):
+def _no_slot(index: int):
     def effect(s):
-        raise UnknownSymbolError(f"effect of {transition!r} assigns no variable slot {index}")
+        raise UnknownSymbolError(f"assigns no variable slot {index}")
 
     return effect
 

@@ -280,15 +280,17 @@ class BaseCase:
     cost: ex.NumericExpression
 
 
-# Faults of the arithmetic and of reads past the end of a short state,
-# which the queries report as evaluation errors naming where they arose.
-_FAULTS = (ZeroDivisionError, OverflowError, IndexError)
+# Faults of the arithmetic, of reads past the end of a short state, and
+# of evaluation (a table read out of range, a value of the wrong kind, a
+# non-integer cost), which the queries report naming where they arose.
+_FAULTS = (ZeroDivisionError, OverflowError, IndexError, EvaluationError)
 
 
 def _fault(err: Exception, where: str) -> EvaluationError:
     if isinstance(err, IndexError):
         return UnknownSymbolError(f"{where} reads a variable slot the state lacks")
-    return EvaluationError(f"{where}: {err}")
+    kind = err.__class__ if isinstance(err, EvaluationError) else EvaluationError
+    return kind(f"{where}: {err}")
 
 
 def _foreign(transition: Transition) -> ModelError:
@@ -429,9 +431,9 @@ class Model:
         weight = self._edge(transition)[3]
         try:
             value = weight(state)
+            return value if value.__class__ is self._cost_class else self._cost_value(value)
         except _FAULTS as err:
             raise _fault(err, f"weight of {transition.name!r}") from err
-        return value if value.__class__ is self._cost_class else self._cost_value(value)
 
     def edges(self, state: State) -> Union[Number, list]:
         """The base cost of ``state``, or else the edges ``(transition,

@@ -120,10 +120,10 @@ class Routing:
         return tuple(min(travel[j][k] for k in range(n) if k != j) for j in range(n))
 
 
-def matrix_table(name: str, matrix, kind: str = "integer") -> ex.Table:
+def matrix_table(name: str, matrix) -> ex.Table:
     n = len(matrix)
     values = {(i, j): matrix[i][j] for i in range(n) for j in range(n)}
-    return ex.Table(name, kind, (n, n), values)
+    return ex.Table(name, "integer", (n, n), values)
 
 
 def vector_table(name: str, vector, kind: str = "integer") -> ex.Table:

@@ -11,10 +11,12 @@ best f among the frontier, the states cut by the width so far, and the
 primal bound.
 
 The wrapper reruns beam search with the width doubling each iteration
-until a run comes back complete.  It carries forward the primal bound,
-and memoizes the run's state constraints, edges and dual bounds for all
-its passes (``PassCache``), so the target is checked once and a state
-any earlier pass expanded is not expanded through the model again.
+until a run comes back complete.  Every pass records into one ``Run``,
+so the event logs of the ``Solution`` it returns span all its passes.
+The wrapper carries forward the primal bound, and memoizes the run's
+state constraints, edges and dual bounds for all its passes
+(``PassCache``), so the target is checked once and a state any earlier
+pass expanded is not expanded through the model again.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .engine import Run
 # The kernel builds nodes through ``engine.make_node``; the name stays
 # importable here because perfbench/tracing.py patches it on this module.
 from .nodes import StateRegistry, make_node  # noqa: F401
-from .solution import DualCallback, PrimalCallback, Solution, SolverParams
+from .solution import Solution, SolverParams
 
 
 class PassCache(dict):
@@ -97,12 +99,7 @@ def beam_search(
     return run.finish(natural=complete and not shared), complete
 
 
-def cabs(
-    model: Model,
-    params: Optional[SolverParams] = None,
-    on_primal: Optional[PrimalCallback] = None,
-    on_dual: Optional[DualCallback] = None,
-) -> Solution:
+def cabs(model: Model, params: Optional[SolverParams] = None) -> Solution:
     """Repeat beam search with doubling width until a complete pass.
 
     The primal bound carries across iterations, so each pass only looks
@@ -110,7 +107,7 @@ def cabs(
     infeasibility when no solution was ever found).
     """
     params = params or SolverParams()
-    run = Run(model, params, on_primal, on_dual)
+    run = Run(model, params)
     # bound to the memos, not the run: no reference cycle
     run.feasible, run.edges, run.bound = (
         PassCache(fn).__getitem__ for fn in (run.feasible, run.edges, run.bound)

@@ -28,9 +28,12 @@ solution was found, INFEASIBLE otherwise (meaning "no solution better
 than the initial primal bound" when one was supplied).  A time limit
 yields the best solution found so far plus the best dual bound seen.
 
+The returned ``Solution`` is the run's anytime record: its
+``primal_events`` and ``dual_events`` log each new incumbent cost and
+each tightened dual bound with the elapsed time.
+
 Each invocation is single-threaded and self-contained; the model is
-only read, so concurrent invocations may share it.  Progress callbacks
-run on the invoking thread.
+only read, so concurrent invocations may share it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .open_lists import (
     LayerBudgetList,
     PackList,
 )
-from .solution import DualCallback, PrimalCallback, Solution, SolverParams, Status
+from .solution import Solution, SolverParams, Status
 
 
 class Run:
@@ -64,17 +67,9 @@ class Run:
     a reference cycle.
     """
 
-    def __init__(
-        self,
-        model: Model,
-        params: SolverParams,
-        on_primal: Optional[PrimalCallback] = None,
-        on_dual: Optional[DualCallback] = None,
-    ):
+    def __init__(self, model: Model, params: SolverParams):
         self.model = model
         self.params = params
-        self.on_primal = on_primal
-        self.on_dual = on_dual
         self.start = time.monotonic()
         self.costs = model.costs
         self.has_bound = bool(model.dual_bounds)
@@ -115,10 +110,7 @@ class Run:
     def record_solution(self, cost, transitions: list[str]) -> None:
         self.primal = cost
         self.incumbent = transitions
-        stamp = self.elapsed()
-        self.primal_events.append((stamp, cost))
-        if self.on_primal is not None:
-            self.on_primal(stamp, cost, transitions)
+        self.primal_events.append((self.elapsed(), cost))
 
     def record_dual(self, bound) -> None:
         """Keep the reported dual bound monotone: only improvements count."""
@@ -126,10 +118,7 @@ class Run:
             return
         if self.best_dual is None or self.costs.better(self.best_dual, bound):
             self.best_dual = bound
-            stamp = self.elapsed()
-            self.dual_events.append((stamp, bound))
-            if self.on_dual is not None:
-                self.on_dual(stamp, bound)
+            self.dual_events.append((self.elapsed(), bound))
 
     def finish(self, natural: bool) -> Solution:
         if natural:
@@ -219,16 +208,12 @@ class Run:
 
 
 def generic_search(
-    model: Model,
-    policy_factory: Callable,
-    params: Optional[SolverParams] = None,
-    on_primal: Optional[PrimalCallback] = None,
-    on_dual: Optional[DualCallback] = None,
+    model: Model, policy_factory: Callable, params: Optional[SolverParams] = None
 ) -> Solution:
     """Run the engine with the open list built by ``policy_factory``,
     which receives the liveness predicate ``Run.is_live``."""
     params = params or SolverParams()
-    run = Run(model, params, on_primal, on_dual)
+    run = Run(model, params)
 
     root = run.root()
     if root is None:
@@ -270,32 +255,32 @@ def generic_search(
 # The policy-specific entry points
 
 
-def caasdy(model, params=None, on_primal=None, on_dual=None) -> Solution:
+def caasdy(model, params=None) -> Solution:
     """Best-first search on f-values; on cost-algebraic minimization with
     zero base costs the first solution popped is already optimal."""
-    return generic_search(model, BestFirstList, params, on_primal, on_dual)
+    return generic_search(model, BestFirstList, params)
 
 
-def dfbnb(model, params=None, on_primal=None, on_dual=None) -> Solution:
+def dfbnb(model, params=None) -> Solution:
     """Depth-first branch and bound."""
-    return generic_search(model, DepthStackList, params, on_primal, on_dual)
+    return generic_search(model, DepthStackList, params)
 
 
-def cbfs(model, params=None, on_primal=None, on_dual=None) -> Solution:
+def cbfs(model, params=None) -> Solution:
     """Cyclic best-first search over depth layers."""
-    return generic_search(model, CyclicLayerList, params, on_primal, on_dual)
+    return generic_search(model, CyclicLayerList, params)
 
 
-def acps(model, params=None, on_primal=None, on_dual=None) -> Solution:
+def acps(model, params=None) -> Solution:
     """Layer-cycling search with a progressively growing per-layer budget."""
     params = params or SolverParams()
     factory = lambda is_live: LayerBudgetList(
         is_live, budget=params.acps_initial_budget, step=params.acps_budget_step
     )
-    return generic_search(model, factory, params, on_primal, on_dual)
+    return generic_search(model, factory, params)
 
 
-def apps(model, params=None, on_primal=None, on_dual=None) -> Solution:
+def apps(model, params=None) -> Solution:
     """Pack search with a progressively growing pack size."""
     params = params or SolverParams()
     factory = lambda is_live: PackList(
@@ -304,19 +289,17 @@ def apps(model, params=None, on_primal=None, on_dual=None) -> Solution:
         step=params.apps_budget_step,
         max_budget=params.apps_max_budget,
     )
-    return generic_search(model, factory, params, on_primal, on_dual)
+    return generic_search(model, factory, params)
 
 
-def dbdfs(model, params=None, on_primal=None, on_dual=None) -> Solution:
+def dbdfs(model, params=None) -> Solution:
     """Discrepancy-bounded depth-first search."""
     params = params or SolverParams()
     factory = lambda is_live: DiscrepancyList(is_live, k=params.dbdfs_k)
-    return generic_search(model, factory, params, on_primal, on_dual)
+    return generic_search(model, factory, params)
 
 
-def solve(
-    model, solver: str, params=None, on_primal=None, on_dual=None
-) -> Solution:
+def solve(model, solver: str, params=None) -> Solution:
     """Dispatch by solver name (the names accepted in solver configs)."""
     from . import SOLVERS
 
@@ -324,4 +307,4 @@ def solve(
         chosen = SOLVERS[solver]
     except KeyError:
         raise ValueError(f"unknown solver {solver!r}") from None
-    return chosen(model, params, on_primal=on_primal, on_dual=on_dual)
+    return chosen(model, params)

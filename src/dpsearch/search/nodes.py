@@ -16,19 +16,17 @@ Number = Union[int, float]
 class SearchNode:
     """One frontier entry: a state plus path bookkeeping.
 
-    ``g`` is the fold of transition weights along the incoming path,
-    ``h`` the dual-bound estimate (the cost identity when the model has
-    none), and ``f = combine(g, h)`` the pruning/guidance value.  ``order``
-    is a ready-made sort key implementing the deterministic tie-break:
-    best f, then best h, then most recently generated.
+    ``g`` is the fold of transition weights along the incoming path and
+    ``f = combine(g, h)`` the pruning/guidance value, where h is the
+    dual-bound estimate (the cost identity when the model has none).
+    ``order`` is a ready-made sort key implementing the deterministic
+    tie-break: best f, then best h, then most recently generated.
     """
 
     state: State
     g: Number
-    h: Number
     f: Number
     depth: int
-    counter: int
     order: tuple
     parent: Optional["SearchNode"] = None
     transition: Optional[str] = None
@@ -58,7 +56,7 @@ def make_node(
 ) -> SearchNode:
     # maximization flips the comparison of f and h
     order = (f, h, -counter) if costs.minimize else (-f, -h, -counter)
-    return SearchNode(state, g, h, f, depth, counter, order, parent, transition)
+    return SearchNode(state, g, f, depth, order, parent, transition)
 
 
 class StateRegistry:

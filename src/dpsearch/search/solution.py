@@ -5,12 +5,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 Number = Union[int, float]
-
-PrimalCallback = Callable[[float, Number, list[str]], None]
-DualCallback = Callable[[float, Number], None]
 
 
 class Status(enum.Enum):

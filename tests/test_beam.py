@@ -114,7 +114,7 @@ class _Countdown(Run):
     """A run whose time runs out after ``checks`` clock checks."""
 
     def __init__(self, model, checks):
-        super().__init__(model, dp.SolverParams(), None, None)
+        super().__init__(model, dp.SolverParams())
         self.checks = checks
 
     def out_of_time(self):

@@ -10,6 +10,7 @@ import pytest
 
 import dpsearch
 from conftest import FIXTURES
+from dpsearch import cli
 from dpsearch.cli import main
 
 # subprocesses import dpsearch from this checkout, installed or not
@@ -285,6 +286,46 @@ class TestSolve:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+
+    def test_unwritable_output_exits_before_solving(
+        self, tmp_path, config_path, capsys, monkeypatch
+    ):
+        def no_solve(*args):
+            raise AssertionError("solved before checking --output")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        missing = tmp_path / "missing" / "x"
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", config_path,
+            "--output", str(missing),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+
+    def test_failed_solve_leaves_the_output_as_it_was(
+        self, tmp_path, config_path, capsys, monkeypatch
+    ):
+        def failing_solve(*args):
+            raise dpsearch.EvaluationError("weight of 't': boom")
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
+        kept, new = tmp_path / "kept.yaml", tmp_path / "new.yaml"
+        kept.write_text("an earlier record\n")
+        for out in (kept, new):
+            code = run_cli(
+                "solve",
+                "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+                "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+                "--config", config_path,
+                "--output", str(out),
+            )
+            assert code == 1
+            assert capsys.readouterr().err == "error: weight of 't': boom\n"
+        assert kept.read_text() == "an earlier record\n"
+        assert not new.exists()
 
     def test_nan_reference_exits_before_solving(self, tmp_path, config_path, capsys):
         out = tmp_path / "s.txt"

@@ -569,8 +569,8 @@ class TestLoweringPaths:
              "dual bound 0: integer value 9223372036854775808 exceeds 64-bit range"),
             ((-M - 1, 2, 1),
              "dual bound 0: integer value -36893488147419103232 exceeds 64-bit range"),
-            ((1, 7, 1), "index 7 out of range for argument 0 of table 'r'"),
-            ((1, -1, 1), "index -1 out of range for argument 0 of table 'r'"),
+            ((1, 7, 1), "dual bound 0: index 7 out of range for argument 0 of table 'r'"),
+            ((1, -1, 1), "dual bound 0: index -1 out of range for argument 0 of table 'r'"),
         ],
     )
     def test_rational_rounding_faults_through_the_model(self, state, error):

@@ -33,11 +33,13 @@ from dpsearch.expressions import (
     BoolConst,
     Comparison,
     ElementConst,
+    ElementVar,
     NumericBinary,
     NumericConst,
     NumericTable,
     NumericVar,
     SuccessorCost,
+    Table,
     TableRegistry,
 )
 from dpsearch.problems import CLASSES, TsptwInstance, build_tsptw
@@ -179,7 +181,8 @@ class TestSuccessor:
         t = Transition("grow", (), ((0, effect),), NumericConst(0))
         base = BaseCase((BoolConst(False),), NumericConst(0))
         model = Model(meta, TableRegistry(), (3,), [t], [base])
-        with pytest.raises(EvaluationError, match=f"effect of 'grow' produced {produced}"):
+        pattern = f"^effect of 'grow': {kind} variable 'x' cannot take {produced}"
+        with pytest.raises(EvaluationError, match=pattern):
             model.successor(t, (3,))
 
 
@@ -227,6 +230,59 @@ def _faulty_model(zero_at: str) -> Model:
 def test_arithmetic_faults_name_where_they_arose(zero_at, query, where):
     with pytest.raises(EvaluationError, match=f"^{where}: numeric division by zero"):
         query(_faulty_model(zero_at))
+
+
+def _out_of_range_model(read_at: str) -> Model:
+    """An element ``i`` at 5 and an integer ``x``, with a read of the
+    three-entry table ``c`` at ``i`` in the part named by ``read_at``;
+    every other part is harmless, and no state is a base state."""
+    meta = StateMetadata({"item": 9}, [Variable("i", "element", "item"), Variable("x", "integer")])
+    tables = TableRegistry([Table("c", "integer", (3,), {(k,): 1 for k in range(3)})])
+    read = NumericTable("c", (ElementVar(0, "i"),))
+
+    def part(name):
+        return read if name == read_at else NumericConst(1)
+
+    return Model(
+        meta,
+        tables,
+        (5, 0),
+        [
+            Transition(
+                "step",
+                (Comparison("<=", part("precondition"), NumericConst(9)),),
+                ((1, NumericBinary("+", NumericVar(1, "x"), part("effect"))),),
+                part("weight"),
+            )
+        ],
+        [BaseCase((Comparison(">=", part("base case"), NumericConst(9)),), NumericConst(0))],
+        constraints=[BoolConst(True), Comparison(">", part("constraint"), NumericConst(0))],
+        dual_bounds=[NumericConst(0), part("bound")],
+    )
+
+
+READ_ORIGINS = {
+    "constraint": ("state constraint 1", lambda m: m.check_constraints(m.target)),
+    "bound": ("dual bound 1", lambda m: m.eval_dual_bound(m.target)),
+    "base case": ("base case 0", lambda m: m.base_cost(m.target)),
+    "precondition": ("precondition of 'step'", lambda m: m.applicable_transitions(m.target)),
+    "effect": ("effect of 'step'", lambda m: m.successor(m.transitions[0], m.target)),
+    "weight": ("weight of 'step'", lambda m: m.weight(m.transitions[0], m.target)),
+}
+
+
+@pytest.mark.parametrize("read_at", sorted(READ_ORIGINS))
+def test_a_read_out_of_range_names_its_query(read_at):
+    """Through the query itself, through ``edges`` (which evaluates no
+    dual bound) and through every solver."""
+    where, query = READ_ORIGINS[read_at]
+    model = _out_of_range_model(read_at)
+    pattern = f"^{re.escape(where)}: index 5 out of range for argument 0 of table 'c'$"
+    runs = [query] if read_at == "bound" else [query, lambda m: m.edges(m.target)]
+    runs += [lambda m, solver=solver: solve(m, solver) for solver in SOLVER_NAMES]
+    for run in runs:
+        with pytest.raises(EvaluationError, match=pattern):
+            run(model)
 
 
 def test_overflow_is_an_evaluation_error():
@@ -431,7 +487,7 @@ FAULT_ORDER = {
     "non-integer weight": (
         [_step("a"), _step("b", weight=NumericBinary("/", NumericConst(1), NumericConst(4)))],
         (),
-        "^integer cost expression produced non-integer Fraction",
+        "^weight of 'b': integer cost expression produced non-integer Fraction",
     ),
     # a forced transition overrides a's effect, which the queries never evaluate
     "forced after a faulty regular one": (
@@ -610,7 +666,9 @@ class TestDualBound:
         half = self._bounded(NumericBinary("/", NumericConst(1), NumericConst(2)))
         with pytest.raises(EvaluationError) as raised:
             half.eval_dual_bound(half.target)
-        assert str(raised.value) == "integer cost expression produced non-integer Fraction(1, 2)"
+        assert str(raised.value) == (
+            "dual bound 0: integer cost expression produced non-integer Fraction(1, 2)"
+        )
 
 
 class TestValidate:

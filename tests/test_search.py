@@ -1,5 +1,6 @@
 """The generic engine and its six policy instantiations."""
 
+import inspect
 import itertools
 import math
 import random
@@ -121,18 +122,6 @@ def test_infinite_initial_bound_is_no_bound(desk_tsptw_model):
     solution = dp.caasdy(desk_tsptw_model, dp.SolverParams(initial_bound=math.inf))
     assert solution.status == dp.Status.OPTIMAL
     assert solution.cost == 6
-
-
-def test_callbacks_fire(desk_tsptw_model):
-    primal, dual = [], []
-    dp.cabs(
-        desk_tsptw_model,
-        on_primal=lambda t, cost, path: primal.append((cost, tuple(path))),
-        on_dual=lambda t, bound: dual.append(bound),
-    )
-    assert primal and primal[-1][0] == 6
-    assert len(primal[-1][1]) == 2
-    assert dual and max(dual) == 6
 
 
 def test_reconstructed_path_replays_to_the_reported_cost(desk_tsptw_model):
@@ -384,3 +373,38 @@ def test_timed_out_bound_is_valid_and_live(monkeypatch, solver, seed):
         if solution.cost is not None:
             open_f = [f for f in open_f if f < solution.cost] + [solution.cost]
         assert solution.bound >= min(open_f), (pops, solution.bound, open_f)
+
+
+def _best_dual(model, solution):
+    values = [b for _, b in solution.dual_events]
+    if not values:
+        return None
+    return max(values) if model.costs.minimize else min(values)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_bound_is_the_best_logged_dual_bound(monkeypatch, name, solver):
+    """The event logs are the run's anytime record: the reported bound is
+    their best dual value, run to completion and stopped early alike."""
+    from test_search_golden import INSTANCES, build
+
+    for index in range(INSTANCES):
+        model = build(name, index)
+        runs = [dp.solve(model, solver)]
+        runs += [_stop_after_pops(monkeypatch, solver, model, pops)[0] for pops in (1, 4)]
+        for solution in runs:
+            if solution.status == dp.Status.INFEASIBLE:
+                assert solution.bound is None
+            else:
+                assert solution.bound == _best_dual(model, solution)
+
+
+def test_solver_signatures():
+    from dpsearch.search import SOLVERS
+
+    for solver in SOLVERS.values():
+        assert list(inspect.signature(solver).parameters) == ["model", "params"], solver
+        assert inspect.signature(solver).parameters["params"].default is None
+    assert list(inspect.signature(dp.solve).parameters) == ["model", "solver", "params"]
+    assert inspect.signature(dp.solve).parameters["params"].default is None
