@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..model import Model
-from .engine import Run
+from .engine import Run, collector_paused
 
 # The kernel builds nodes through ``engine.make_node``; the name stays
 # importable here because perfbench/tracing.py patches it on this module.
@@ -44,6 +44,7 @@ class PassCache(dict):
         return value
 
 
+@collector_paused
 def beam_search(
     model: Model,
     width: int,
@@ -99,6 +100,7 @@ def beam_search(
     return run.finish(natural=complete and not shared), complete
 
 
+@collector_paused
 def cabs(model: Model, params: Optional[SolverParams] = None) -> Solution:
     """Repeat beam search with doubling width until a complete pass.
 

@@ -33,11 +33,18 @@ The returned ``Solution`` is the run's anytime record: its
 each tightened dual bound with the elapsed time.
 
 Each invocation is single-threaded and self-contained; the model is
-only read, so concurrent invocations may share it.
+only read, so concurrent invocations may share it.  The search builds
+no reference cycles, so its objects are freed by reference counting,
+and each run pauses the cyclic garbage collector (``collector_paused``)
+rather than let it rescan a frontier that only grows.  The switch is
+process-wide: a run on another thread shares it, and the collector stays
+off until the run that switched it off returns.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import time
 from typing import Callable, Optional
 
@@ -53,6 +60,32 @@ from .open_lists import (
     PackList,
 )
 from .solution import Solution, SolverParams, Status
+
+
+def collector_paused(search: Callable) -> Callable:
+    """``search`` run with the cyclic garbage collector switched off.
+
+    Only a call that finds the collector on switches it off, and it turns
+    it back on when it returns or raises; a nested call, or a caller who
+    disabled it, is left alone.  On the way out one young-generation
+    collection moves the objects the run left alive (mostly the model's
+    lazily compiled closures) to an older generation and resets the
+    allocation count, so the caller's next steps do not pay for the
+    collections the run put off.
+    """
+
+    @functools.wraps(search)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return search(*args, **kwargs)
+        gc.disable()
+        try:
+            return search(*args, **kwargs)
+        finally:
+            gc.enable()
+            gc.collect(0)
+
+    return paused
 
 
 class Run:
@@ -74,6 +107,9 @@ class Run:
         self.costs = model.costs
         self.has_bound = bool(model.dual_bounds)
         self.primal = params.initial_bound
+        # the primal bound as a pruning threshold, read for every node;
+        # ``record_solution`` sets it along with ``primal``
+        self.cutoff = self.costs.worst if self.primal is None else self.primal
         self.incumbent: Optional[list[str]] = None
         self.best_dual = None
         self.primal_events: list[tuple[float, float]] = []
@@ -91,11 +127,6 @@ class Run:
         limit = self.params.time_limit
         return limit is not None and self.elapsed() >= limit
 
-    @property
-    def cutoff(self):
-        """Current primal bound as a pruning threshold."""
-        return self.costs.worst if self.primal is None else self.primal
-
     def is_live(self, node: SearchNode) -> bool:
         """Whether ``node`` is still worth expanding: neither closed nor
         evicted, and with an f-value that beats the primal bound when the
@@ -108,7 +139,7 @@ class Run:
         return True
 
     def record_solution(self, cost, transitions: list[str]) -> None:
-        self.primal = cost
+        self.primal = self.cutoff = cost
         self.incumbent = transitions
         self.primal_events.append((self.elapsed(), cost))
 
@@ -207,6 +238,7 @@ class Run:
         return children
 
 
+@collector_paused
 def generic_search(
     model: Model, policy_factory: Callable, params: Optional[SolverParams] = None
 ) -> Solution:

@@ -12,9 +12,13 @@ from ..model import LESS, CostStructure, StateMetadata, State
 Number = Union[int, float]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class SearchNode:
     """One frontier entry: a state plus path bookkeeping.
+
+    Nodes compare and hash by identity: two nodes reaching one state on
+    different paths are different entries, and ``StateRegistry.insert``
+    finds the nodes it evicted in a bucket by their hash.
 
     ``g`` is the fold of transition weights along the incoming path and
     ``f = combine(g, h)`` the pruning/guidance value, where h is the
@@ -90,12 +94,15 @@ class StateRegistry:
                 return False
         return True
 
+    # Both walks test the builtin g-comparison first, so the Python
+    # ``_covers`` walk runs only where the g-values leave the test open.
+
     def blocked(self, state: State, g: Number) -> bool:
         """True if some kept node weakly dominates ``state`` with a
         weakly better g; such a newcomer must not be inserted."""
         better, covers = self._better, self._covers
         for node in self._buckets.get(self._key(state), ()):
-            if covers(node.state, state) and not better(g, node.g):
+            if not better(g, node.g) and covers(node.state, state):
                 return True
         return False
 
@@ -104,16 +111,19 @@ class StateRegistry:
         weakly better g.  Returns the evicted nodes (marked dead)."""
         better, covers = self._better, self._covers
         key, state, g = self._key(node.state), node.state, node.g
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [node]
+            return []
         evicted = []
-        kept = []
-        for old in self._buckets.get(key, ()):
-            if covers(state, old.state) and not better(old.g, g):
+        for old in bucket:
+            if not better(old.g, g) and covers(state, old.state):
                 old.dead = True
                 evicted.append(old)
-            else:
-                kept.append(old)
-        kept.append(node)
-        self._buckets[key] = kept
+        if evicted:  # the bucket is rebuilt only when something left it
+            gone = set(evicted)
+            bucket[:] = [old for old in bucket if old not in gone]
+        bucket.append(node)
         return evicted
 
 
@@ -125,6 +135,11 @@ class BoundTracker:
     tracker serves every solver.  Entries the liveness predicate rejects
     are discarded on probe.  ``open_lists.BestFirstList`` is this heap
     plus ``pop``.
+
+    A heap entry is the flat tuple ``node.order + (node,)``, that is
+    ``(f, h, -counter, node)``, with f and h negated when maximizing.  No
+    two nodes share a counter, so a comparison is decided by the first
+    three fields and never reaches the node.
     """
 
     def __init__(self, is_live: Callable[[SearchNode], bool]):
@@ -134,13 +149,13 @@ class BoundTracker:
     def push(self, nodes) -> None:
         heap, heappush = self._heap, heapq.heappush
         for node in nodes:
-            heappush(heap, (node.order, node))
+            heappush(heap, node.order + (node,))
 
     def probe(self) -> Optional[Number]:
         """Best f among live open nodes, or None when none is left."""
         heap, is_live = self._heap, self._is_live
         while heap:
-            node = heap[0][1]
+            node = heap[0][-1]
             if is_live(node):
                 return node.f
             heapq.heappop(heap)

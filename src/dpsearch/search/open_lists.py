@@ -46,7 +46,7 @@ class BestFirstList(BoundTracker, _OpenList):
     def pop(self) -> Optional[SearchNode]:
         heap, is_live = self._heap, self._is_live
         while heap:
-            node = heapq.heappop(heap)[1]
+            node = heapq.heappop(heap)[-1]
             if is_live(node):
                 return node
         return None

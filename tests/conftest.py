@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dpsearch import CostStructure, Model, StateMetadata, Variable, combine
+from dpsearch import CostStructure, Model, StateMetadata, Variable, combine, yamlio
 from dpsearch.problems import TsptwInstance, build_tsptw
 from dpsearch.search.nodes import StateRegistry, make_node
 
@@ -121,6 +121,23 @@ def fixture_texts():
         (FIXTURES / "tsptw_domain.yaml").read_text(),
         (FIXTURES / "tsptw_problem.yaml").read_text(),
     )
+
+
+@pytest.fixture
+def deep_effect_fault_model() -> Model:
+    """x goes 0 -> 1, then the effect divides by zero making the depth-2
+    successor: every solver raises an ``EvaluationError`` mid-search."""
+    domain = (
+        "cost_type: integer\n"
+        "reduce: min\n"
+        "state_variables:\n"
+        "  - {name: x, type: integer}\n"
+        "transitions:\n"
+        "  - {name: step, effect: {x: '(+ x (/ 1 (- 1 x)))'}, cost: '(+ 1 cost)'}\n"
+        "base_cases:\n"
+        "  - {conditions: ['(>= x 3)'], cost: '0'}\n"
+    )
+    return yamlio.load_model(domain, "object_numbers: {}\ntarget: {x: 0}\n")
 
 
 def random_walk_cost(model: Model, rng):

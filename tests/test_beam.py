@@ -14,7 +14,6 @@ from dpsearch.problems import (
     build_salbp1,
     build_tsptw,
 )
-from dpsearch import yamlio
 from dpsearch.search import beam
 from dpsearch.search.engine import Run
 from conftest import count_reachable_states
@@ -247,19 +246,8 @@ def test_cabs_memo_is_freed_with_its_run(monkeypatch):
         gc.enable()
 
 
-def test_cabs_reports_a_deep_effect_fault_as_caasdy_does():
-    # x goes 0 -> 1, then the effect divides by zero making the depth-2 successor
-    domain = (
-        "cost_type: integer\n"
-        "reduce: min\n"
-        "state_variables:\n"
-        "  - {name: x, type: integer}\n"
-        "transitions:\n"
-        "  - {name: step, effect: {x: '(+ x (/ 1 (- 1 x)))'}, cost: '(+ 1 cost)'}\n"
-        "base_cases:\n"
-        "  - {conditions: ['(>= x 3)'], cost: '0'}\n"
-    )
-    model = yamlio.load_model(domain, "object_numbers: {}\ntarget: {x: 0}\n")
+def test_cabs_reports_a_deep_effect_fault_as_caasdy_does(deep_effect_fault_model):
+    model = deep_effect_fault_model
     messages = []
     for solver in (dp.caasdy, dp.cabs):
         with pytest.raises(dp.EvaluationError) as caught:
