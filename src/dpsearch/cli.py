@@ -119,6 +119,8 @@ def run_convert(args) -> int:
     if args.problem_class not in CLASSES:
         print(f"error: unknown problem class {args.problem_class!r}", file=sys.stderr)
         return EXIT_USAGE
+    if args.continuous and args.problem_class != "mdkp":
+        raise DpsearchError("--continuous applies to mdkp only")
     text = _read(args.input)
     if args.problem_class == "mdkp":
         instance = parse_mdkp(text, allow_fractional=args.continuous)

@@ -35,6 +35,8 @@ class GraphClearInstance:
         for (i, j), w in self.edge_weights.items():
             if i == j:
                 raise ValueError("self-loops are not allowed")
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise ValueError(f"edge {i} {j} is outside nodes 0..{self.n - 1}")
             normalized[(min(i, j), max(i, j))] = w
         object.__setattr__(self, "edge_weights", normalized)
 

@@ -31,6 +31,15 @@ class MospInstance:
     customer_products: tuple[frozenset[int], ...]
     products: int
 
+    def __post_init__(self):
+        for customer, order in enumerate(self.customer_products):
+            for product in sorted(order):
+                if not 0 <= product < self.products:
+                    raise ValueError(
+                        f"product {product} of customer {customer} is outside products "
+                        f"0..{self.products - 1}"
+                    )
+
     @property
     def customers(self) -> int:
         return len(self.customer_products)

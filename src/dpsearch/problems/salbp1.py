@@ -28,14 +28,14 @@ from . import common as c
 
 
 @dataclass(frozen=True)
-class Salbp1Instance:
-    weights: tuple[int, ...]  # task times
-    capacity: int  # cycle time
+class Salbp1Instance(bp.BinPackingInstance):
+    """Bin packing whose weights are task times and whose capacity is the
+    cycle time."""
+
     predecessors: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if any(w > self.capacity for w in self.weights):
-            raise ValueError("a task time exceeds the cycle time")
+        super().__post_init__()
         n = len(self.weights)
         if len(self.predecessors) != n:
             raise ValueError("predecessor sets must cover every task")
@@ -46,22 +46,6 @@ class Salbp1Instance:
             if not free:
                 raise ValueError("cyclic precedence constraints")
             remaining.difference_update(free)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    @property
-    def large_half(self):
-        return bp.BinPackingInstance(self.weights, self.capacity).large_half
-
-    @property
-    def exact_half_x2(self):
-        return bp.BinPackingInstance(self.weights, self.capacity).exact_half_x2
-
-    @property
-    def third_class_x6(self):
-        return bp.BinPackingInstance(self.weights, self.capacity).third_class_x6
 
 
 def parse_salbp1(text: str) -> Salbp1Instance:

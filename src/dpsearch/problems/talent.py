@@ -37,6 +37,12 @@ class TalentInstance:
     def __post_init__(self):
         if len(self.scene_actors) != len(self.durations):
             raise ValueError("every scene needs a duration")
+        for scene, cast in enumerate(self.scene_actors):
+            for actor in sorted(cast):
+                if not 0 <= actor < self.actors:
+                    raise ValueError(
+                        f"actor {actor} of scene {scene} is outside actors 0..{self.actors - 1}"
+                    )
 
     @property
     def scenes(self) -> int:

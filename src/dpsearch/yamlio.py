@@ -1,18 +1,15 @@
 """Domain/problem documents, model instantiation, and solver configs.
 
-A model is described by two YAML 1.2 documents.  The domain file keys:
-``cost_type`` (integer|continuous), ``reduce`` (min|max), ``objects``
-(list of object-type names), ``state_variables`` (name/type/object/
-preference), ``tables`` (name/type/args plus optional ``default`` and,
-for set-valued tables, ``object``), ``transitions`` (name/parameters/
-preconditions/effect/cost/forced), ``constraints`` (condition with an
-optional single-parameter ``forall``), ``base_cases`` (conditions/cost),
-and ``dual_bounds``.  The problem file keys: ``object_numbers``,
-``target``, and ``table_values``.  A table's values are a map from keys
-(a multi-arity key as an index list, a YAML complex key) or nested rows
-in row-major order, which must give every key a value; ``serialize_model``
-writes rows whenever every key has a value.  Unknown keys are hard
-errors: a typo in ``dual_bounds`` must not silently degrade solving.
+A model is described by two YAML 1.2 documents, a domain and a problem,
+in the YAML-DyPDL format of didp-rs.  The declaration records below are
+the schema: each field is one document key, in the order the keys are
+written and checked; a field without a default is a required key, and
+its metadata holds the reader that checks and converts the key's value.
+Unknown keys are hard errors: a typo in ``dual_bounds`` must not silently
+degrade solving.  A table's values are a map from keys (a multi-arity
+key as an index list, a YAML complex key) or nested rows in row-major
+order, which must give every key a value; ``serialize_model`` writes
+rows whenever every key has a value.
 
 A transition parameter bound to a set variable ranges over that
 variable's value in the target state and adds the membership
@@ -23,12 +20,13 @@ are assumed acyclic, which every shipped model class satisfies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import reprlib
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional
 
 import yaml
 
@@ -41,7 +39,9 @@ from .model import (
     CONTINUOUS,
     CostStructure,
     ELEMENT,
+    GREATER,
     INTEGER,
+    LESS,
     MAXIMIZE,
     MINIMIZE,
     Model,
@@ -125,7 +125,7 @@ def _shaped(value, kind: type, where: str):
     raise DocumentError(f"{where} must be {_SHAPES[kind]}, got {reprlib.repr(value)}")
 
 
-def _reject_unknown(mapping, known: Sequence[str], where: str) -> None:
+def _reject_unknown(mapping, known: Collection[str], where: str) -> None:
     for key in _shaped(mapping, dict, where):
         if key not in known:
             raise DocumentError(f"unknown key {key!r} in {where}")
@@ -137,11 +137,101 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
-def _section(mapping: Mapping, key: str, kind: type, where: str, required=False):
-    """``mapping[key]``, checked to be a ``kind``; an empty one when an
-    optional key is absent."""
-    value = _require(mapping, key, where) if required else mapping.get(key, kind())
-    return _shaped(value, kind, f"{key} in {where}")
+# ---------------------------------------------------------------------------
+# Key readers: ``read(value, key, where)`` checks and converts a key's
+# value; ``where`` names the map holding the key, formatted only on an error.
+
+
+def _text(value, *_) -> str:
+    """An expression entry as grammar text.  YAML reads an unquoted
+    ``true``/``false`` as a bool, which the grammar spells in lower case."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _name(value, *_) -> str:
+    return str(value)
+
+
+def _as_is(value, *_):
+    return value
+
+
+def _shape(kind: type):
+    def read(value, key, where):
+        return value if type(value) is kind else _shaped(value, kind, f"{key} in {where}")
+    return read
+
+
+def _one_of(label: str, *choices):
+    def read(value, *_):
+        if value not in choices:
+            raise DocumentError(f"bad {label} {value!r}")
+        return value
+    return read
+
+
+def _list(entry):
+    """A list, each entry read by ``entry(value, where)``."""
+    shape = _shape(list)
+    return lambda value, key, where: [entry(item, where) for item in shape(value, key, where)]
+
+
+def _map(entry):
+    """A map with its keys as text, each value read by ``entry(value, key)``."""
+    shape = _shape(dict)
+    return lambda value, key, where: {
+        str(k): entry(v, k) for k, v in shape(value, key, where).items()
+    }
+
+
+def _records(cls, label: str):
+    """A list of ``cls`` maps, each named ``label`` in messages."""
+    return _list(lambda raw, where: _record(cls, raw, label))
+
+
+def _parameter(raw, where: str) -> ParameterDecl:
+    # A missing key is reported in the transition or constraint that holds it.
+    return _record(ParameterDecl, raw, f"parameter in {where}", where)
+
+
+def _parameters(value, key, where) -> list:
+    """A parameter list; a single map is a one-parameter list."""
+    return _list(_parameter)([value] if type(value) is dict else value, key, where)
+
+
+def _constraint(raw, where: str) -> ConstraintDecl:
+    if isinstance(raw, (str, bool)):  # a bare condition
+        return ConstraintDecl(condition=_text(raw))
+    return _record(ConstraintDecl, raw, "constraint")
+
+
+def _key(read, *, names=False, **default):
+    """A record field that is one document key, read by ``read``; required
+    without a default.  ``names`` adds the value to the next keys' ``where``."""
+    return field(metadata={"key": (read, not default, names)}, **default)
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    return {f.name: f.metadata["key"] for f in fields(cls)}
+
+
+def _record(cls, raw, where: str, missing_in: Optional[str] = None):
+    """The map ``raw`` read as a ``cls``: unknown keys are rejected, then each
+    key is read in field order; a missing one is reported in ``missing_in or where``."""
+    schema = _schema(cls)
+    _reject_unknown(raw, schema, where)
+    values = {}
+    for key, (read, required, names) in schema.items():
+        if key in raw:
+            value = values[key] = read(raw[key], key, where)
+            if names:
+                where = f"{where} {value!r}"
+        elif required:
+            raise DocumentError(f"missing {key} in {missing_in or where}")
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -149,232 +239,83 @@ def _section(mapping: Mapping, key: str, kind: type, where: str, required=False)
 
 
 @dataclass
+class ParameterDecl:
+    name: str = _key(_name)
+    object: str = _key(_name)
+
+
+@dataclass
 class VariableDecl:
-    name: str
-    type: str
-    object: Optional[str] = None
-    preference: Optional[str] = None
+    name: str = _key(_name)
+    type: str = _key(_one_of("state variable type", ELEMENT, SET, INTEGER, CONTINUOUS))
+    object: Optional[str] = _key(_as_is, default=None)
+    preference: Optional[str] = _key(_one_of("preference", None, LESS, GREATER), default=None)
 
 
 @dataclass
 class TableDecl:
-    name: str
-    type: str
-    args: list[str] = field(default_factory=list)
-    default: object = None
-    object: Optional[str] = None  # value object type for set tables
-
-
-@dataclass
-class ParameterDecl:
-    name: str
-    object: str
+    name: str = _key(_name)
+    type: str = _key(_one_of("table type", *ex.TABLE_KINDS))
+    args: list[str] = _key(_list(_name), default_factory=list)
+    default: object = _key(_as_is, default=None)
+    object: Optional[str] = _key(_as_is, default=None)  # value object type for set tables
 
 
 @dataclass
 class TransitionDecl:
-    name: str
-    parameters: list[ParameterDecl] = field(default_factory=list)
-    preconditions: list[str] = field(default_factory=list)
-    effect: dict[str, str] = field(default_factory=dict)
-    cost: str = "(+ 0 cost)"
-    forced: bool = False
+    name: str = _key(_name, names=True)
+    parameters: list[ParameterDecl] = _key(_parameters, default_factory=list)
+    preconditions: list[str] = _key(_list(_text), default_factory=list)
+    effect: dict[str, str] = _key(_map(_text), default_factory=dict)
+    cost: str = _key(_text, default="(+ 0 cost)")
+    forced: bool = _key(_shape(bool), default=False)
 
 
 @dataclass
 class ConstraintDecl:
-    condition: str
-    forall: Optional[ParameterDecl] = None
+    condition: str = _key(_text)
+    forall: Optional[ParameterDecl] = _key(
+        lambda value, key, where: None if value is None else _parameter(value, where),
+        default=None,
+    )
 
 
 @dataclass
 class BaseCaseDecl:
-    conditions: list[str]
-    cost: str = "0"
+    conditions: list[str] = _key(_list(_text))
+    cost: str = _key(_text, default="0")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DomainDocument:
-    cost_type: str
-    reduce: str
-    objects: list[str] = field(default_factory=list)
-    state_variables: list[VariableDecl] = field(default_factory=list)
-    tables: list[TableDecl] = field(default_factory=list)
-    transitions: list[TransitionDecl] = field(default_factory=list)
-    constraints: list[ConstraintDecl] = field(default_factory=list)
-    base_cases: list[BaseCaseDecl] = field(default_factory=list)
-    dual_bounds: list[str] = field(default_factory=list)
+    cost_type: str = _key(_one_of("cost_type", INTEGER, CONTINUOUS))
+    reduce: str = _key(_one_of("reduce", MINIMIZE, MAXIMIZE))
+    objects: list[str] = _key(
+        _list(lambda value, _: _shaped(value, str, "object type")), default_factory=list
+    )
+    state_variables: list[VariableDecl] = _key(_records(VariableDecl, "state variable"))
+    tables: list[TableDecl] = _key(_records(TableDecl, "table"), default_factory=list)
+    transitions: list[TransitionDecl] = _key(_records(TransitionDecl, "transition"))
+    constraints: list[ConstraintDecl] = _key(_list(_constraint), default_factory=list)
+    base_cases: list[BaseCaseDecl] = _key(_records(BaseCaseDecl, "base case"))
+    dual_bounds: list[str] = _key(_list(_text), default_factory=list)
 
 
 @dataclass
 class ProblemDocument:
-    object_numbers: dict[str, int]
-    target: dict[str, object]
-    table_values: dict[str, object] = field(default_factory=dict)
-
-
-def _text(entry) -> str:
-    """An expression entry as grammar text.  YAML reads an unquoted
-    ``true``/``false`` as a bool, which the grammar spells in lower case."""
-    if isinstance(entry, bool):
-        return "true" if entry else "false"
-    return str(entry)
-
-
-def _parse_parameter(raw, where: str) -> ParameterDecl:
-    _reject_unknown(raw, ("name", "object"), f"parameter in {where}")
-    return ParameterDecl(
-        name=str(_require(raw, "name", where)),
-        object=str(_require(raw, "object", where)),
+    object_numbers: dict[str, int] = _key(
+        _map(lambda value, name: _shaped(value, int, f"object count of {name!r}"))
     )
+    target: dict[str, object] = _key(_shape(dict))
+    table_values: dict[str, object] = _key(_shape(dict), default_factory=dict)
 
 
 def parse_domain(text: str) -> DomainDocument:
-    data = _load(text)
-    where = "domain document"
-    _reject_unknown(
-        data,
-        (
-            "cost_type",
-            "reduce",
-            "objects",
-            "state_variables",
-            "tables",
-            "transitions",
-            "constraints",
-            "base_cases",
-            "dual_bounds",
-        ),
-        where,
-    )
-    cost_type = _require(data, "cost_type", where)
-    if cost_type not in (INTEGER, CONTINUOUS):
-        raise DocumentError(f"bad cost_type {cost_type!r}")
-    reduce_ = _require(data, "reduce", where)
-    if reduce_ not in (MINIMIZE, MAXIMIZE):
-        raise DocumentError(f"bad reduce {reduce_!r}")
-
-    objects = [_shaped(o, str, "object type") for o in _section(data, "objects", list, where)]
-
-    variables = []
-    for raw in _section(data, "state_variables", list, where, required=True):
-        _reject_unknown(raw, ("name", "type", "object", "preference"), "state variable")
-        kind = _require(raw, "type", "state variable")
-        if kind not in (ELEMENT, SET, INTEGER, CONTINUOUS):
-            raise DocumentError(f"bad state variable type {kind!r}")
-        preference = raw.get("preference")
-        if preference not in (None, "less", "greater"):
-            raise DocumentError(f"bad preference {preference!r}")
-        variables.append(
-            VariableDecl(
-                name=str(_require(raw, "name", "state variable")),
-                type=kind,
-                object=raw.get("object"),
-                preference=preference,
-            )
-        )
-
-    tables = []
-    for raw in _section(data, "tables", list, where):
-        _reject_unknown(raw, ("name", "type", "args", "default", "object"), "table")
-        kind = _require(raw, "type", "table")
-        if kind not in ex.TABLE_KINDS:
-            raise DocumentError(f"bad table type {kind!r}")
-        args = _section(raw, "args", list, "table")
-        tables.append(
-            TableDecl(
-                name=str(_require(raw, "name", "table")),
-                type=kind,
-                args=[str(a) for a in args],
-                default=raw.get("default"),
-                object=raw.get("object"),
-            )
-        )
-
-    transitions = []
-    for raw in _section(data, "transitions", list, where, required=True):
-        _reject_unknown(
-            raw,
-            ("name", "parameters", "preconditions", "effect", "cost", "forced"),
-            "transition",
-        )
-        name = str(_require(raw, "name", "transition"))
-        here = f"transition {name!r}"
-        params_raw = raw.get("parameters", [])
-        if isinstance(params_raw, dict):
-            params_raw = [params_raw]
-        transitions.append(
-            TransitionDecl(
-                name=name,
-                parameters=[
-                    _parse_parameter(p, here)
-                    for p in _shaped(params_raw, list, f"parameters in {here}")
-                ],
-                preconditions=[
-                    _text(p) for p in _section(raw, "preconditions", list, here)
-                ],
-                effect={
-                    str(k): _text(v) for k, v in _section(raw, "effect", dict, here).items()
-                },
-                cost=_text(raw.get("cost", TransitionDecl.cost)),
-                forced=_section(raw, "forced", bool, here),
-            )
-        )
-
-    constraints = []
-    for raw in _section(data, "constraints", list, where):
-        if isinstance(raw, (str, bool)):
-            constraints.append(ConstraintDecl(condition=_text(raw)))
-            continue
-        _reject_unknown(raw, ("condition", "forall"), "constraint")
-        forall = raw.get("forall")
-        constraints.append(
-            ConstraintDecl(
-                condition=_text(_require(raw, "condition", "constraint")),
-                forall=_parse_parameter(forall, "constraint") if forall else None,
-            )
-        )
-
-    base_cases = []
-    for raw in _section(data, "base_cases", list, where, required=True):
-        _reject_unknown(raw, ("conditions", "cost"), "base case")
-        conditions = _section(raw, "conditions", list, "base case", required=True)
-        base_cases.append(
-            BaseCaseDecl(
-                conditions=[_text(c) for c in conditions],
-                cost=_text(raw.get("cost", BaseCaseDecl.cost)),
-            )
-        )
-
-    bounds = [_text(b) for b in _section(data, "dual_bounds", list, where)]
-
-    return DomainDocument(
-        cost_type=cost_type,
-        reduce=reduce_,
-        objects=list(objects),
-        state_variables=variables,
-        tables=tables,
-        transitions=transitions,
-        constraints=constraints,
-        base_cases=base_cases,
-        dual_bounds=bounds,
-    )
+    return _record(DomainDocument, _load(text), "domain document")
 
 
 def parse_problem(text: str) -> ProblemDocument:
-    data = _load(text)
-    where = "problem document"
-    _reject_unknown(data, ("object_numbers", "target", "table_values"), where)
-    numbers = _section(data, "object_numbers", dict, where, required=True)
-    target = _section(data, "target", dict, where, required=True)
-    values = _section(data, "table_values", dict, where)
-    return ProblemDocument(
-        object_numbers={
-            str(k): _shaped(v, int, f"object count of {k!r}") for k, v in numbers.items()
-        },
-        target=dict(target),
-        table_values=dict(values),
-    )
+    return _record(ProblemDocument, _load(text), "problem document")
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +356,20 @@ def _set_value(value, universe: int, where: str) -> int:
         raise DocumentError(f"{err} in {where}") from None
 
 
+def _read_rows(rows, shape: tuple, convert, where: str, values: dict, prefix=()) -> None:
+    """Nested ``rows`` in row-major order into ``values`` by key.  A
+    module-level function, so a loaded table is in no reference cycle."""
+    here = f"row {list(prefix)} of {where}" if prefix else where
+    count, inner = shape[len(prefix)], len(prefix) + 1 < len(shape)
+    if not isinstance(rows, list) or len(rows) != count:
+        raise DocumentError(f"{here} must list {count} {'rows' if inner else 'values'}")
+    for index, row in enumerate(rows):
+        if inner:
+            _read_rows(row, shape, convert, where, values, (*prefix, index))
+        else:
+            values[(*prefix, index)] = convert(row, here)
+
+
 def _table_from_decl(decl: TableDecl, objects: dict[str, int], raw_values) -> ex.Table:
     where = f"table {decl.name!r}"
     for arg in decl.args:
@@ -438,22 +393,11 @@ def _table_from_decl(decl: TableDecl, objects: dict[str, int], raw_values) -> ex
             return _set_value(value, value_universe, here)
         return _numeric_value(value, decl.type, here)
 
-    def read_rows(rows, prefix=()):
-        here = f"row {list(prefix)} of {where}" if prefix else where
-        count, inner = shape[len(prefix)], len(prefix) + 1 < len(shape)
-        if not isinstance(rows, list) or len(rows) != count:
-            raise DocumentError(f"{here} must list {count} {'rows' if inner else 'values'}")
-        for index, row in enumerate(rows):
-            if inner:
-                read_rows(row, (*prefix, index))
-            else:
-                values[(*prefix, index)] = convert(row, here)
-
     values: dict[tuple, object] = {}
     if raw_values is None:
         raw_values = {}
     if decl.args and isinstance(raw_values, list):
-        read_rows(raw_values)
+        _read_rows(raw_values, shape, convert, where, values)
     elif decl.args:
         if not isinstance(raw_values, dict):
             raise DocumentError(f"values of {where} must be a map or a list of rows")

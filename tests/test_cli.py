@@ -441,6 +441,48 @@ class TestConvert:
         assert proc.stderr == f"error: {message}\n"
         assert not (tmp_path / "d.yaml").exists()
 
+    @pytest.mark.parametrize(
+        "problem_class, text, message",
+        [
+            ("talent", "2 2\n1 1 5\n1 1 0\n3 4\n", "actor 5 of scene 0 is outside actors 0..1"),
+            ("mosp", "2 3\n2 0 1\n1 3\n", "product 3 of customer 1 is outside products 0..2"),
+            ("graphclear", "3\n1 2 3\n1\n0 7 4\n", "edge 0 7 is outside nodes 0..2"),
+            ("salbp1", "5\n2\n-1 2\n", "weights must be nonnegative"),
+        ],
+    )
+    def test_index_out_of_range_exits_without_traceback(
+        self, tmp_path, problem_class, text, message
+    ):
+        raw = tmp_path / "raw.txt"
+        raw.write_text(text)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "dpsearch.cli", "convert", problem_class,
+                "--input", str(raw),
+                "--domain-out", str(tmp_path / "d.yaml"),
+                "--problem-out", str(tmp_path / "p.yaml"),
+            ],
+            capture_output=True,
+            text=True,
+            env=SOURCES_ENV,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "d.yaml").exists()
+
+    def test_continuous_applies_to_mdkp_only(self, capsys, tmp_path):
+        raw = tmp_path / "t.txt"
+        raw.write_text("3\n0 2 3\n2 0 1\n3 1 0\n0 10\n0 10\n0 10\n")
+        code = run_cli(
+            "convert", "tsptw", "--continuous",
+            "--input", str(raw),
+            "--domain-out", str(tmp_path / "d.yaml"),
+            "--problem-out", str(tmp_path / "p.yaml"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --continuous applies to mdkp only\n"
+        assert not (tmp_path / "d.yaml").exists()
+
     def test_unknown_class(self, capsys, tmp_path):
         raw = tmp_path / "x.txt"
         raw.write_text("whatever")

@@ -6,6 +6,7 @@ definitions (see conftest.exhaustive_optimum) and frozen here.
 
 import math
 import random
+import re
 import zlib
 
 import pytest
@@ -478,6 +479,38 @@ def test_precedence_pair_outside_the_tasks(name, pair):
     cls.parse(VALID_TEXTS[name] + "0 1\n")  # an in-range pair is fine
     with pytest.raises(ValueError, match=f"precedence pair {pair} is outside tasks"):
         cls.parse(VALID_TEXTS[name] + pair + "\n")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TalentInstance((frozenset({5}), frozenset({0})), (1, 1), (3, 4)),
+         "actor 5 of scene 0 is outside actors 0..1"),
+        (lambda: TalentInstance((frozenset({0}), frozenset({-1})), (1, 1), (3, 4)),
+         "actor -1 of scene 1 is outside actors 0..1"),
+        (lambda: MospInstance((frozenset({0, 1}), frozenset({3})), 3),
+         "product 3 of customer 1 is outside products 0..2"),
+        (lambda: MospInstance((frozenset({-1}),), 3),
+         "product -1 of customer 0 is outside products 0..2"),
+        (lambda: GraphClearInstance((1, 2, 3), {(0, 7): 4}), "edge 0 7 is outside nodes 0..2"),
+        (lambda: GraphClearInstance((1, 2, 3), {(-1, 2): 4}), "edge -1 2 is outside nodes 0..2"),
+        (lambda: Salbp1Instance((-1, 2), 5, (frozenset(), frozenset())),
+         "weights must be nonnegative"),
+        (lambda: Salbp1Instance((6, 2), 5, (frozenset(), frozenset())),
+         "an item is heavier than the bin capacity"),
+    ],
+)
+def test_instance_rejects_an_index_or_weight_out_of_range(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_salbp1_is_bin_packing_with_precedence():
+    inst = Salbp1Instance((5, 4, 3, 3), 8, (frozenset(),) * 4)
+    packing = BinPackingInstance((5, 4, 3, 3), 8)
+    assert isinstance(inst, BinPackingInstance)
+    for bound in ("large_half", "exact_half_x2", "third_class_x6"):
+        assert getattr(inst, bound) == getattr(packing, bound)
 
 
 @pytest.mark.parametrize("pickup, delivery", [(0, 3), (3, 1), (-1, 1)])

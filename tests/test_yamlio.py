@@ -1,6 +1,7 @@
 """Expression grammar, document parsing, grounding, and serialization."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -802,3 +803,156 @@ class TestSolutionText:
             f"expanded: {solution.expanded}",
             f"generated: {solution.generated}",
         ]
+
+
+SCHEMA_DOMAIN = (
+    "cost_type: integer\n"
+    "reduce: min\n"
+    "objects: [item]\n"
+    "state_variables:\n"
+    "  - {name: x, type: integer}\n"
+    "tables:\n"
+    "  - {name: t, type: integer, args: [item], default: 0}\n"
+    "transitions:\n"
+    "  - name: step\n"
+    "    parameters: [{name: p, object: item}]\n"
+    "    effect: {x: '(+ x 1)'}\n"
+    "    cost: '(+ (t p) cost)'\n"
+    "constraints:\n"
+    "  - {condition: '(>= x (t q))', forall: {name: q, object: item}}\n"
+    "base_cases:\n"
+    "  - {conditions: ['(>= x 2)'], cost: '0'}\n"
+)
+SCHEMA_PROBLEM = "object_numbers: {item: 2}\ntarget: {x: 0}\ntable_values: {t: [1, 2]}\n"
+
+
+class TestSchema:
+    """Each record's keys: what an unknown or a missing key reports, and
+    that spelling an optional key at its default changes nothing."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # DomainDocument
+            ("reduce: min\n", "reduce: min\nextra: 1\n", "unknown key 'extra' in domain document"),
+            ("reduce: min\n", "", "missing reduce in domain document"),
+            ("base_cases:\n  - {conditions: ['(>= x 2)'], cost: '0'}\n", "",
+             "missing base_cases in domain document"),
+            # VariableDecl
+            ("{name: x, type: integer}", "{name: x, type: integer, extra: 1}",
+             "unknown key 'extra' in state variable"),
+            ("{name: x, type: integer}", "{type: integer}", "missing name in state variable"),
+            ("{name: x, type: integer}", "{name: x}", "missing type in state variable"),
+            # TableDecl
+            ("default: 0}", "default: 0, extra: 1}", "unknown key 'extra' in table"),
+            ("{name: t, type: integer,", "{name: t,", "missing type in table"),
+            ("{name: t, type: integer,", "{type: integer,", "missing name in table"),
+            # TransitionDecl
+            ("    cost: '(+ (t p) cost)'\n", "    cost: '(+ (t p) cost)'\n    extra: 1\n",
+             "unknown key 'extra' in transition"),
+            ("  - name: step\n    parameters", "  - parameters", "missing name in transition"),
+            # ParameterDecl, in a transition and as a forall
+            ("{name: p, object: item}", "{name: p, object: item, extra: 1}",
+             "unknown key 'extra' in parameter in transition 'step'"),
+            ("{name: p, object: item}", "{name: p}", "missing object in transition 'step'"),
+            ("{name: p, object: item}", "{object: item}", "missing name in transition 'step'"),
+            ("{name: q, object: item}", "{name: q, object: item, extra: 1}",
+             "unknown key 'extra' in parameter in constraint"),
+            ("{name: q, object: item}", "{name: q}", "missing object in constraint"),
+            # ConstraintDecl
+            ("forall: {name: q, object: item}}", "forall: {name: q, object: item}, extra: 1}",
+             "unknown key 'extra' in constraint"),
+            ("{condition: '(>= x (t q))', forall", "{forall", "missing condition in constraint"),
+            # BaseCaseDecl
+            ("cost: '0'}", "cost: '0', extra: 1}", "unknown key 'extra' in base case"),
+            ("{conditions: ['(>= x 2)'], cost: '0'}", "{cost: '0'}",
+             "missing conditions in base case"),
+            # ProblemDocument
+            ("target: {x: 0}\n", "target: {x: 0}\nextra: 1\n",
+             "unknown key 'extra' in problem document"),
+            ("target: {x: 0}\n", "", "missing target in problem document"),
+            ("object_numbers: {item: 2}\n", "", "missing object_numbers in problem document"),
+        ],
+    )
+    def test_unknown_and_missing_keys(self, old, new, message):
+        yamlio.load_model(SCHEMA_DOMAIN, SCHEMA_PROBLEM)  # well formed before the change
+        assert (old in SCHEMA_DOMAIN) != (old in SCHEMA_PROBLEM)
+        domain = SCHEMA_DOMAIN.replace(old, new, 1)
+        problem = SCHEMA_PROBLEM.replace(old, new, 1)
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            yamlio.load_model(domain, problem)
+
+    @pytest.mark.parametrize(
+        "forall, message",
+        [
+            ("{}", "missing name in constraint"),
+            ("[]", "parameter in constraint must be a map, got []"),
+            ("false", "parameter in constraint must be a map, got False"),
+        ],
+    )
+    def test_forall_is_a_parameter_or_null(self, forall, message):
+        domain = SCHEMA_DOMAIN.replace("forall: {name: q, object: item}", f"forall: {forall}")
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            yamlio.parse_domain(domain)
+        unbound = yamlio.parse_domain(domain.replace(f"forall: {forall}", "forall: null"))
+        assert unbound.constraints[0].forall is None
+
+    def test_optional_keys_spelled_at_their_defaults(self):
+        omitted = (
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "state_variables:\n"
+            "  - {name: x, type: integer}\n"
+            "tables:\n"
+            "  - {name: t, type: integer}\n"
+            "transitions:\n"
+            "  - {name: stay}\n"
+            "  - {name: step, effect: {x: '(+ x t)'}, cost: '(+ 1 cost)'}\n"
+            "constraints:\n"
+            "  - '(>= x 0)'\n"
+            "  - {condition: '(<= x 5)'}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(>= x 2)']}\n"
+        )
+        spelled = (
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "objects: []\n"
+            "state_variables:\n"
+            "  - {name: x, type: integer, object: null, preference: null}\n"
+            "tables:\n"
+            "  - {name: t, type: integer, args: [], default: null, object: null}\n"
+            "transitions:\n"
+            "  - {name: stay, parameters: [], preconditions: [], effect: {},\n"
+            "     cost: '(+ 0 cost)', forced: false}\n"
+            "  - {name: step, parameters: [], preconditions: [], effect: {x: '(+ x t)'},\n"
+            "     cost: '(+ 1 cost)', forced: false}\n"
+            "constraints:\n"
+            "  - '(>= x 0)'\n"
+            "  - {condition: '(<= x 5)', forall: null}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(>= x 2)'], cost: '0'}\n"
+            "dual_bounds: []\n"
+        )
+        problem = "object_numbers: {}\ntarget: {x: 0}\ntable_values: {t: 1}\n"
+        assert yamlio.parse_domain(spelled) == yamlio.parse_domain(omitted)
+        assert yamlio.load_model(spelled, problem) == yamlio.load_model(omitted, problem)
+        bare = "object_numbers: {}\ntarget: {x: 0}\n"
+        assert yamlio.parse_problem(bare + "table_values: {}\n") == yamlio.parse_problem(bare)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_loading_leaves_no_reference_cycle(name):
+    """Every object a load makes is freed by reference counting alone."""
+    rng = random.Random(zlib.crc32(name.encode()))
+    cls = CLASSES[name]
+    texts = yamlio.serialize_model(cls.build(cls.random(rng)))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yamlio.load_model(*texts)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
