@@ -12,14 +12,6 @@ from .engine import (
     solve,
 )
 from .beam import beam_search, cabs
-from .open_lists import (
-    BestFirstList,
-    CyclicLayerList,
-    DepthStackList,
-    DiscrepancyList,
-    LayerBudgetList,
-    PackList,
-)
 
 SOLVERS = {
     solver.__name__: solver for solver in (caasdy, dfbnb, cbfs, acps, apps, dbdfs, cabs)
@@ -40,12 +32,6 @@ __all__ = [
     "dbdfs",
     "beam_search",
     "cabs",
-    "BestFirstList",
-    "DepthStackList",
-    "CyclicLayerList",
-    "LayerBudgetList",
-    "PackList",
-    "DiscrepancyList",
     "SOLVER_NAMES",
     "SOLVERS",
 ]

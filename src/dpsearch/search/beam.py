@@ -10,8 +10,8 @@ on a solution while deeper layers were nonempty.  The dual bound is the
 best f among the frontier, the states cut by the width so far, and the
 primal bound.
 
-The wrapper reruns beam search with the width doubling each iteration
-until a run comes back complete.  Every pass records into one ``Run``,
+The wrapper reruns beam search with widths 1, 2, 4, ... until a run
+comes back complete.  Every pass records into one ``Run``,
 so the event logs of the ``Solution`` it returns span all its passes.
 The wrapper carries forward the primal bound, and memoizes the run's
 state constraints, edges and dual bounds for all its passes
@@ -61,12 +61,19 @@ def beam_search(
     shared = run is not None
     if run is None:
         run = Run(model, params or SolverParams())
+    # the pass's nodes are freed as ``_beam_pass`` returns, within ``elapsed``
+    complete = _beam_pass(run, width)
+    return run.finish(natural=complete and not shared), complete
 
+
+def _beam_pass(run: Run, width: int) -> bool:
+    """Run one pass into ``run``; returns the complete flag, False when
+    time ran out."""
     root = run.root()
     if root is None:
-        return run.finish(natural=True), True
+        return True
 
-    costs = model.costs
+    costs = run.costs
     solutions = len(run.primal_events)
     complete = True
     dropped_best = None  # best f among states cut by the width, across layers
@@ -81,11 +88,11 @@ def beam_search(
         if not frontier or len(run.primal_events) > solutions:
             break
 
-        registry = StateRegistry(model.metadata, costs)
+        registry = StateRegistry(run.model.metadata, costs)
         children = []
         for node in frontier:
             if run.out_of_time():
-                return run.finish(natural=False), False
+                return False
             children += run.expand(node, registry) or ()  # None on a base state
 
         frontier = sorted(filter(run.is_live, children), key=lambda n: n.order)
@@ -96,29 +103,27 @@ def beam_search(
             frontier = frontier[:width]
             complete = False
 
-    complete = complete and not frontier  # a better solution may lie past the found one
-    return run.finish(natural=complete and not shared), complete
+    return complete and not frontier  # a better solution may lie past the found one
 
 
 @collector_paused
 def cabs(model: Model, params: Optional[SolverParams] = None) -> Solution:
-    """Repeat beam search with doubling width until a complete pass.
+    """Repeat beam search with widths 1, 2, 4, ... until a complete pass.
 
     The primal bound carries across iterations, so each pass only looks
     for strictly better solutions; a complete pass proves optimality (or
     infeasibility when no solution was ever found).
     """
-    params = params or SolverParams()
-    run = Run(model, params)
+    run = Run(model, params or SolverParams())
     # bound to the memos, not the run: no reference cycle
     run.feasible, run.edges, run.bound = (
         PassCache(fn).__getitem__ for fn in (run.feasible, run.edges, run.bound)
     )
-    width = params.beam_initial_width
+    width = 1
     while True:
-        _, complete = beam_search(model, width, params=params, run=run)
+        _, complete = beam_search(model, width, run=run)
         if complete:
             return run.finish(natural=True)
         if run.out_of_time():
             return run.finish(natural=False)
-        width *= params.beam_growth
+        width *= 2

@@ -244,15 +244,19 @@ def generic_search(
 ) -> Solution:
     """Run the engine with the open list built by ``policy_factory``,
     which receives the liveness predicate ``Run.is_live``."""
-    params = params or SolverParams()
-    run = Run(model, params)
+    run = Run(model, params or SolverParams())
+    # the search's nodes are freed as ``_search`` returns, within ``elapsed``
+    return run.finish(natural=_search(run, policy_factory))
 
+
+def _search(run: Run, policy_factory: Callable) -> bool:
+    """Search until the open list runs dry (True) or time runs out (False)."""
     root = run.root()
     if root is None:
-        return run.finish(natural=True)
+        return True
 
     policy = policy_factory(run.is_live)
-    registry = StateRegistry(model.metadata, model.costs)
+    registry = StateRegistry(run.model.metadata, run.costs)
     tracker = BoundTracker(run.is_live) if run.has_bound else None
 
     registry.insert(root)
@@ -267,10 +271,10 @@ def generic_search(
                 bound = run.primal  # no open node beats the incumbent: proved
             run.record_dual(bound)
         if run.out_of_time():
-            return run.finish(natural=False)
+            return False
         node = policy.pop()
         if node is None:
-            return run.finish(natural=True)
+            return True
         node.dead = True  # closed: its f no longer bounds what is open
         primal = run.primal
         children = run.expand(node, registry)
@@ -304,31 +308,18 @@ def cbfs(model, params=None) -> Solution:
 
 
 def acps(model, params=None) -> Solution:
-    """Layer-cycling search with a progressively growing per-layer budget."""
-    params = params or SolverParams()
-    factory = lambda is_live: LayerBudgetList(
-        is_live, budget=params.acps_initial_budget, step=params.acps_budget_step
-    )
-    return generic_search(model, factory, params)
+    """Layer-cycling search with per-layer budgets 1, 2, 3, ..."""
+    return generic_search(model, LayerBudgetList, params)
 
 
 def apps(model, params=None) -> Solution:
-    """Pack search with a progressively growing pack size."""
-    params = params or SolverParams()
-    factory = lambda is_live: PackList(
-        is_live,
-        budget=params.apps_initial_budget,
-        step=params.apps_budget_step,
-        max_budget=params.apps_max_budget,
-    )
-    return generic_search(model, factory, params)
+    """Pack search with pack sizes 1, 2, 3, ..."""
+    return generic_search(model, PackList, params)
 
 
 def dbdfs(model, params=None) -> Solution:
-    """Discrepancy-bounded depth-first search."""
-    params = params or SolverParams()
-    factory = lambda is_live: DiscrepancyList(is_live, k=params.dbdfs_k)
-    return generic_search(model, factory, params)
+    """Discrepancy-bounded depth-first search with a discrepancy window of 1."""
+    return generic_search(model, DiscrepancyList, params)
 
 
 def solve(model, solver: str, params=None) -> Solution:

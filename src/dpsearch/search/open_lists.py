@@ -53,16 +53,17 @@ class BestFirstList(BoundTracker, _OpenList):
 
 
 class LayerBudgetList(_OpenList):
-    """Cycle through depth layers, taking up to ``budget`` best nodes of
-    each in turn.  When the cursor wraps around or a new best solution is
-    found, the cycle restarts at depth 0 and the budget grows by ``step``."""
+    """Cycle through depth layers, taking up to a budget of best nodes of
+    each in turn, one at first.  When the cursor wraps around or a new
+    best solution is found, the cycle restarts at depth 0 and the budget
+    grows by ``step``: by 1 in acps, by 0 in cbfs."""
 
-    def __init__(self, is_live: IsLive, budget: int = 1, step: int = 1):
+    def __init__(self, is_live: IsLive, step: int = 1):
         self._is_live = is_live
         self._layers: list[BestFirstList] = []
         self._cursor = 0
         self._taken = 0
-        self._budget = budget
+        self._budget = 1
         self._step = step
 
     def push(self, nodes):
@@ -102,29 +103,21 @@ class CyclicLayerList(LayerBudgetList):
     """Cyclic best-first search: the best node of each depth layer in turn."""
 
     def __init__(self, is_live: IsLive):
-        super().__init__(is_live, budget=1, step=0)
+        super().__init__(is_live, step=0)
 
 
 class PackList(_OpenList):
-    """Expand a pack of best states; their best successors form the next
-    pack and the rest are suspended.  When both run dry, the best states
-    are recalled from the suspend list and the pack size grows by
-    ``step``, never past ``max_budget`` (rounded down)."""
+    """Expand a pack of best states, one at first; their best successors
+    form the next pack and the rest are suspended.  When both run dry,
+    the best states are recalled from the suspend list and the pack size
+    grows by one."""
 
-    def __init__(
-        self,
-        is_live: IsLive,
-        budget: int = 1,
-        step: int = 1,
-        max_budget: float = math.inf,
-    ):
+    def __init__(self, is_live: IsLive):
         self._is_live = is_live
         self._pack: list[SearchNode] = []  # reversed order: best last
         self._staging: list[SearchNode] = []  # successors of the current pack
         self._suspend = BestFirstList(is_live)
-        self._budget = budget
-        self._step = step
-        self._max_budget = max_budget if max_budget == math.inf else math.floor(max_budget)
+        self._budget = 1
 
     def push(self, nodes):
         self._staging += nodes
@@ -151,7 +144,7 @@ class PackList(_OpenList):
                 return None
             recalled.reverse()
             self._pack = recalled
-            self._budget = min(self._budget + self._step, self._max_budget)
+            self._budget += 1
 
 
 class DiscrepancyList(_OpenList):

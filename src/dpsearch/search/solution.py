@@ -57,24 +57,16 @@ class Solution:
 
 @dataclass
 class SolverParams:
-    """Knobs shared by every solver; policy-specific fields carry defaults.
-
-    ``time_limit`` is wall-clock seconds (None = run to completion) and
-    ``initial_bound`` seeds the primal bound.  Tie-breaking is fixed to
-    the deterministic f-value, then h-value, then most-recently-generated
-    order, so identical inputs give identical runs.
+    """What a caller sets for any solver: ``time_limit`` in wall-clock
+    seconds (None = run to completion) and ``initial_bound``, which seeds
+    the primal bound.  Everything else is fixed: each solver runs one
+    schedule (see its entry point), and ties break on f-value, then
+    h-value, then most recently generated, so identical inputs give
+    identical runs.
     """
 
     time_limit: Optional[float] = None
     initial_bound: Optional[Number] = None
-    beam_initial_width: int = 1
-    beam_growth: int = 2
-    acps_initial_budget: int = 1
-    acps_budget_step: int = 1
-    apps_initial_budget: int = 1
-    apps_budget_step: int = 1
-    apps_max_budget: float = math.inf
-    dbdfs_k: int = 1
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -87,19 +79,3 @@ class SolverParams:
         bound = self.initial_bound
         if bound is not None and not (isinstance(bound, (int, float)) and not math.isnan(bound)):
             raise ValueError("initial_bound must be a number other than NaN")
-        for name, least in (
-            ("beam_initial_width", 1),
-            ("beam_growth", 2),  # a width that never grows reruns one beam forever
-            ("acps_initial_budget", 1),
-            ("acps_budget_step", 1),
-            ("apps_initial_budget", 1),
-            ("apps_budget_step", 1),
-            ("dbdfs_k", 1),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}")
-        if not isinstance(self.apps_max_budget, (int, float)) or not self.apps_max_budget >= 1:
-            raise ValueError("apps_max_budget must be a number of at least 1")
-        if self.apps_initial_budget > self.apps_max_budget:
-            raise ValueError("apps_initial_budget must be at most apps_max_budget")

@@ -158,6 +158,10 @@ def _as_is(value, *_):
     return value
 
 
+def _name_or_null(value, key, where) -> Optional[str]:
+    return None if value is None else _shaped(value, str, f"{key} in {where}")
+
+
 def _shape(kind: type):
     def read(value, key, where):
         return value if type(value) is kind else _shaped(value, kind, f"{key} in {where}")
@@ -248,7 +252,7 @@ class ParameterDecl:
 class VariableDecl:
     name: str = _key(_name)
     type: str = _key(_one_of("state variable type", ELEMENT, SET, INTEGER, CONTINUOUS))
-    object: Optional[str] = _key(_as_is, default=None)
+    object: Optional[str] = _key(_name_or_null, default=None)
     preference: Optional[str] = _key(_one_of("preference", None, LESS, GREATER), default=None)
 
 
@@ -258,7 +262,7 @@ class TableDecl:
     type: str = _key(_one_of("table type", *ex.TABLE_KINDS))
     args: list[str] = _key(_list(_name), default_factory=list)
     default: object = _key(_as_is, default=None)
-    object: Optional[str] = _key(_as_is, default=None)  # value object type for set tables
+    object: Optional[str] = _key(_name_or_null, default=None)  # value object type for set tables
 
 
 @dataclass

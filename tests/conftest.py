@@ -13,6 +13,13 @@ from dpsearch.search.nodes import StateRegistry, make_node
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# solver-config keys that set a policy constant; each solver now runs one
+# fixed schedule, so every one of them is an unknown key
+REMOVED_POLICY_KEYS = (
+    "beam_initial_width", "beam_growth", "acps_initial_budget", "acps_budget_step",
+    "apps_initial_budget", "apps_budget_step", "apps_max_budget", "dbdfs_k",
+)
+
 
 def exhaustive_optimum(model: Model, limit: int = 500_000):
     """Enumerate every transition sequence per the solution definition.

@@ -227,6 +227,19 @@ def test_cabs_checks_the_target_once(monkeypatch):
     assert on_target == {"check_constraints": 1, "eval_dual_bound": 1}
 
 
+def test_cabs_widths_start_at_one_and_double(monkeypatch):
+    widths = []
+
+    def beam_search(model, width, params=None, run=None):
+        widths.append(width)
+        return search(model, width, params=params, run=run)
+
+    search = beam.beam_search
+    monkeypatch.setattr(beam, "beam_search", beam_search)
+    dp.cabs(_cvrp_of_six_passes())
+    assert widths == [1, 2, 4, 8, 16, 32]
+
+
 def test_cabs_memo_is_freed_with_its_run(monkeypatch):
     # a memo that held its run would form a reference cycle, and then
     # every finished run's memo would stay in memory until a collection

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dpsearch
-from conftest import FIXTURES
+from conftest import FIXTURES, REMOVED_POLICY_KEYS
 from dpsearch import cli
 from dpsearch.cli import main
 
@@ -218,7 +218,6 @@ class TestSolve:
         [
             ("initial_bound: .nan", "initial_bound must be a number other than NaN"),
             ("initial_bound: abc", "initial_bound must be a number other than NaN"),
-            ("beam_growth: true", "beam_growth must be a number, not a boolean"),
         ],
     )
     def test_bad_config_value_exits_with_message(self, tmp_path, capsys, entry, message):
@@ -232,6 +231,58 @@ class TestSolve:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: bad solver config: {message}\n"
+
+    @pytest.mark.parametrize("key", REMOVED_POLICY_KEYS)
+    def test_policy_key_exits_with_message(self, tmp_path, capsys, key):
+        config = tmp_path / "policy.yaml"
+        config.write_text(f"{{solver: cabs, {key}: 2}}\n")
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", str(config),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown key '{key}' in solver config\n"
+
+    @pytest.mark.parametrize(
+        "sections, where",
+        [
+            ("state_variables:\n"
+             "  - {name: x, type: integer}\n"
+             "  - {name: U, type: set, object: [item]}\n", "state variable"),
+            ("state_variables:\n"
+             "  - {name: x, type: integer}\n"
+             "tables:\n"
+             "  - {name: s, type: set, args: [item], object: [item]}\n", "table"),
+        ],
+        ids=["state-variable", "table"],
+    )
+    def test_object_that_is_no_name_exits_with_message(
+        self, tmp_path, config_path, capsys, sections, where
+    ):
+        domain = tmp_path / "domain.yaml"
+        domain.write_text(
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "objects: [item]\n"
+            f"{sections}"
+            "transitions:\n"
+            "  - {name: step, effect: {x: '(+ x 1)'}, cost: '(+ 1 cost)'}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(>= x 2)'], cost: '0'}\n"
+        )
+        problem = tmp_path / "problem.yaml"
+        problem.write_text("object_numbers: {item: 2}\ntarget: {x: 0}\n")
+        code = run_cli(
+            "solve",
+            "--domain", str(domain),
+            "--problem", str(problem),
+            "--config", config_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: object in {where} must be a name, got ['item']\n"
 
     def test_time_limit_zero_reports_bound(self, tmp_path, config_path, capsys):
         code = run_cli(

@@ -101,7 +101,7 @@ def test_cyclic_layers_reset_on_new_best():
 
 def test_layer_budget_grows_on_wraparound():
     nodes = NodeFactory()
-    policy = LayerBudgetList(live, budget=1, step=1)
+    policy = LayerBudgetList(live, step=1)
     d0 = [nodes(2, depth=0), nodes(4, depth=0), nodes(6, depth=0)]
     d1 = [nodes(1, depth=1), nodes(3, depth=1), nodes(5, depth=1)]
     policy.push(d0 + d1)
@@ -113,7 +113,7 @@ def test_layer_budget_grows_on_wraparound():
 
 def test_pack_list_expands_packs_and_recalls_from_suspend():
     nodes = NodeFactory()
-    policy = PackList(live, budget=1, step=1)
+    policy = PackList(live)
     root = nodes(0)
     policy.push((root,))
     assert policy.pop() is root
@@ -125,24 +125,6 @@ def test_pack_list_expands_packs_and_recalls_from_suspend():
     assert policy.pop() is kids[2]
     assert policy.pop() is kids[0]
     assert policy.pop() is None
-
-
-@pytest.mark.parametrize("max_budget", [2, 2.5])  # a fractional cap rounds down
-def test_pack_list_growth_stops_at_the_max_budget(max_budget):
-    nodes = NodeFactory()
-    policy = PackList(live, budget=1, step=5, max_budget=max_budget)
-    root = nodes(0)
-    policy.push((root,))
-    assert policy.pop() is root
-    kids = [nodes(f, depth=1) for f in range(1, 9)]
-    policy.push(kids)
-    assert policy.pop() is kids[0]  # the pack of one
-    assert policy.pop() is kids[1]  # a recall of one; the budget grows to 2, not 6
-    assert policy.pop() is kids[2]  # a recall of two
-    child = nodes(0, depth=2)
-    policy.push((child,))
-    assert policy.pop() is kids[3]  # the rest of the recalled pack comes first
-    assert policy.pop() is child  # the pack held two: its successors are next
 
 
 def test_discrepancy_defers_non_best_siblings():

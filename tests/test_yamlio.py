@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import dpsearch as dp
+from conftest import REMOVED_POLICY_KEYS
 from dpsearch import DocumentError, ExpressionParseError, UnknownSymbolError
 from dpsearch import sexpr, yamlio
 from dpsearch.expressions import (
@@ -335,6 +336,11 @@ class TestRejectionCompleteness:
              "forced in transition 'step' must be true or false, got 'false'"),
             (("{name: step,", "{name: step, forced: 1,"),
              "forced in transition 'step' must be true or false, got 1"),
+            (("  - {name: x, type: integer}\n",
+              "  - {name: x, type: integer}\n  - {name: U, type: set, object: [item]}\n"),
+             "object in state variable must be a name, got ['item']"),
+            (("object: item, default", "object: [item], default"),
+             "object in table must be a name, got ['item']"),
         ],
     )
     def test_malformed_shapes_are_document_errors(self, change, needle):
@@ -742,20 +748,12 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ("beam_growth: 1", "beam_growth must be an integer of at least 2"),
-            ("beam_growth: 2.5", "beam_growth must be an integer of at least 2"),
-            ("beam_initial_width: 0", "beam_initial_width must be an integer of at least 1"),
-            ("apps_budget_step: -1", "apps_budget_step must be an integer of at least 1"),
-            ("apps_budget_step: 0.5", "apps_budget_step must be an integer of at least 1"),
-            ("apps_max_budget: abc", "apps_max_budget must be a number of at least 1"),
             ("time_limit: -1", "time_limit must be at least 0"),
             ("time_limit: .nan", "time_limit must be at least 0"),
             ("time_limit: true", "time_limit must be a number, not a boolean"),
             ("initial_bound: .nan", "initial_bound must be a number other than NaN"),
             ("initial_bound: abc", "initial_bound must be a number other than NaN"),
             ("initial_bound: true", "initial_bound must be a number, not a boolean"),
-            ("dbdfs_k: true", "dbdfs_k must be a number, not a boolean"),
-            ("apps_max_budget: true", "apps_max_budget must be a number, not a boolean"),
         ],
     )
     def test_out_of_range_values_are_rejected(self, entry, message):
@@ -765,12 +763,10 @@ class TestSolverConfig:
     def test_zero_time_limit_is_accepted(self):
         assert yamlio.parse_solver_config("{solver: cabs, time_limit: 0}").params.time_limit == 0
 
-    def test_policy_constants(self):
-        config = yamlio.parse_solver_config(
-            "{solver: acps, acps_initial_budget: 2, acps_budget_step: 3}"
-        )
-        assert config.params.acps_initial_budget == 2
-        assert config.params.acps_budget_step == 3
+    @pytest.mark.parametrize("key", REMOVED_POLICY_KEYS)
+    def test_policy_keys_are_unknown(self, key):
+        with pytest.raises(DocumentError, match=f"^unknown key '{key}' in solver config$"):
+            yamlio.parse_solver_config(f"{{solver: cabs, {key}: 2}}")
 
 
 class TestSolutionText:
