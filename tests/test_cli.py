@@ -246,20 +246,26 @@ class TestSolve:
         assert capsys.readouterr().err == f"error: unknown key '{key}' in solver config\n"
 
     @pytest.mark.parametrize(
-        "sections, where",
+        "sections, message",
         [
             ("state_variables:\n"
              "  - {name: x, type: integer}\n"
-             "  - {name: U, type: set, object: [item]}\n", "state variable"),
+             "  - {name: U, type: set, object: [item]}\n",
+             "object in state variable must be a name, got ['item']"),
             ("state_variables:\n"
              "  - {name: x, type: integer}\n"
              "tables:\n"
-             "  - {name: s, type: set, args: [item], object: [item]}\n", "table"),
+             "  - {name: s, type: set, args: [item], object: [item]}\n",
+             "object in table must be a name, got ['item']"),
+            ("state_variables:\n"
+             "  - {name: x, type: integer}\n"
+             "  - {name: U, type: set, object: 5}\n",
+             "object in state variable must be a name, got 5"),
         ],
-        ids=["state-variable", "table"],
+        ids=["state-variable", "table", "state-variable-number"],
     )
     def test_object_that_is_no_name_exits_with_message(
-        self, tmp_path, config_path, capsys, sections, where
+        self, tmp_path, config_path, capsys, sections, message
     ):
         domain = tmp_path / "domain.yaml"
         domain.write_text(
@@ -281,8 +287,7 @@ class TestSolve:
             "--config", config_path,
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err == f"error: object in {where} must be a name, got ['item']\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_time_limit_zero_reports_bound(self, tmp_path, config_path, capsys):
         code = run_cli(

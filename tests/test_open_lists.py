@@ -111,6 +111,51 @@ def test_layer_budget_grows_on_wraparound():
     assert order == [d0[0], d1[0], d0[1], d0[2], d1[1], d1[2]]
 
 
+def test_layer_budgets_run_one_two_three():
+    # the acps schedule: each wraparound grows the budget by one
+    nodes = NodeFactory()
+    policy = LayerBudgetList(live, step=1)
+    d0 = [nodes(f, depth=0) for f in range(10, 16)]
+    d1 = [nodes(f, depth=1) for f in range(20, 26)]
+    policy.push(d0 + d1)
+    assert drain(policy) == [10, 20, 11, 12, 21, 22, 13, 14, 15, 23, 24, 25]
+
+
+def test_layer_budget_grows_on_new_best():
+    nodes = NodeFactory()
+    policy = LayerBudgetList(live, step=1)
+    d0 = [nodes(f, depth=0) for f in range(10, 14)]
+    d1 = [nodes(f, depth=1) for f in range(20, 24)]
+    policy.push(d0 + d1)
+    assert policy.pop() is d0[0]
+    policy.notify_new_best()  # back to depth 0 with a budget of two
+    assert [policy.pop() for _ in range(4)] == [d0[1], d0[2], d1[0], d1[1]]
+
+
+def test_pack_list_recalls_packs_of_one_two_three_and_on():
+    # the apps schedule: each recall takes one state more than the last,
+    # with no cap
+    nodes = NodeFactory()
+    policy = PackList(live)
+    policy.push((nodes(0),))
+    policy.pop()
+    kids = [nodes(f, depth=1) for f in range(1, 21)]
+    policy.push(kids)
+    assert policy.pop() is kids[0]  # the first pack: the best successor
+    sizes, recalled = [], []
+    for _ in range(5):
+        first = policy.pop()  # a recall, since the pack had no successors
+        child = nodes(0, depth=2, parent=first)
+        policy.push((child,))
+        pack = [first]
+        while (node := policy.pop()) is not child:  # the pack ends before its successors
+            pack.append(node)
+        sizes.append(len(pack))
+        recalled += pack
+    assert sizes == [1, 2, 3, 4, 5]
+    assert recalled == kids[1:16]
+
+
 def test_pack_list_expands_packs_and_recalls_from_suspend():
     nodes = NodeFactory()
     policy = PackList(live)
@@ -142,4 +187,27 @@ def test_discrepancy_defers_non_best_siblings():
     assert best.discrepancy == 0 and second.discrepancy == 1
     # window exhausted: the deferred sibling becomes available
     assert policy.pop() is second
+    assert policy.pop() is None
+
+
+def test_discrepancy_window_of_one_admits_one_discrepancy_per_move():
+    # the dbdfs schedule: window w admits the nodes of discrepancy below w
+    nodes = NodeFactory()
+    policy = DiscrepancyList(live)
+    root = nodes(0)
+    policy.push((root,))
+    assert policy.pop() is root
+    a, b, c = (nodes(f, depth=1, parent=root) for f in (1, 2, 3))
+    policy.push((c, a, b))
+    assert policy.pop() is a
+    a1, a2 = nodes(4, depth=2, parent=a), nodes(5, depth=2, parent=a)
+    policy.push((a2, a1))
+    assert policy.pop() is a1
+    # discrepancy 0 is done; the window moves to admit discrepancy 1
+    assert policy.pop() is a2
+    x, y = nodes(6, depth=3, parent=a2), nodes(7, depth=3, parent=a2)
+    policy.push((y, x))
+    assert [policy.pop() for _ in range(3)] == [x, b, c]
+    assert [n.discrepancy for n in (a, b, c, a1, a2, x, y)] == [0, 1, 1, 0, 1, 1, 2]
+    assert policy.pop() is y  # discrepancy 2 waits for the next move
     assert policy.pop() is None

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 import zlib
 
 import pytest
@@ -222,6 +223,25 @@ def test_timeout_with_incumbent_reports_feasible():
     assert not model.costs.better(solution.bound, 0)  # bound stays nonnegative
     assert not model.costs.better(solution.cost, solution.bound)  # bound <= cost
     assert 0.0 <= solution.gap() <= 1.0
+
+
+@pytest.mark.parametrize("solver", ALL_SOLVERS)
+def test_every_solver_stops_soon_after_its_time_limit(solver):
+    # the proof on this tour takes far longer than the limit for every
+    # solver's fixed schedule; each must stop on time rather than run on
+    rng = random.Random(17)
+    n = 20
+    travel = tuple(
+        tuple(0 if i == j else rng.randint(1, 50) for j in range(n)) for i in range(n)
+    )
+    from dpsearch.problems import TsptwInstance, build_tsptw
+
+    model = build_tsptw(TsptwInstance(travel, (0,) * n, (10**6,) * n))
+    start = time.perf_counter()
+    solution = dp.solve(model, solver, dp.SolverParams(time_limit=0.15))
+    wall = time.perf_counter() - start
+    assert solution.status in (dp.Status.FEASIBLE, dp.Status.NOT_FOUND)
+    assert 0.15 <= solution.elapsed <= wall < 1.15
 
 
 def test_model_without_bounds_probes_nothing_mid_search(desk_tsptw_model):

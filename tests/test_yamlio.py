@@ -341,6 +341,11 @@ class TestRejectionCompleteness:
              "object in state variable must be a name, got ['item']"),
             (("object: item, default", "object: [item], default"),
              "object in table must be a name, got ['item']"),
+            (("  - {name: x, type: integer}\n",
+              "  - {name: x, type: integer}\n  - {name: U, type: set, object: 5}\n"),
+             "object in state variable must be a name, got 5"),
+            (("object: item, default", "object: true, default"),
+             "object in table must be a name, got True"),
         ],
     )
     def test_malformed_shapes_are_document_errors(self, change, needle):
