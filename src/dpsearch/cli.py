@@ -100,7 +100,8 @@ def run_solve(args) -> int:
         "elapsed": solution.elapsed,
     }
     if args.reference is not None:
-        horizon = config.params.time_limit or max(solution.elapsed, 1e-9)
+        limit = config.params.time_limit
+        horizon = limit if limit and math.isfinite(limit) else max(solution.elapsed, 1e-9)
         events = [(min(t, horizon), c) for t, c in solution.primal_events]
         report["primal_integral"] = metrics.primal_integral(
             events, args.reference, horizon

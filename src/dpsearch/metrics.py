@@ -51,11 +51,13 @@ def primal_integral(
     ``events`` holds (time, cost) pairs with non-decreasing times; a cost
     of None marks a proved infeasibility, after which the gap is 0.  The
     result lies in [0, horizon]; lower is better.  A NaN reference, cost
-    or horizon and a negative horizon are ValueErrors.
+    or horizon and a negative or infinite horizon are ValueErrors.
     """
     _not_nan(reference, "reference")
     if not horizon >= 0:
         raise ValueError(f"horizon {horizon} must be a number of at least 0")
+    if math.isinf(horizon):
+        raise ValueError(f"horizon {horizon} must be finite")
     last_time = 0.0
     gap = 1.0
     total = 0.0

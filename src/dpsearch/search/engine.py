@@ -22,7 +22,9 @@ last its whole run.
 
 ``generic_search`` drives it for every non-beam solver; the open-list
 policy is the only difference between them.  A popped node is closed,
-so the dual bound is the best f-value among the nodes still open.  On
+so the dual bound is the best f-value among the nodes still open: a
+best-first open list holds them in f-order and is probed for it, and
+any other policy is shadowed by a separate ``BoundTracker``.  On
 natural exhaustion the returned status is proved: OPTIMAL when a
 solution was found, INFEASIBLE otherwise (meaning "no solution better
 than the initial primal bound" when one was supplied).  A time limit
@@ -257,16 +259,26 @@ def _search(run: Run, policy_factory: Callable) -> bool:
 
     policy = policy_factory(run.is_live)
     registry = StateRegistry(run.model.metadata, run.costs)
-    tracker = BoundTracker(run.is_live) if run.has_bound else None
+    # ``tracker`` is the heap probed for the dual bound.  A best-first list
+    # already holds every open node in f-order, so it is its own tracker;
+    # any other policy is shadowed by a ``separate`` one.
+    tracker = separate = None
+    if run.has_bound:
+        if isinstance(policy, BestFirstList):
+            tracker = policy
+        else:
+            tracker = separate = BoundTracker(run.is_live)
+    # probed through the class, so a traced ``BoundTracker`` times the shared heap too
+    probe = BoundTracker.probe
 
     registry.insert(root)
     policy.push((root,))
-    if tracker is not None:
-        tracker.push((root,))
+    if separate is not None:
+        separate.push((root,))
 
     while True:
         if tracker is not None:
-            bound = tracker.probe()
+            bound = probe(tracker)
             if bound is None and run.incumbent is not None:
                 bound = run.primal  # no open node beats the incumbent: proved
             run.record_dual(bound)
@@ -283,8 +295,8 @@ def _search(run: Run, policy_factory: Callable) -> bool:
                 policy.notify_new_best()
             continue
         policy.push(children)
-        if tracker is not None:
-            tracker.push(children)
+        if separate is not None:
+            separate.push(children)
 
 
 # ---------------------------------------------------------------------------

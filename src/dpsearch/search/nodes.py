@@ -131,10 +131,11 @@ class BoundTracker:
     """Lazy heap of open nodes in the deterministic node order.
 
     The best f-value among open nodes is a valid dual bound whenever the
-    model declares one, regardless of the expansion policy, so a single
-    tracker serves every solver.  Entries the liveness predicate rejects
-    are discarded on probe.  ``open_lists.BestFirstList`` is this heap
-    plus ``pop``.
+    model declares one, regardless of the expansion policy.  Entries the
+    liveness predicate rejects are discarded on probe.
+    ``open_lists.BestFirstList`` is this heap plus ``pop``, so a best-first
+    open list is its own tracker; the engine pushes a separate one only
+    beside the other policies.
 
     A heap entry is the flat tuple ``node.order + (node,)``, that is
     ``(f, h, -counter, node)``, with f and h negated when maximizing.  No

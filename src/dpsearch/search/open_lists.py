@@ -40,8 +40,10 @@ class _OpenList:
 
 class BestFirstList(BoundTracker, _OpenList):
     """Plain best-first selection: the node with the best f-value, from
-    the bound tracker's lazy heap over the deterministic node order, so
-    ``probe()`` reads the best live f without popping."""
+    the bound tracker's lazy heap over the deterministic node order.  Its
+    heap holds every open node, so ``probe()`` reads the best live f
+    without popping, and the engine probes it for the dual bound instead
+    of keeping a second heap."""
 
     def pop(self) -> Optional[SearchNode]:
         heap, is_live = self._heap, self._is_live

@@ -330,6 +330,36 @@ class TestSolve:
         # the gap is at most 1 until the optimum 14 is found and 0 after it
         assert 0 <= report["primal_integral"] <= report["elapsed"]
 
+    @pytest.mark.parametrize("reference", ["14", "0"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_infinite_time_limit_integrates_over_the_elapsed_time(
+        self, tmp_path, capsys, where, reference
+    ):
+        config = tmp_path / "config.yaml"
+        limit_key = ", time_limit: .inf" if where == "config" else ""
+        config.write_text(f"{{solver: cabs{limit_key}}}\n")
+        limit = ("--time-limit", "inf") if where == "flag" else ()
+        code = run_cli(
+            "solve",
+            "--domain", str(FIXTURES / "tsptw_domain.yaml"),
+            "--problem", str(FIXTURES / "tsptw_problem.yaml"),
+            "--config", str(config),
+            *limit,
+            "--reference", reference,
+            "--output", str(tmp_path / "s.txt"),
+        )
+        assert code == 0
+
+        def no_constant(name):
+            raise AssertionError(f"the report holds {name}, which is not JSON")
+
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        report = json.loads(line, parse_constant=no_constant)
+        assert report["params"]["time_limit"] is None
+        assert 0 <= report["primal_integral"] <= report["elapsed"]
+        if reference == "0":  # a gap of 1 throughout: the integral is the elapsed time
+            assert report["primal_integral"] == pytest.approx(report["elapsed"])
+
     def test_unwritable_output_exits_with_message(self, tmp_path, config_path, capsys):
         missing = tmp_path / "missing" / "x"
         code = run_cli(
@@ -612,6 +642,7 @@ class TestMetricsCommands:
             ("5", "-1", "", "horizon -1.0 must be a number of at least 0"),
             ("5", "nan", "", "horizon nan must be a number of at least 0"),
             ("5", "10", "2,nan\n", "cost must not be NaN"),
+            ("5", "inf", "2,5\n", "horizon inf must be finite"),
         ],
     )
     def test_primal_integral_rejects_nan_and_a_negative_horizon(

@@ -105,6 +105,8 @@ def test_primal_gap_rejects_nan(cost, reference, message):
         ([], NAN, 10, "reference must not be NaN"),
         ([(1.0, NAN)], 5, 10, "cost must not be NaN"),
         ([(NAN, 5)], 5, 10, r"event time nan outside \[0, 10\]"),
+        ([], 5, math.inf, "horizon inf must be finite"),
+        ([(1.0, 5)], 5, math.inf, "horizon inf must be finite"),
     ],
 )
 def test_primal_integral_rejects_nan_and_a_negative_horizon(events, reference, horizon, message):

@@ -81,7 +81,7 @@ def test_equal_f_and_h_pop_most_recent_first_without_comparing_nodes(
         policy.push(order)
         tracker.push(order)
 
-    assert tracker.probe() == 3
+    assert tracker.probe() == policy.probe() == 3
     popped = [policy.pop() for _ in nodes]
     assert all(x is y for x, y in zip(popped, reversed(nodes)))
     assert policy.pop() is None

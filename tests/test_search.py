@@ -384,6 +384,74 @@ def test_bound_is_the_best_logged_dual_bound(monkeypatch, name, solver):
                 assert solution.bound == _best_dual(model, solution)
 
 
+class _TwoHeaps:
+    """A best-first policy that is not a ``BestFirstList``: it delegates
+    to one, so the engine shadows it with a separate ``BoundTracker``."""
+
+    def __init__(self, is_live):
+        from dpsearch.search.open_lists import BestFirstList
+
+        inner = BestFirstList(is_live)
+        self.push, self.pop, self.notify_new_best = inner.push, inner.pop, inner.notify_new_best
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_a_best_first_list_tracks_the_bound_as_a_separate_tracker_would(monkeypatch, name):
+    """caasdy probes its open list for the dual bound; shadowing the same
+    list with a second heap gives the same run, complete or stopped."""
+    from dpsearch.search import SOLVERS, engine
+    from test_search_golden import INSTANCES, build
+
+    def two_heaps(model, params=None):
+        return engine.generic_search(model, _TwoHeaps, params)
+
+    monkeypatch.setitem(SOLVERS, "two-heaps", two_heaps)
+
+    def seen(solution):
+        return (
+            solution.status,
+            solution.cost,
+            solution.transitions,
+            solution.expanded,
+            solution.generated,
+            [value for _, value in solution.primal_events],
+            [value for _, value in solution.dual_events],
+        )
+
+    for index in range(INSTANCES):
+        model = build(name, index)
+        for pops in (None, 1, 4):
+            one, two = (
+                dp.solve(model, solver)
+                if pops is None
+                else _stop_after_pops(monkeypatch, solver, model, pops)[0]
+                for solver in ("caasdy", "two-heaps")
+            )
+            assert seen(one) == seen(two), (index, pops)
+
+
+@pytest.mark.parametrize("solver", [s for s in ALL_SOLVERS if s != "cabs"])
+def test_only_a_policy_other_than_best_first_gets_a_separate_tracker(
+    monkeypatch, desk_tsptw_model, solver
+):
+    from conftest import with_bounds
+    from dpsearch.search import engine, nodes
+
+    built = []
+
+    class CountingTracker(nodes.BoundTracker):
+        def __init__(self, is_live):
+            super().__init__(is_live)
+            built.append(self)
+
+    monkeypatch.setattr(engine, "BoundTracker", CountingTracker)
+    assert dp.solve(desk_tsptw_model, solver).cost == 6
+    assert len(built) == (0 if solver == "caasdy" else 1)
+    built.clear()
+    assert dp.solve(with_bounds(desk_tsptw_model, []), solver).cost == 6
+    assert built == []
+
+
 def test_solver_signatures():
     from dpsearch.search import SOLVERS
 
