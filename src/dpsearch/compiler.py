@@ -1,125 +1,96 @@
-"""Lowering of expression trees into closures, once per model.
+"""Model queries as generated Python source, compiled once per structure.
 
 Expression trees (:mod:`dpsearch.expressions`) are the intermediate
 representation that the s-expression and YAML layers read and write and
 that ``validate`` inspects; this module is the only place that evaluates
-them.  A :class:`Compiler` lowers trees over one table registry into
-plain callables ``fn(state) -> value``:
+them.  An :class:`Emitter` writes the trees over one table registry as
+the body of a Python function: one statement per operation followed by
+its check (``v3 = v1 + v2``, then the 64-bit range and NaN test), with
+conditions tested inline (``if s0 >> k0 & 1:``).  Every value a document
+supplies (constants, table slices, names for messages) is a parameter of
+the function, never text in its source.  Within a block, a pure
+subexpression computed on every path to a second use is computed once
+(TSPTW's ``t + c[i][j]`` serves guard and effect); had the first
+evaluation raised, the second would never have run.  A table read
+indexes a dense slice behind a range check; a sum of a clean integer
+vector over a set adds one precomputed partial sum per 4 bits of the mask;
+the floor or ceiling of ``a * p/q`` or of ``a / b`` is integer floor
+division while the operands are ints and the result fits in 64 bits,
+and otherwise the general statements run.
 
-* a subtree without state reads is folded into its value, so constant
-  table reads, constant arithmetic and constant conditions cost nothing;
-* a table read becomes an index into a dense row-major nested list,
-  sliced once per distinct pattern of constant arguments (a TSPTW read
-  ``c[i][j]`` with a fixed ``j`` indexes one shared column slice);
-* a variable read is an ``operator.itemgetter`` per state slot, or an
-  inline ``state[k]`` inside the closure that uses it;
-* the floor or ceiling of an integer times a read of a slice of ints and
-  Fractions (``a * p/q``), or of an integer quotient, is exact integer
-  floor division (``a * p // q``) while the operands are ints, the index
-  is in range and the result fits in 64 bits; otherwise it calls the
-  general closure, which builds the Fraction and raises what it raises;
-* captures are bound as default arguments, which the interpreter reads
-  fastest and which keep each closure small.
+Every check of the expression semantics stays and raises only when the
+faulty node is evaluated: table arity, index range, missing keys, the
+value kind each context expects (skipped for a slice whose every value
+passes it), negative elements, the 64-bit range, NaN, division by zero
+and the set universe.  A read past the end of a short state raises
+``IndexError``, which the query entry points turn into
+:class:`UnknownSymbolError`; they also prefix each message with where it
+arose (``"weight of 't': ..."``).
 
-Lowering keeps every check of the expression semantics: table arity,
-index range, missing keys, the value kind each context expects, negative
-elements, the 64-bit integer range, NaN, division by zero and the set
-universe.  A check moves to compile time only where it provably cannot
-fire: a table slice whose every value passes the context check needs no
-per-read check.  A node whose check does fire still raises only when it
-is evaluated, so an unused faulty expression never breaks a model.  A
-read past the end of a short state raises ``IndexError`` from the slot
-read; the query entry points turn it into :class:`UnknownSymbolError`.
-Messages raised here do not say which part of the model raised them:
-the query entry points prefix each with it (``"weight of 't': ..."``).
-
-A model compiles all its queries at once into :class:`Queries`, on the
-first query it answers, with one compiler whose caches are dropped
-afterwards.  The model caches the result with ``functools.cached_property``;
-where two threads race to compile it (Python 3.12 dropped the lock), one
-result wins, which is harmless because the closures are pure.
+A model's hot path is three fused functions (:class:`Queries`):
+``expand`` (base cases, then each transition's guards, effects, the
+successor's state constraints and weight, under one ``try``),
+``feasible`` and ``bound``.  Each transition, constraint, base case and
+bound is a block; runs of blocks of one text, or of a repeated group of
+them (CVRP's ``visit-j``/``visit-via-depot-j`` pairs), fold into a loop
+over rows of their constants, so the source keeps its size as the
+instance grows.  The separate queries that name faults (:class:`Separate`)
+and ``eval_*`` come from the same emitter.  Code is cached by source text
+in a bounded dict, so models of one structure share one code object; a
+function is that code with the model's constants as its defaults, and a
+subtree nested too deep for one body spills into a function of its own.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
+import itertools
+import linecache
 import math
+import threading
 from fractions import Fraction
 from itertools import product, repeat
-import operator
-from operator import itemgetter
+from types import FunctionType
 
 from . import bitset
 from . import expressions as ex
 from .errors import EvaluationError, UnknownSymbolError
 
 _M = ex.INT64_MAX
-_INF = math.inf
 _MISSING = object()  # dense-table entry for a key without value or default
 _DENSE_LIMIT = 1 << 16  # larger tables stay dense only while mostly filled
+_CACHE_SIZE = 512  # compiled sources kept; the oldest goes first
+_DEPTH = 40  # block nesting past which a subtree spills into its own function
+_PERIOD = 4  # the longest group of blocks that folds into one loop
 
 
-class Const:
-    """A value known at compile time."""
+# ---------------------------------------------------------------------------
+# Compiled code, by source text
 
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-class Slot:
-    """The read of state slot ``index``."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
+_CODES: dict = {}  # source text, or a fused function's blocks, -> code
+_CODES_LOCK = threading.Lock()
+_SERIALS = itertools.count()
 
 
-class Queries:
-    """The query closures of one model, laid out by one compiler: the
-    edge table ``(transition, guard, successor, weight)`` in declaration
-    order, and each edge keyed by its transition's id (``edge_of``); each
-    base case's condition and cost; the state constraints one by one and
-    as one conjunction (``feasible``); and the dual bounds."""
-
-    __slots__ = ("edges", "edge_of", "base_cases", "constraints", "feasible", "bounds")
-
-    def __init__(self, model):
-        c = Compiler(model.tables)
-        variables = model.metadata.variables
-        self.edges = tuple(
-            (t, c.conjunction(t.preconditions), c.successor(t, variables), c.fn(t.weight))
-            for t in model.transitions
-        )
-        self.edge_of = {id(edge[0]): edge for edge in self.edges}
-        self.base_cases = tuple(
-            (c.conjunction(case.conditions), c.fn(case.cost)) for case in model.base_cases
-        )
-        self.constraints = tuple(c.fn(cond) for cond in model.constraints)
-        self.feasible = c.conjunction(model.constraints)
-        self.bounds = tuple(c.fn(bound) for bound in model.dual_bounds)
-
-
-def _fold(fn, *parts):
-    """``fn`` as a constant when every part is one and it evaluates
-    cleanly; otherwise ``fn``, so that a fault raises only when evaluated."""
-    for part in parts:
-        if not isinstance(part, Const):
-            return fn
-    try:
-        return Const(fn(()))
-    except Exception:
-        return fn
-
-
-_number = ex._check_number  # the slow half of a numeric result check: NaN, 64-bit range
-
-
-def _element(value, op: str):
-    if value < 0:
-        raise EvaluationError(f"negative element value {value} from {op}")
-    return ex._check_int(value)
+def _function(name: str, params, body, defaults, key=None) -> FunctionType:
+    """``def name(s, *params)`` over the lines ``body()`` returns, with
+    ``defaults`` bound to the params.  Code compiles once per ``key``, or
+    per source text; ``linecache`` holds its source, for tracebacks."""
+    text = lambda: f"def {name}({', '.join(['s', *params])}):\n" + "\n".join(body())  # noqa: E731
+    source = None if key else text()
+    key = key or source
+    code = _CODES.get(key)
+    if code is None:
+        source = source or text()
+        filename = f"<dpsearch queries {next(_SERIALS)}>"
+        with _CODES_LOCK:
+            if len(_CODES) >= _CACHE_SIZE:
+                linecache.cache.pop(_CODES.pop(next(iter(_CODES))).co_filename, None)
+            module = compile(source, filename, "exec")
+            code = _CODES[key] = next(c for c in module.co_consts if hasattr(c, "co_code"))
+            linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return FunctionType(code, _GLOBALS, name, tuple(defaults))
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +103,9 @@ _CONTEXTS = {
     "numeric": lambda v: not isinstance(v, bool) and isinstance(v, (int, float, Fraction)),
     "boolean": lambda v: isinstance(v, bool),
 }
-# Value types that pass each context check; element values must also be
-# nonnegative.  Other types (int subclasses, say) are checked per value.
-_CONTEXT_TYPES = {
-    "element": {int},
-    "set": {int, bool},
-    "numeric": {int, float, Fraction},
-    "boolean": {bool},
-}
+# Value types that pass each context check (element values must also be >= 0).
+_CONTEXT_TYPES = {"element": {int}, "set": {int, bool}, "numeric": {int, float, Fraction},
+                  "boolean": {bool}}
 
 
 class _Layout:
@@ -186,614 +152,71 @@ def _slice(array, pattern):
     return [_slice(sub, rest) for sub in array]
 
 
-def _fail(table: ex.Table, pattern, indices):
-    """Raise the lookup error of the key that ``indices`` complete."""
+def _nibble_sums(column):
+    """``sums[k][nibble]``: the sum of ``column[4 * k + j]`` over the bits ``j``
+    of ``nibble``; None unless the column holds only ints."""
+    if any(type(v) is not int for v in column):
+        return None
+    sums = []
+    for base in range(0, len(column), 4):
+        row = [0]
+        for value in column[base : base + 4]:
+            row += [partial + value for partial in row]
+        sums.append(row)
+    return tuple(sums)
+
+
+# ---------------------------------------------------------------------------
+# Helpers the generated code calls, mostly to raise
+
+
+_number = ex._check_number  # the slow half of a numeric result check: NaN, 64-bit range
+
+
+def _element(value, op: str):
+    if value < 0:
+        raise EvaluationError(f"negative element value {value} from {op}")
+    return ex._check_int(value)
+
+
+def _fail(read, indices):
+    """Raise the lookup error of the key that ``indices`` complete in the
+    read ``(table, pattern)``."""
+    table, pattern = read
     free = iter(indices)
     table.lookup(tuple(next(free) if p is None else p for p in pattern))
     raise EvaluationError(f"bad key {indices} for table {table.name!r}")
 
 
-def _read1(array, k, n, table, pattern):
-    """The read of ``array`` at the value of state slot ``k``."""
-
-    def read(s, array=array, k=k, n=n, table=table, pattern=pattern):
-        i = s[k]
-        if 0 <= i < n:
-            return array[i]
-        _fail(table, pattern, (i,))
-
-    return read
-
-
-def _read_n(array, args, bounds, table, pattern):
-    def read(s, array=array, args=args, bounds=bounds, table=table, pattern=pattern):
-        indices = [a(s) for a in args]
-        value = array
-        for i, n in zip(indices, bounds):
-            if not 0 <= i < n:
-                _fail(table, pattern, indices)
-            value = value[i]
+def _read(table: ex.Table, context: str, key: tuple):
+    """The read that checks everything: arity, range, missing keys and
+    the value kind."""
+    value = table.lookup(key)
+    if _CONTEXTS[context](value):
         return value
+    raise EvaluationError(f"table {table.name!r} produced {value!r} in {context} context")
 
-    return read
 
+def _unknown_table(name: str):
+    raise UnknownSymbolError(f"unknown table {name!r}")
 
-# ---------------------------------------------------------------------------
-# The compiler
 
+def _divide(a, b):
+    if b == 0:
+        raise ZeroDivisionError("numeric division by zero")
+    if isinstance(a, float) or isinstance(b, float):
+        return _number(a / b)
+    return Fraction(a) / Fraction(b)
 
-class Compiler:
-    """Lowers expression trees over one table registry into closures.
 
-    ``fn(expr)`` returns the callable of an expression; ``code(expr)``
-    returns a :class:`Const`, a :class:`Slot` or a callable, which lets a
-    parent specialise on its children.  Dense tables, their slices and
-    the closures of table reads are cached, so trees compiled by one
-    compiler share them.
-    """
+def _cannot_add(j, universe):
+    raise EvaluationError(f"cannot add element {j} to a set over {universe} objects")
 
-    def __init__(self, tables: ex.TableRegistry):
-        self.tables = tables
-        self._getters: dict[int, itemgetter] = {}
-        self._constants: dict[tuple, object] = {}
-        self._layouts: dict[str, _Layout] = {}
-        self._arrays: dict[tuple, object] = {}
-        self._reads: dict[tuple, object] = {}
-        self._codes: dict[int, tuple] = {}  # id(tree) -> (tree, code)
 
-    def code(self, expr):
-        """The code of ``expr``; a subtree object that several trees share
-        compiles once."""
-        known = self._codes.get(id(expr))
-        if known is None:
-            known = self._codes[id(expr)] = (expr, _RULES[type(expr)](self, expr))
-        return known[1]
-
-    def fn(self, expr):
-        return self.callable(self.code(expr))
-
-    def callable(self, code):
-        if isinstance(code, Const):
-            key = (type(code.value), code.value)
-            constant = self._constants.get(key)
-            if constant is None:
-                constant = self._constants[key] = _constant(code.value)
-            return constant
-        if isinstance(code, Slot):
-            getter = self._getters.get(code.index)
-            if getter is None:
-                getter = self._getters[code.index] = itemgetter(code.index)
-            return getter
-        return code
-
-    def conjunction(self, conditions):
-        """The callable of all ``conditions`` in order, as ``And`` would."""
-        return self.callable(_junction(self, conditions, False))
-
-    def successor(self, transition, variables):
-        """The callable of ``transition``'s effects: the successor state,
-        with each value checked against the kind of its variable."""
-        effects = dict(transition.effects)
-        parts = []
-        for index, variable in enumerate(variables):
-            if index not in effects:
-                parts.append(self.callable(Slot(index)))
-                continue
-            value = self.fn(effects.pop(index))
-            if variable.kind == "integer":
-                value = _integer_effect(value, variable.name)
-            elif variable.kind == "continuous":
-                value = _continuous_effect(value, variable.name)
-            parts.append(value)
-        if effects:
-            return _no_slot(min(effects))
-        return _tuple_of(parts)
-
-    # -- tables --------------------------------------------------------
-
-    def _layout(self, table: ex.Table) -> _Layout:
-        layout = self._layouts.get(table.name)
-        if layout is None:
-            layout = self._layouts[table.name] = _Layout(table)
-        return layout
-
-    def _array(self, table: ex.Table, context: str, pattern):
-        """The slice of ``table`` that ``pattern`` selects, when every
-        entry of the table passes the context check; None sends the read
-        to the checked lookup."""
-        key = (table.name, context, pattern)
-        if key not in self._arrays:
-            layout = self._layout(table)
-            in_range = all(p is None or 0 <= p < n for p, n in zip(pattern, table.shape))
-            array = None
-            if in_range and layout.clean(context):
-                array = _slice(layout.array, pattern) if pattern else layout.array
-            self._arrays[key] = array
-        return self._arrays[key]
-
-    def ratios(self, read):
-        """For a numeric table read with one index that is not constant:
-        the index's code, and the numerators and denominators of the slice
-        it indexes.  None unless that slice holds only ints and Fractions.
-        The split is cached beside the slices, so reads of one slice share it."""
-        if not isinstance(read, ex.NumericTable) or read.table not in self.tables:
-            return None
-        table = self.tables.lookup(read.table)
-        codes = [self.code(a) for a in read.args]
-        free = [code for code in codes if not isinstance(code, Const)]
-        if len(codes) != table.arity or len(free) != 1:
-            return None
-        pattern = tuple(c.value if isinstance(c, Const) else None for c in codes)
-        key = (table.name, "ratios", pattern)
-        if key not in self._arrays:
-            array = self._array(table, "numeric", pattern)
-            split = None
-            if array is not None and {type(v) for v in array} <= {int, Fraction}:
-                split = tuple(v.numerator for v in array), tuple(v.denominator for v in array)
-            self._arrays[key] = split
-        split = self._arrays[key]
-        return None if split is None else (free[0], *split)
-
-    def table_read(self, name: str, args, context: str):
-        """A read of ``name`` at ``args`` whose value must pass the check
-        of ``context``."""
-        if name not in self.tables:
-
-            def unknown(s, name=name):
-                raise UnknownSymbolError(f"unknown table {name!r}")
-
-            return unknown
-        table = self.tables.lookup(name)
-        codes = [self.code(a) for a in args]
-        if len(codes) != table.arity:
-            return self._checked_read(table, codes, context)
-        pattern = tuple(c.value if isinstance(c, Const) else None for c in codes)
-        key = (name, context, tuple(_arg_key(c) for c in codes))
-        shared = None not in key[2]
-        if shared and key in self._reads:
-            return self._reads[key]
-        array = self._array(table, context, pattern)
-        if array is None:
-            read = self._checked_read(table, codes, context)
-        else:
-            free = [c for c in codes if not isinstance(c, Const)]
-            bounds = [n for p, n in zip(pattern, table.shape) if p is None]
-            if not free:
-                read = Const(array)
-            elif len(free) == 1 and isinstance(free[0], Slot):
-                read = _read1(array, free[0].index, bounds[0], table, pattern)
-            else:
-                read = _read_n(array, tuple(self.callable(c) for c in free),
-                               tuple(bounds), table, pattern)
-        if shared:
-            self._reads[key] = read
-        return read
-
-    def _checked_read(self, table: ex.Table, codes, context: str):
-        """The read that checks everything on every call: arity, range,
-        missing keys and the value kind."""
-        fns = tuple(self.callable(c) for c in codes)
-        ok, label = _CONTEXTS[context], f"{context} context"
-
-        def read(s, lookup=table.lookup, fns=fns, ok=ok, label=label, name=table.name):
-            value = lookup(tuple([f(s) for f in fns]))
-            if ok(value):
-                return value
-            raise EvaluationError(f"table {name!r} produced {value!r} in {label}")
-
-        return _fold(read, *codes)
-
-
-def _integer_effect(value, variable: str):
-    def effect(s, value=value, variable=variable):
-        v = value(s)
-        if v.__class__ is int:
-            return v
-        v = ex.collapse(v)
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise EvaluationError(f"integer variable {variable!r} cannot take {v!r}")
-        return v
-
-    return effect
-
-
-def _continuous_effect(value, variable: str):
-    def effect(s, value=value, variable=variable):
-        v = float(value(s))
-        if -_INF < v < _INF:
-            return v
-        raise EvaluationError(f"continuous variable {variable!r} cannot take {v!r}")
-
-    return effect
-
-
-def _no_slot(index: int):
-    def effect(s):
-        raise UnknownSymbolError(f"assigns no variable slot {index}")
-
-    return effect
-
-
-def _tuple_of(parts):
-    """The callable building ``tuple(part(s) for part in parts)``."""
-    if len(parts) == 1:
-        (a,) = parts
-        return lambda s, a=a: (a(s),)
-    if len(parts) == 2:
-        a, b = parts
-        return lambda s, a=a, b=b: (a(s), b(s))
-    if len(parts) == 3:
-        a, b, c = parts
-        return lambda s, a=a, b=b, c=c: (a(s), b(s), c(s))
-    if len(parts) == 4:
-        a, b, c, d = parts
-        return lambda s, a=a, b=b, c=c, d=d: (a(s), b(s), c(s), d(s))
-    parts = tuple(parts)
-
-    def build(s, parts=parts):
-        values = []
-        for part in parts:
-            values.append(part(s))
-        return tuple(values)
-
-    return build
-
-
-def _arg_key(code):
-    """A cache key for a read argument, or None when it has none."""
-    if isinstance(code, Const):
-        return (type(code.value), code.value)
-    if isinstance(code, Slot):
-        return code.index
-    return None
-
-
-def _constant(value):
-    def constant(s, value=value):
-        return value
-
-    return constant
-
-
-# ---------------------------------------------------------------------------
-# Element expressions
-
-
-def _element_const(c, e):
-    return Const(e.value)
-
-
-def _slot(c, e):
-    return Slot(e.index)
-
-
-def _element_table(c, e):
-    return c.table_read(e.table, e.args, "element")
-
-
-def _element_binary(c, e):
-    lhs, rhs, op = c.code(e.lhs), c.code(e.rhs), e.op
-    if isinstance(rhs, Const) and op in ("+", "-") and not isinstance(lhs, Const):
-        left, k = c.callable(lhs), rhs.value if op == "+" else -rhs.value
-
-        def shifted(s, left=left, k=k, op=op):
-            value = left(s) + k
-            if 0 <= value <= _M:
-                return value
-            return _element(value, op)
-
-        return shifted
-    left, right, compute = c.callable(lhs), c.callable(rhs), _ELEMENT_OPS[op]
-
-    def apply(s, left=left, right=right, compute=compute, op=op):
-        a = left(s)
-        b = right(s)
-        if b == 0 and op in _DIVISIONS:
-            raise ZeroDivisionError(_DIVISIONS[op])
-        value = compute(a, b)
-        return value if 0 <= value <= _M else _element(value, op)
-
-    return _fold(apply, lhs, rhs)
-
-
-_ELEMENT_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.floordiv,
-    "%": operator.mod,
-}
-_DIVISIONS = {"/": "element division by zero", "%": "element modulo by zero"}
-
-
-def _if(c, e):
-    condition = c.code(e.condition)
-    if isinstance(condition, Const):
-        return c.code(e.then if condition.value else e.otherwise)
-    test, then, otherwise = c.callable(condition), c.fn(e.then), c.fn(e.otherwise)
-
-    def choose(s, test=test, then=then, otherwise=otherwise):
-        return then(s) if test(s) else otherwise(s)
-
-    return choose
-
-
-# ---------------------------------------------------------------------------
-# Set expressions
-
-
-def _set_const(c, e):
-    return Const(e.mask)
-
-
-def _set_table(c, e):
-    return c.table_read(e.table, e.args, "set")
-
-
-def _set_add(c, e):
-    item, operand, universe = c.code(e.element), c.code(e.operand), e.operand.universe
-    element, mask = c.callable(item), c.callable(operand)
-
-    def add(s, element=element, mask=mask, universe=universe):
-        j = element(s)
-        if j >= universe:
-            raise EvaluationError(
-                f"cannot add element {j} to a set over {universe} objects"
-            )
-        return mask(s) | (1 << j)
-
-    return _fold(add, item, operand)
-
-
-def _set_remove(c, e):
-    item, operand = c.code(e.element), c.code(e.operand)
-    if isinstance(item, Const) and not isinstance(operand, Const):
-        keep = ~(1 << item.value)
-        if isinstance(operand, Slot):
-
-            def remove(s, k=operand.index, keep=keep):
-                return s[k] & keep
-
-        else:
-
-            def remove(s, mask=operand, keep=keep):
-                return mask(s) & keep
-
-        return remove
-    element, mask = c.callable(item), c.callable(operand)
-
-    def remove(s, element=element, mask=mask):
-        j = element(s)
-        return mask(s) & ~(1 << j)
-
-    return _fold(remove, item, operand)
-
-
-def _set_binary(combine):
-    def rule(c, e):
-        lhs, rhs = c.code(e.lhs), c.code(e.rhs)
-        left, right = c.callable(lhs), c.callable(rhs)
-
-        def apply(s, left=left, right=right, combine=combine):
-            return combine(left(s), right(s))
-
-        return _fold(apply, lhs, rhs)
-
-    return rule
-
-
-def _set_complement(c, e):
-    operand = c.code(e.operand)
-    mask, full = c.callable(operand), bitset.full(e.operand.universe)
-
-    def complement(s, mask=mask, full=full):
-        return full & ~mask(s)
-
-    return _fold(complement, operand)
-
-
-# ---------------------------------------------------------------------------
-# Numeric expressions
-
-
-def _numeric_const(c, e):
-    return Const(e.value)
-
-
-def _from_element(c, e):
-    return c.code(e.operand)
-
-
-def _numeric_table(c, e):
-    return c.table_read(e.table, e.args, "numeric")
-
-
-def _numeric_binary(c, e):
-    lhs, rhs, op = c.code(e.lhs), c.code(e.rhs), e.op
-    if op == "/":
-        left, right = c.callable(lhs), c.callable(rhs)
-
-        def divide(s, left=left, right=right):
-            a = left(s)
-            b = right(s)
-            if b == 0:
-                raise ZeroDivisionError("numeric division by zero")
-            if isinstance(a, float) or isinstance(b, float):
-                return _number(a / b)
-            return Fraction(a) / Fraction(b)
-
-        return _fold(divide, lhs, rhs)
-    if isinstance(rhs, Const) and not isinstance(lhs, Const) and op in ("+", "-"):
-        k = rhs.value if op == "+" else -rhs.value
-        if isinstance(lhs, Slot):
-
-            def shifted(s, i=lhs.index, k=k):
-                value = s[i] + k
-                if value.__class__ is int and -_M <= value <= _M:
-                    return value
-                return _number(value)
-
-        else:
-
-            def shifted(s, left=lhs, k=k):
-                value = left(s) + k
-                if value.__class__ is int and -_M <= value <= _M:
-                    return value
-                return _number(value)
-
-        return shifted
-    left, right = c.callable(lhs), c.callable(rhs)
-    if op == "+" and isinstance(lhs, Slot) and not isinstance(rhs, (Const, Slot)):
-
-        def apply(s, i=lhs.index, right=right):
-            value = s[i] + right(s)
-            if value.__class__ is int and -_M <= value <= _M:
-                return value
-            return _number(value)
-
-        return apply
-
-    def apply(s, left=left, right=right, compute=_NUMERIC_OPS[op]):
-        value = compute(left(s), right(s))
-        if value.__class__ is int and -_M <= value <= _M:
-            return value
-        return _number(value)
-
-    return _fold(apply, lhs, rhs)
-
-
-_NUMERIC_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def _numeric_max(c, e):
-    lhs, rhs = c.code(e.lhs), c.code(e.rhs)
-    left = c.callable(lhs)
-    if isinstance(rhs, Const) and not isinstance(lhs, Const):
-
-        def larger(s, left=left, b=rhs.value):
-            a = left(s)
-            return b if b > a else a
-
-        return larger
-    right = c.callable(rhs)
-
-    def larger(s, left=left, right=right):
-        a = left(s)
-        b = right(s)
-        return b if b > a else a
-
-    return _fold(larger, lhs, rhs)
-
-
-def _numeric_min(c, e):
-    lhs, rhs = c.code(e.lhs), c.code(e.rhs)
-    left, right = c.callable(lhs), c.callable(rhs)
-
-    def smaller(s, left=left, right=right):
-        a = left(s)
-        b = right(s)
-        return b if b < a else a
-
-    return _fold(smaller, lhs, rhs)
-
-
-def _numeric_unary(apply):
-    def rule(c, e):
-        operand = c.code(e.operand)
-        inner = c.callable(operand)
-
-        def unary(s, inner=inner, apply=apply):
-            return apply(inner(s))
-
-        return _fold(unary, operand)
-
-    return rule
-
-
-def _rounding(apply, sign: int):
-    """Floor (``sign`` 1) or ceiling (``sign`` -1, as ``-floor(-x)``); an
-    integer times a read of a slice of ints and Fractions, and an integer
-    quotient, become integer floor division that falls back to the
-    general closure (see the module docstring)."""
-    general = _numeric_unary(apply)
-
-    def rule(c, e):
-        fallback = general(c, e)
-        operand = e.operand
-        if isinstance(c.code(operand), Const) or not isinstance(operand, ex.NumericBinary):
-            return fallback
-        if operand.op == "/":
-            return _quotient(c.fn(operand.lhs), c.fn(operand.rhs), fallback, sign)
-        if operand.op != "*":
-            return fallback
-        found = c.ratios(operand.rhs)
-        if found is None:
-            return fallback
-        index, numerators, denominators = found
-        return _scaled(c.fn(operand.lhs), c.callable(index), numerators, denominators,
-                       fallback, sign)
-
-    return rule
-
-
-def _scaled(factor, index, numerators, denominators, fallback, sign: int):
-    def scaled(s, factor=factor, index=index, p=numerators, q=denominators,
-               n=len(numerators), fallback=fallback, sign=sign):
-        a = factor(s)
-        i = index(s)
-        if a.__class__ is int and 0 <= i < n:
-            value = sign * (sign * a * p[i] // q[i])
-            if -_M <= value <= _M:
-                return value
-        return fallback(s)
-
-    return scaled
-
-
-def _quotient(left, right, fallback, sign: int):
-    def quotient(s, left=left, right=right, fallback=fallback, sign=sign):
-        a = left(s)
-        b = right(s)
-        if a.__class__ is int and b.__class__ is int and b:
-            value = sign * (sign * a // b)
-            if -_M <= value <= _M:
-                return value
-        return fallback(s)
-
-    return quotient
-
-
-def _set_reduce(c, e):
-    if e.table not in c.tables:
-        return c.table_read(e.table, (), "numeric")  # raises when evaluated
-    table = c.tables.lookup(e.table)
-    prefix = [c.code(a) for a in e.prefix]
-    over = c.code(e.over)
-    col = None
-    if len(prefix) + 1 == table.arity and all(isinstance(p, Const) for p in prefix):
-        head = tuple(p.value for p in prefix)
-        col = c._array(table, "numeric", head + (None,))
-    if col is None or e.op != "sum" or any(type(v) is not int for v in col):
-        return _checked_reduce(c, e, table, prefix, over)
-
-    def reduce(s, mask_of=c.callable(over), col=col, n=len(col), table=table, head=head):
-        mask = mask_of(s)
-        if mask >> n:
-            _beyond(table, head, n, mask)
-        value = 0
-        base = 0
-        while mask:
-            for j in _BYTE_MEMBERS[mask & 255]:
-                value += col[base + j]
-            mask >>= 8
-            base += 8
-        return value if -_M <= value <= _M else _number(value)
-
-    return _fold(reduce, over)
-
-
-def _beyond(table: ex.Table, head: tuple, n: int, mask: int):
-    """Raise the lookup error of the lowest member of ``mask`` at or past ``n``."""
+def _beyond(read, n: int, mask: int):
+    """Raise the lookup error of the lowest member of ``mask`` at or past
+    ``n`` in the read ``(table, head)``."""
+    table, head = read
     high = mask >> n << n
     table.lookup(head + ((high & -high).bit_length() - 1,))
 
@@ -815,244 +238,820 @@ _FOLDS = {
 }
 
 
-def _checked_reduce(c, e, table, prefix, over):
+def _reduce(table: ex.Table, fold, head: tuple, mask: int):
     """The reduction that checks every member read."""
-    heads = tuple(c.callable(p) for p in prefix)
-    mask_of, fold, name = c.callable(over), _FOLDS[e.op], table.name
-
-    def reduce(s, lookup=table.lookup, heads=heads, mask_of=mask_of, fold=fold, name=name):
-        head = tuple([h(s) for h in heads])
-        mask = mask_of(s)
-        items = [lookup(head + (j,)) for j in bitset.members(mask)]
-        for value in items:
-            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-                raise EvaluationError(
-                    f"table {name!r} produced {value!r} in numeric reduction"
-                )
-        return fold(items)
-
-    return _fold(reduce, *prefix, over)
+    items = [table.lookup(head + (j,)) for j in bitset.members(mask)]
+    for value in items:
+        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+            raise EvaluationError(f"table {table.name!r} produced {value!r} in numeric reduction")
+    return fold(items)
 
 
-_BYTE_MEMBERS = tuple(tuple(bitset.members(byte)) for byte in range(256))
+def _integer_effect(v, variable: str):
+    v = ex.collapse(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise EvaluationError(f"integer variable {variable!r} cannot take {v!r}")
+    return v
 
 
-def _successor_cost(c, e):
-    def placeholder(s):
-        raise EvaluationError("successor-cost placeholder cannot be evaluated")
+def _continuous_effect(value, variable: str):
+    v = float(value)
+    if -math.inf < v < math.inf:
+        return v
+    raise EvaluationError(f"continuous variable {variable!r} cannot take {v!r}")
 
-    return placeholder
+
+def _no_slot(index: int):
+    raise UnknownSymbolError(f"assigns no variable slot {index}")
+
+
+def _placeholder():
+    raise EvaluationError("successor-cost placeholder cannot be evaluated")
+
+
+_GLOBALS = {  # all that generated code sees by name
+    "__builtins__": builtins,
+    "_number": _number,
+    "_floor": lambda value: ex._check_int(math.floor(value)),
+    "_ceil": lambda value: ex._check_int(math.ceil(value)),
+} | {
+    fn.__name__: fn for fn in (_element, _fail, _read, _unknown_table, _divide, _cannot_add,
+                               _beyond, _reduce, _integer_effect, _continuous_effect, _no_slot,
+                               _placeholder)
+}
+_RANGE = f"-{_M} <= {{0}} <= {_M}"  # the 64-bit range test of a name
 
 
 # ---------------------------------------------------------------------------
-# Conditions
+# Blocks and the emitter
 
 
-def _bool_const(c, e):
-    return Const(e.value)
+class _Const:
+    """A value known when the source is written, and its key: two
+    constants of one key are one value and get one name."""
+
+    __slots__ = ("value", "key")
+
+    def __init__(self, value, key=None):
+        self.value = value
+        self.key = (type(value), value) if key is None else key
 
 
-# Comparisons of a computed left side with a constant right side.
-_COMPARE_CONST = {
-    "<=": lambda left, r: lambda s, left=left, r=r: left(s) <= r,
-    "<": lambda left, r: lambda s, left=left, r=r: left(s) < r,
-    ">=": lambda left, r: lambda s, left=left, r=r: left(s) >= r,
-    ">": lambda left, r: lambda s, left=left, r=r: left(s) > r,
-    "=": lambda left, r: lambda s, left=left, r=r: left(s) == r,
-}
-_COMPARE = {
-    "<=": operator.le,
-    "<": operator.lt,
-    ">=": operator.ge,
-    ">": operator.gt,
-    "=": operator.eq,
-    "!=": operator.ne,
-}
+class _Test(str):
+    """A condition as an expression to test, not yet bound to a name."""
 
 
-def _comparison(c, e):
-    lhs, rhs = c.code(e.lhs), c.code(e.rhs)
-    if isinstance(rhs, Const) and not isinstance(lhs, Const) and e.op in _COMPARE_CONST:
-        return _COMPARE_CONST[e.op](c.callable(lhs), rhs.value)
-    left, right, compare = c.callable(lhs), c.callable(rhs), _COMPARE[e.op]
+class _Block:
+    """The statements of one block of a generated function.
 
-    def check(s, left=left, right=right, compare=compare):
-        return compare(left(s), right(s))
+    Its constants are listed in ``row`` and named ``kN`` for the N-th,
+    or, in a ``fused`` block, ``\\x00N\\x00`` until ``_render`` names
+    them; ``shared`` maps the names of function-wide values (``COST``,
+    ``FEASIBLE``) to them.  ``code`` returns a :class:`_Const`, a
+    :class:`_Test` or the name of a value it has emitted statements for;
+    ``value``, a name.  ``values`` maps the key of each pure value
+    computed so far to its name, and ``added`` the keys added in each
+    open nested block, so a name is reused only where the statement
+    that set it has run.  A ``fused`` block reads state slots once, at
+    the top of the function (``s0 = s[0]``), and lists them in ``slots``."""
 
-    return _fold(check, lhs, rhs)
+    def __init__(self, emitter: "Emitter", fused=False):
+        self.emitter = emitter
+        self.naming = "\x00%d\x00" if fused else "k%d"  # the N-th constant's name
+        self.lines: list[str] = []
+        self.depth = 0
+        self.indent = ""
+        self.values: dict = {}
+        self.added: list[list] = [[]]
+        self.names: dict = {}
+        self.row: list = []
+        self.shared: dict = {}
+        self.temps = 0
+        self.slots = set() if fused else None
+        self.ranges = set()  # (slot, bound) that the function's entry checks
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def open(self) -> None:
+        self.depth += 1
+        self.indent += "    "
+        self.added.append([])
+
+    def close(self) -> None:
+        self.depth -= 1
+        self.indent = self.indent[4:]
+        for key in self.added.pop():
+            del self.values[key]
+
+    def const(self, value, key) -> str:
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = self.naming % len(self.row)
+            self.row.append(value)
+        return name
+
+    def share(self, name: str, value) -> str:
+        self.shared[name] = value
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"v{self.temps - 1}"
+
+    def bind(self, key, text: str) -> str:
+        """Emit ``name = text`` and return the name; a key makes it the
+        value of that key while the current block lasts."""
+        name = f"v{self.temps}"
+        self.temps += 1
+        self.lines.append(f"{self.indent}{name} = {text}")
+        if key is not None:
+            self.values[key] = name
+            self.added[-1].append(key)
+        return name
+
+    def note(self, key, name: str) -> str:
+        self.values[key] = name
+        self.added[-1].append(key)
+        return name
+
+    def code(self, expr):
+        if self.depth > _DEPTH and expr.__class__ in _NESTING:
+            return self.spill(expr)
+        return _RULES[expr.__class__](self, expr)
+
+    def value(self, expr) -> str:
+        """``code`` as a name; one frame deep, as deep trees recurse here."""
+        rule = _RULES[expr.__class__]
+        if rule is _var:
+            return self.slot(expr.index)
+        if rule is _const:
+            return self.const(expr.value, (expr.__class__, expr.value))
+        if self.depth > _DEPTH and expr.__class__ in _NESTING:
+            return self.spill(expr)
+        code = rule(self, expr)
+        return code if code.__class__ is str else self.atom(code)
+
+    def atom(self, code) -> str:
+        """The name of a code's value."""
+        if code.__class__ is str:
+            return code
+        if code.__class__ is _Const:
+            return self.const(code.value, code.key)
+        return self.bind(None, code)
+
+    def test(self, code) -> str:
+        """A code as an expression to test or return."""
+        return code if code.__class__ is _Test else self.atom(code)
+
+    def slot(self, index: int) -> str:
+        if self.slots is not None and index >= 0:
+            self.slots.add(index)
+            return f"s{index}"
+        key = ("slot", index)
+        return self.values.get(key) or self.bind(key, f"s[{index:d}]")
+
+    def spill(self, expr) -> str:
+        """Call a function of its own that evaluates ``expr``."""
+        fn = self.emitter.item("spill", lambda b: b.code(expr))
+        return self.bind(None, f"{self.const(fn, ('spill', id(expr)))}(s)")
+
+    def checked(self, name: str) -> None:
+        """The numeric result check of ``name``: NaN, the 64-bit range."""
+        self.lines.append(self.indent + _CHECK.format(name))
+        self.lines.append(f"{self.indent}    _number({name})")
 
 
-def _bit_test(e):
-    """(slot, element, bit) when ``e`` tests whether a constant element
-    is in (bit 1) or out of (bit 0) a set variable; otherwise None."""
-    bit = 1
-    if isinstance(e, ex.Not):
-        e, bit = e.operand, 0
-    if isinstance(e, ex.SetMember) and isinstance(e.operand, ex.SetVar):
-        if isinstance(e.element, ex.ElementConst):
-            return e.operand.index, e.element.value, bit
-    return None
+_CHECK = f"if {{0}}.__class__ is not int or not {_RANGE.format('{0}')}:"
 
 
-def _bit(k: int, j: int, bit: int):
-    def test(s, k=k, j=j, bit=bit):
-        return s[k] >> j & 1 == bit
+def _render(text: str, indent: str, prefix: str, offset: int) -> str:
+    """A block's text indented, with its N-th constant named ``prefix(N + offset)``."""
+    parts = (indent + text.replace("\n", "\n" + indent)).split("\x00")
+    parts[1::2] = [f"{prefix}{int(n) + offset}" for n in parts[1::2]]
+    return "".join(parts)
 
-    return test
+
+class Emitter:
+    """Writes expression trees over one table registry as generated
+    functions.  Dense tables and their slices are cached, so the
+    functions of one emitter share them."""
+
+    def __init__(self, tables: ex.TableRegistry, extents=None):
+        self.named = {table.name: table for table in tables}
+        self.extents = extents or {}  # fused slot name -> the object count of its variable
+        self.bounds: dict[int, str] = {}  # the name of each bound on a slot
+        self._layouts: dict[str, _Layout] = {}
+        self._arrays: dict[tuple, object] = {}
+
+    def item(self, name: str, build) -> FunctionType:
+        """The function of one block that returns what ``build(block)`` codes."""
+        b = _Block(self)
+        b.open()
+        result = b.test(build(b))
+        b.emit(f"return {result}")
+        return _function(name, [*b.names.values(), *b.shared], lambda: b.lines,
+                         b.row + list(b.shared.values()))
+
+    def evaluate(self, expr) -> FunctionType:
+        return self.item("evaluate", lambda b: b.code(expr))
+
+    def fused(self, name: str, parts, guarded=False) -> FunctionType:
+        """``name`` over ``parts``, blocks and lines in order; runs of
+        blocks of one text fold into loops over rows of their constants.
+        With ``guarded`` the body runs under ``try``, and any exception
+        returns None."""
+        blocks = [part for part in parts if part.__class__ is _Block]
+        shared, slots, ranges, params, defaults = {}, set(), set(), [], []
+        for block in blocks:
+            shared.update(block.shared)
+            slots.update(block.slots)
+            ranges.update(block.ranges)
+        texts = [object() if p.__class__ is str else "\n".join(p.lines) for p in parts]
+        runs, start = [], 0
+        while start < len(parts):
+            period, count = (1, 1) if parts[start].__class__ is str else _run(texts, start)
+            runs.append((start, period, count, len(params)))
+            if parts[start].__class__ is not str and count == 1:
+                params += [f"p{len(params) + k}" for k in range(len(parts[start].row))]
+                defaults += parts[start].row
+            elif count > 1:
+                params.append(f"p{len(params)}")
+                defaults.append([tuple(sum((p.row for p in parts[first : first + period]), []))
+                                 for first in range(start, start + period * count, period)])
+            start += period * count
+
+        def body():
+            pad = "        " if guarded else "    "
+            lines = [f"{pad}s{k} = s[{k}]" for k in sorted(slots)]
+            if ranges:  # a fault here sends the state to the separate queries
+                tests = " and ".join(f"0 <= {i} < {n}" for i, n in sorted(ranges))
+                lines += [f"{pad}if not ({tests}):", f"{pad}    raise IndexError"]
+            for start, period, count, first in runs:
+                if parts[start].__class__ is str:
+                    lines.append(pad + parts[start])
+                elif count == 1:
+                    lines.append(_render(texts[start], pad, "p", first))
+                else:
+                    width = sum(len(block.row) for block in parts[start : start + period])
+                    lines.append(f"{pad}for ({''.join(f'k{k}, ' for k in range(width))}) in "
+                                 f"p{first}:")
+                    offset = 0
+                    for k in range(start, start + period):
+                        lines.append(_render(texts[k], pad + "    ", "k", offset))
+                        offset += len(parts[k].row)
+            if guarded:
+                lines = ["    try:", *lines, "    except Exception:", "        return None"]
+            return lines
+
+        key = (name, guarded, tuple(sorted(ranges)), *shared, *(
+            part if part.__class__ is str else (count > 1, *texts[start : start + period])
+            for start, period, count, _ in runs for part in [parts[start]]))
+        return _function(name, params + list(shared), body, defaults + list(shared.values()), key)
+
+    # -- tables --------------------------------------------------------
+
+    def array(self, table: ex.Table, context: str, pattern):
+        """The slice that ``pattern`` selects of a table clean in ``context``, or None."""
+        key = (table.name, context, pattern)
+        if key not in self._arrays:
+            layout = self._layouts.get(table.name)
+            if layout is None:
+                layout = self._layouts[table.name] = _Layout(table)
+            in_range = all(p is None or 0 <= p < n for p, n in zip(pattern, table.shape))
+            array = None
+            if in_range and layout.clean(context):
+                array = _slice(layout.array, pattern) if pattern else layout.array
+            self._arrays[key] = array
+        return self._arrays[key]
+
+    def derived(self, kind: str, table: ex.Table, pattern, make):
+        """``make(slice)`` of the clean numeric slice of ``pattern``, or None."""
+        key = (table.name, kind, pattern)
+        if key not in self._arrays:
+            array = self.array(table, "numeric", pattern)
+            self._arrays[key] = None if array is None else make(array)
+        return self._arrays[key]
 
 
-def _set_member(c, e):
-    found = _bit_test(e)
+def _run(texts, start: int) -> tuple[int, int]:
+    """(period, count) of the longest run of a repeated group from ``start``."""
+    best = (1, 1)
+    for period in range(1, _PERIOD + 1):
+        group = texts[start : start + period]
+        if len(group) < period:
+            break
+        count = 1
+        while texts[start + count * period : start + (count + 1) * period] == group:
+            count += 1
+        if count > 1 and period * count > best[0] * best[1]:
+            best = (period, count)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Rules: the code of each node type
+
+
+def _const(b, e):
+    return _Const(e.value, (e.__class__, e.value))
+
+
+def _var(b, e):
+    return b.slot(e.index)
+
+
+def _table_read(b, name: str, args, context: str):
+    """A read of ``name`` at ``args`` in ``context``: an index into a clean
+    dense slice behind a range check, or else the checked lookup.  Reads
+    are the commonest node, so this runs no comprehension."""
+    em = b.emitter
+    table = em.named.get(name)
+    if table is None:
+        return b.bind(None, f"_unknown_table({b.const(name, ('name', name))})")
+    codes, key, pattern, free = [], ["read", name, context], [], []
+    for arg in args:
+        code = _Const(arg.value, (ex.ElementConst, arg.value)) if arg.__class__ is ex.ElementConst \
+            else b.code(arg)
+        codes.append(code)
+        if code.__class__ is _Const:
+            key.append(code.key)
+            pattern.append(code.value)
+        else:
+            key.append(code)
+            pattern.append(None)
+            free.append(code)
+    key, pattern = tuple(key), tuple(pattern)
+    found = b.values.get(key)
     if found is not None:
-        return _bit(*found)
-    operand, item = c.code(e.operand), c.code(e.element)
-    mask, element = c.callable(operand), c.callable(item)
-
-    def member(s, mask=mask, element=element):
-        m = mask(s)
-        return bitset.contains(m, element(s))
-
-    return _fold(member, operand, item)
-
-
-def _set_subset(c, e):
-    lhs, rhs = c.code(e.lhs), c.code(e.rhs)
-    left, right = c.callable(lhs), c.callable(rhs)
-
-    def subset(s, left=left, right=right):
-        a = left(s)
-        return a & right(s) == a
-
-    return _fold(subset, lhs, rhs)
-
-
-def _set_is_empty(c, e):
-    operand = c.code(e.operand)
-    if isinstance(operand, Slot):
-
-        def empty(s, k=operand.index):
-            return s[k] == 0
-
-        return empty
-    mask = c.callable(operand)
-
-    def empty(s, mask=mask):
-        return mask(s) == 0
-
-    return _fold(empty, operand)
+        return found
+    array = em._arrays.get((name, context, pattern), _MISSING)
+    if array is _MISSING:
+        array = em.array(table, context, pattern) if len(pattern) == len(table.shape) else None
+    if array is not None:
+        if not free:
+            return _Const(array, key)
+        tests, index, k = [], "", 0
+        for p, n in zip(pattern, table.shape):
+            if p is None:
+                i, k = free[k], k + 1
+                index += f"[{i}]"
+                extent = em.extents.get(i, n + 1)  # a fused slot's object count
+                if extent <= n:  # the function's entry checks that the slot is an object
+                    bound = em.bounds.setdefault(extent, f"N{len(em.bounds)}")
+                    b.ranges.add((i, b.share(bound, extent)))
+                else:
+                    tests.append(f"0 <= {i} < {b.const(n, (int, n))}")
+        if tests:
+            b.emit(f"if not ({' and '.join(tests)}):")
+            b.emit(f"    _fail({b.const((table, pattern), ('at', name, pattern))}, "
+                   f"({''.join(i + ', ' for i in free)}))")
+        return b.bind(key, b.const(array, ("array", name, context, pattern)) + index)
+    if not free:
+        try:
+            return _Const(_read(table, context, pattern), key)
+        except Exception:  # raises when evaluated
+            pass
+    atoms = "".join(b.atom(code) + ", " for code in codes)
+    return b.bind(key, f"_read({b.const(table, ('table', name))}, {context!r}, ({atoms}))")
 
 
-def _boolean_table(c, e):
-    return c.table_read(e.table, e.args, "boolean")
+_ELEMENT_OPS = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
+_DIVISIONS = {"/": "element division by zero", "%": "element modulo by zero"}
 
 
-def _not(c, e):
-    found = _bit_test(e)
+def _element_binary(b, e):
+    op = _ELEMENT_OPS[e.op]
+    a, c = b.value(e.lhs), b.value(e.rhs)
+    key = ("element", op, a, c)
+    found = b.values.get(key)
     if found is not None:
-        return _bit(*found)
-    inner = c.code(e.operand)
-    test = c.callable(inner)
-
-    def negate(s, test=test):
-        return not test(s)
-
-    return _fold(negate, inner)
-
-
-def _junction(c, operands, short: bool):
-    """And (``short`` False) or Or (``short`` True): operands evaluated
-    left to right up to the first one whose value is ``short``."""
-    tests, result = [], not short  # the value when no operand is ``short``
-    for operand in operands:
-        code = c.code(operand)
-        if isinstance(code, Const):
-            if bool(code.value) == short:
-                result = short  # later operands are never evaluated
-                break
-            continue
-        tests.append((operand, c.callable(code)))
-    if not tests:
-        return Const(result)
-    if result == short:
-        # the value is fixed; the tests still run for the faults they raise
-        tests.append((None, _constant(short)))
-    if len(tests) == 1:
-        return tests[0][1]
-    if len(tests) == 2:
-        (first, a), (_, b) = tests
-        found = _bit_test(first)
-        if found is not None:  # a set-membership guard, tested inline
-            k, j, bit = found
-            if short:
-                return lambda s, k=k, j=j, bit=bit, b=b: s[k] >> j & 1 == bit or b(s)
-            return lambda s, k=k, j=j, bit=bit, b=b: s[k] >> j & 1 == bit and b(s)
-        if short:
-            return lambda s, a=a, b=b: a(s) or b(s)
-        return lambda s, a=a, b=b: a(s) and b(s)
-    tests = tuple(test for _, test in tests)
-    if short:
-
-        def any_(s, tests=tests):
-            for test in tests:
-                if test(s):
-                    return True
-            return False
-
-        return any_
-
-    def all_(s, tests=tests):
-        for test in tests:
-            if not test(s):
-                return False
-        return True
-
-    return all_
+        return found
+    if e.op in _DIVISIONS:
+        b.emit(f"if {c} == 0:")
+        b.emit(f"    raise ZeroDivisionError({_DIVISIONS[e.op]!r})")
+    v = b.bind(key, f"{a} {op} {c}")
+    b.emit(f"if not 0 <= {v} <= {_M}:")
+    b.emit(f"    _element({v}, {e.op!r})")
+    return v
 
 
-def _and(c, e):
-    return _junction(c, e.operands, False)
+def _if(b, e):
+    condition = b.code(e.condition)
+    if condition.__class__ is _Const:
+        return b.code(e.then if condition.value else e.otherwise)
+    v = b.temp()
+    for line, branch in ((f"if {b.test(condition)}:", e.then), ("else:", e.otherwise)):
+        b.emit(line)
+        b.open()
+        b.emit(f"{v} = {b.value(branch)}")
+        b.close()
+    return v
 
 
-def _or(c, e):
-    return _junction(c, e.operands, True)
+def _set_add(b, e):
+    j, universe = b.code(e.element), e.operand.universe
+    inside = j.__class__ is _Const and j.value < universe
+    element = b.atom(j)
+    if not inside:
+        u = b.const(universe, (int, universe))
+        b.emit(f"if {element} >= {u}:")
+        b.emit(f"    _cannot_add({element}, {u})")
+    mask = b.value(e.operand)
+    key = ("add", element, mask)
+    bit = b.const(1 << j.value, ("bit", j.key)) if inside else f"1 << {element}"
+    return b.values.get(key) or b.bind(key, f"{mask} | {bit}")
+
+
+def _set_remove(b, e):
+    j = b.code(e.element)
+    if j.__class__ is _Const and j.value < e.operand.universe:
+        keep = b.const(~(1 << j.value), ("keep", j.key))
+    else:
+        keep = f"~(1 << {b.atom(j)})"
+    mask = b.value(e.operand)
+    key = ("remove", keep, mask)
+    return b.values.get(key) or b.bind(key, f"{mask} & {keep}")
+
+
+def _binary(template: str):
+    def rule(b, e):
+        a, c = b.value(e.lhs), b.value(e.rhs)
+        key = (template, a, c)
+        return b.values.get(key) or b.bind(key, template.format(a, c))
+
+    return rule
+
+
+def _unary(template: str):
+    def rule(b, e):
+        a = b.value(e.operand)
+        key = (template, a)
+        return b.values.get(key) or b.bind(key, template.format(a))
+
+    return rule
+
+
+def _set_complement(b, e):
+    full = b.const(bitset.full(e.operand.universe), ("full", e.operand.universe))
+    mask = b.value(e.operand)
+    key = ("complement", full, mask)
+    return b.values.get(key) or b.bind(key, f"{full} & ~{mask}")
+
+
+_NUMERIC_OPS = {"+": "+", "-": "-", "*": "*"}
+
+
+def _numeric_binary(b, e):
+    a, c = b.value(e.lhs), b.value(e.rhs)
+    key = ("numeric", e.op, a, c)
+    found = b.values.get(key)
+    if found is not None:
+        return found
+    if e.op == "/":
+        return b.bind(key, f"_divide({a}, {c})")
+    v = b.bind(key, f"{a} {_NUMERIC_OPS[e.op]} {c}")
+    b.checked(v)
+    return v
+
+
+def _split(array):
+    """The numerators and denominators of a slice of ints and Fractions."""
+    if not {type(v) for v in array} <= {int, Fraction}:
+        return None
+    return tuple(v.numerator for v in array), tuple(v.denominator for v in array)
+
+
+def _ratios(b, read):
+    """For a numeric read with one free index into a slice of ints and Fractions:
+    the index, the slice's length, and its numerators and denominators."""
+    em = b.emitter
+    if read.__class__ is not ex.NumericTable or read.table not in em.named:
+        return None
+    table = em.named[read.table]
+    if len(read.args) != table.arity:
+        return None
+    codes = [b.code(a) for a in read.args]
+    free = [k for k, c in enumerate(codes) if c.__class__ is not _Const]
+    if len(free) != 1:
+        return None
+    pattern = tuple(c.value if c.__class__ is _Const else None for c in codes)
+    split, k = em.derived("ratios", table, pattern, _split), free[0]
+    if split is None:
+        return None
+    return (codes[k], b.const(table.shape[k], ("shape", table.name, k)),
+            *(b.const(part, (kind, table.name, pattern)) for part, kind in zip(split, "pq")))
+
+
+def _rounding(helper: str, ceil: bool):
+    """Floor or ceiling, with the integer fast path of the module docstring."""
+    general = _unary(helper + "({0})")
+
+    def rule(b, e):
+        operand = e.operand
+        if operand.__class__ is not ex.NumericBinary or operand.op not in ("/", "*"):
+            return general(b, e)
+        a = b.value(operand.lhs)
+        if operand.op == "/":
+            c = b.value(operand.rhs)
+            test, fast = f"{a}.__class__ is int and {c}.__class__ is int and {c}", f"{a} // {c}"
+        else:
+            found = _ratios(b, operand.rhs)
+            if found is None:
+                return general(b, e)
+            c, n, p, q = found
+            test, fast = f"{a}.__class__ is int and 0 <= {c} < {n}", f"{a} * {p}[{c}] // {q}[{c}]"
+        key = (helper, operand.op, a, c)
+        found = b.values.get(key)
+        if found is not None:
+            return found
+        v = b.temp()
+        b.emit(f"{v} = None")
+        b.emit(f"if {test}:")
+        b.emit(f"    {v} = -(-{fast})" if ceil else f"    {v} = {fast}")
+        b.emit(f"    if not {_RANGE.format(v)}:")
+        b.emit(f"        {v} = None")
+        b.emit(f"if {v} is None:")
+        b.open()
+        b.emit(f"{v} = {helper}({b.value(operand)})")
+        b.close()
+        return b.note(key, v)
+
+    return rule
+
+
+def _set_reduce(b, e):
+    em = b.emitter
+    table = em.named.get(e.table)
+    if table is None:
+        return _table_read(b, e.table, (), "numeric")  # raises when evaluated
+    prefix = [b.code(p) for p in e.prefix]
+    sums = None
+    if (e.op == "sum" and len(prefix) + 1 == table.arity
+            and all(p.__class__ is _Const for p in prefix)):
+        head = tuple(p.value for p in prefix)
+        sums = em.derived("sums", table, head + (None,), _nibble_sums)
+    heads = "".join(b.atom(p) + ", " for p in prefix)
+    mask = b.value(e.over)
+    key = ("reduce", e.op, e.table, heads, mask)
+    found = b.values.get(key)
+    if found is not None:
+        return found
+    if sums is None:
+        fold = b.const(_FOLDS[e.op], ("fold", e.op))
+        table = b.const(table, ("table", e.table))
+        return b.bind(key, f"_reduce({table}, {fold}, ({heads}), {mask})")
+    n = b.const(table.shape[-1], ("shape", e.table, len(prefix)))
+    rest, v, row = b.bind(None, mask), b.temp(), b.temp()
+    b.emit(f"if {rest} >> {n}:")
+    b.emit(f"    _beyond({b.const((table, head), ('at', e.table, head))}, {n}, {rest})")
+    b.emit(f"{v} = 0")
+    b.emit(f"for {row} in {b.const(sums, ('sums', e.table, head))}:")
+    b.emit(f"    if not {rest}:")
+    b.emit("        break")
+    b.emit(f"    {v} += {row}[{rest} & 15]")
+    b.emit(f"    {rest} >>= 4")
+    b.emit(f"if not {_RANGE.format(v)}:")
+    b.emit(f"    _number({v})")
+    return b.note(key, v)
+
+
+_COMPARISONS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+def _set_member(b, e):
+    mask = b.value(e.operand)
+    j = b.code(e.element)
+    if j.__class__ is _Const:  # an element constant is never negative
+        return _Test(f"{mask} >> {b.atom(j)} & 1")
+    j = b.atom(j)
+    return _Test(f"{j} >= 0 and {mask} >> {j} & 1")
+
+
+def _not(b, e):
+    code = b.code(e.operand)
+    if code.__class__ is _Const:
+        return _Const(not code.value)
+    return _Test(f"not ({b.test(code)})")
+
+
+def _junction(b, e):
+    """And or Or: operands in order up to the first whose truth is ``short``
+    (True for Or), each after the first in a block entered while none was."""
+    result, short = None, e.__class__ is ex.Or
+    for operand in e.operands:
+        if result is not None:
+            b.emit(f"if {'not ' if short else ''}{result}:")
+            b.open()
+        code = b.code(operand)
+        constant = code.__class__ is _Const
+        fixed = constant and bool(code.value) == short  # the later operands never run
+        if result is None and not constant:
+            result = b.bind(None, b.test(code))
+        elif result is not None:
+            b.emit(f"{result} = {short}" if fixed else "pass" if constant
+                   else f"{result} = {b.test(code)}")
+            b.close()
+        if fixed:
+            return _Const(short) if result is None else result
+    return _Const(not short) if result is None else result
 
 
 _RULES = {
-    ex.ElementConst: _element_const,
-    ex.ElementVar: _slot,
-    ex.ElementTable: _element_table,
+    ex.ElementConst: _const,
+    ex.ElementVar: _var,
+    ex.ElementTable: lambda b, e: _table_read(b, e.table, e.args, "element"),
     ex.ElementBinary: _element_binary,
     ex.ElementIf: _if,
-    ex.SetConst: _set_const,
-    ex.SetVar: _slot,
-    ex.SetTable: _set_table,
+    ex.SetConst: lambda b, e: _Const(e.mask, (ex.SetConst, e.mask)),
+    ex.SetVar: _var,
+    ex.SetTable: lambda b, e: _table_read(b, e.table, e.args, "set"),
     ex.SetAdd: _set_add,
     ex.SetRemove: _set_remove,
-    ex.SetUnion: _set_binary(operator.or_),
-    ex.SetIntersection: _set_binary(operator.and_),
-    ex.SetDifference: _set_binary(lambda a, b: a & ~b),
+    ex.SetUnion: _binary("{0} | {1}"),
+    ex.SetIntersection: _binary("{0} & {1}"),
+    ex.SetDifference: _binary("{0} & ~{1}"),
     ex.SetComplement: _set_complement,
-    ex.NumericConst: _numeric_const,
-    ex.NumericVar: _slot,
-    ex.FromElement: _from_element,
-    ex.NumericTable: _numeric_table,
+    ex.NumericConst: _const,
+    ex.NumericVar: _var,
+    ex.FromElement: lambda b, e: b.code(e.operand),
+    ex.NumericTable: lambda b, e: _table_read(b, e.table, e.args, "numeric"),
     ex.NumericBinary: _numeric_binary,
-    ex.NumericMin: _numeric_min,
-    ex.NumericMax: _numeric_max,
-    ex.NumericAbs: _numeric_unary(lambda v: _number(abs(v))),
-    ex.NumericFloor: _rounding(lambda v: ex._check_int(math.floor(v)), sign=1),
-    ex.NumericCeil: _rounding(lambda v: ex._check_int(math.ceil(v)), sign=-1),
+    ex.NumericMin: _binary("{1} if {1} < {0} else {0}"),
+    ex.NumericMax: _binary("{1} if {1} > {0} else {0}"),
+    ex.NumericAbs: _unary("_number(abs({0}))"),
+    ex.NumericFloor: _rounding("_floor", ceil=False),
+    ex.NumericCeil: _rounding("_ceil", ceil=True),
     ex.SetReduce: _set_reduce,
-    ex.Cardinality: _numeric_unary(int.bit_count),
+    ex.Cardinality: _unary("{0}.bit_count()"),
     ex.NumericIf: _if,
-    ex.SuccessorCost: _successor_cost,
-    ex.BoolConst: _bool_const,
-    ex.Comparison: _comparison,
+    ex.SuccessorCost: lambda b, e: b.bind(None, "_placeholder()"),
+    ex.BoolConst: _const,
+    ex.Comparison: lambda b, e: _Test(" ".join((b.value(e.lhs), _COMPARISONS[e.op],
+                                                b.value(e.rhs)))),
     ex.SetMember: _set_member,
-    ex.SetSubset: _set_subset,
-    ex.SetIsEmpty: _set_is_empty,
-    ex.BooleanTable: _boolean_table,
+    ex.SetSubset: lambda b, e: _Test("{0} & {1} == {0}".format(b.value(e.lhs), b.value(e.rhs))),
+    ex.SetIsEmpty: lambda b, e: _Test(f"{b.value(e.operand)} == 0"),
+    ex.BooleanTable: lambda b, e: _table_read(b, e.table, e.args, "boolean"),
     ex.Not: _not,
-    ex.And: _and,
-    ex.Or: _or,
+    ex.And: _junction,
+    ex.Or: _junction,
 }
+# The nodes whose statements open a nested block.
+_NESTING = {ex.ElementIf, ex.NumericIf, ex.NumericFloor, ex.NumericCeil, ex.And, ex.Or}
+
+
+# ---------------------------------------------------------------------------
+# Model queries
+
+
+def _guards(b, conditions) -> bool:
+    """Open a block per condition, entered while they hold; False past a false constant."""
+    for k, condition in enumerate(conditions):
+        if b.depth > _DEPTH:  # the rest in a function of their own
+            b.emit(f"if {b.spill(ex.And(tuple(conditions[k:])))}:")
+            b.open()
+            break
+        code = b.code(condition)
+        if code.__class__ is _Const:
+            if not code.value:
+                b.emit("pass")
+                return False
+            continue
+        b.emit(f"if {b.test(code)}:")
+        b.open()
+    return True
+
+
+def _successor(b, transition, variables) -> str:
+    """The name of the successor tuple, each effect checked for its variable."""
+    effects = dict(transition.effects)
+    extra = set(effects) - set(range(len(variables)))
+    if extra:
+        b.emit(f"_no_slot({b.const(min(extra), ('slot', min(extra)))})")
+        return "None"
+    values = []
+    for index, variable in enumerate(variables):
+        if index not in effects:
+            values.append(b.slot(index))
+            continue
+        v = b.value(effects[index])
+        if variable.kind in ("integer", "continuous"):
+            name = b.share(f"V{index}", variable.name)
+            if variable.kind == "integer":
+                v = b.bind(None, f"{v} if {v}.__class__ is int else _integer_effect({v}, {name})")
+            else:
+                v = b.bind(None, f"_continuous_effect({v}, {name})")
+        values.append(v)
+    return b.bind(None, f"({''.join(v + ', ' for v in values)})")
+
+
+def _as_cost(b, name: str, model, convert: str) -> str:
+    """``name`` as a cost, through ``COST_VALUE`` or ``BOUND_VALUE`` if need be."""
+    b.share("COST", model._cost_class)
+    b.share(convert, model._cost_value if convert == "COST_VALUE" else model._bound_value)
+    return b.bind(None, f"{name} if {name}.__class__ is COST else {convert}({name})")
+
+
+class Queries:
+    """The fused queries of one model: ``expand(state)`` returns what
+    ``Model.edges`` does, or None when anything in it raised; ``feasible``
+    and ``bound`` (None without bounds) raise faults unnamed, and the
+    model reruns the state through the separate queries to name them."""
+
+    __slots__ = ("expand", "feasible", "bound")
+
+    def __init__(self, model):
+        objects, variables = model.metadata.objects, model.metadata.variables
+        em = Emitter(model.tables, {f"s{k}": objects[v.object_type]
+                                    for k, v in enumerate(variables) if v.kind == "element"})
+        block = functools.partial(_Block, em, fused=True)
+        parts = []
+        for condition in model.constraints:
+            b = block()
+            if _guards(b, (ex.Not(condition),)):
+                b.emit("return False")
+            parts.append(b)
+        self.feasible = em.fused("feasible", parts + ["return True"])
+
+        parts = ["best = None"]
+        for bound in model.dual_bounds:
+            b = block()
+            v = _as_cost(b, b.value(bound), model, "BOUND_VALUE")
+            b.emit(f"if best is None or {v} {'>' if model.costs.minimize else '<'} best:")
+            b.emit(f"    best = {v}")
+            parts.append(b)
+        self.bound = em.fused("bound", parts + ["return best"])
+
+        single = len(model.base_cases) == 1
+        parts = [] if single else ["base = []"]
+        for case in model.base_cases:
+            b = block()
+            if _guards(b, case.conditions):
+                v = _as_cost(b, b.value(case.cost), model, "COST_VALUE")
+                b.emit(f"return {v}" if single else f"base.append({v})")
+            b.share("REDUCE", min if model.costs.minimize else max)
+            parts.append(b)
+        if not single:
+            parts += ["if base:", "    return base[0] if len(base) == 1 else REDUCE(base)"]
+        parts += ["edges = []", "append = edges.append"]
+        for transition in model.transitions:
+            b = block()
+            if _guards(b, transition.preconditions):
+                successor = _successor(b, transition, variables)
+                b.emit(f"if {b.share('FEASIBLE', self.feasible)}({successor}):")
+                b.open()
+                w = _as_cost(b, b.value(transition.weight), model, "COST_VALUE")
+                edge = f"({b.const(transition, ('transition',))}, {successor}, {w})"
+                b.emit(f"return [{edge}]" if transition.forced else f"append({edge})")
+                b.close()
+                if transition.forced:
+                    b.emit("return []")
+            parts.append(b)
+        self.expand = em.fused("expand", parts + ["return edges"], guarded=True)
+
+
+class Separate:
+    """The queries of one model one by one, built kind by kind on first
+    use, each raising its own faults for the model to name: the edges
+    ``(transition, guard, successor, weight)``, also keyed by transition
+    id (``edge_of``), each base case's condition and cost, the state
+    constraints and the dual bounds."""
+
+    def __init__(self, model):
+        # the model's parts, not the model: the model holds this object
+        self._emitter, self._variables = Emitter(model.tables), model.metadata.variables
+        self._transitions, self._base_cases = model.transitions, model.base_cases
+        self._constraints, self._bounds = model.constraints, model.dual_bounds
+
+    @functools.cached_property
+    def edges(self):
+        em, variables = self._emitter, self._variables
+        return tuple(
+            (
+                t,
+                em.item("guard", lambda b: _junction(b, ex.And(t.preconditions))),
+                em.item("successor", lambda b: _successor(b, t, variables)),
+                em.item("weight", lambda b: b.code(t.weight)),
+            )
+            for t in self._transitions
+        )
+
+    @functools.cached_property
+    def edge_of(self):
+        return {id(edge[0]): edge for edge in self.edges}
+
+    @functools.cached_property
+    def base_cases(self):
+        em = self._emitter
+        return tuple((em.item("base_case", lambda b: _junction(b, ex.And(case.conditions))),
+                      em.item("base_cost", lambda b: b.code(case.cost)))
+                     for case in self._base_cases)
+
+    @functools.cached_property
+    def constraints(self):
+        return tuple(map(self._emitter.evaluate, self._constraints))
+
+    @functools.cached_property
+    def bounds(self):
+        return tuple(map(self._emitter.evaluate, self._bounds))

@@ -10,11 +10,11 @@ Four expression families exist, mirroring the value families of states:
 
 The trees are the intermediate representation: the s-expression and YAML
 layers read and write them, ``validate`` inspects them, and models hold
-them, but nothing walks them to evaluate.  Evaluation is compiled once
-per model (:mod:`dpsearch.compiler`) into closures over dense tables,
-which the model caches on the first query that needs them; the cache is
-built without a lock, and two threads that race on it only compile
-twice.  The ``eval_*`` functions below compile the tree they are given
+them, but nothing walks them to evaluate.  Evaluation is generated as
+Python source once per model (:mod:`dpsearch.compiler`) and compiled
+once per source text; the model caches its functions on the first query
+that needs them, without a lock, so two threads that race on it only
+emit twice.  The ``eval_*`` functions below emit the tree they are given
 on each call, for callers outside a model.
 
 Evaluation is strict, pure, and reentrant: a node evaluated twice on
@@ -490,10 +490,10 @@ class Or(Condition):
 
 
 def _evaluate(expr, state: State, tables: TableRegistry):
-    from .compiler import Compiler
+    from .compiler import Emitter
 
     try:
-        return Compiler(tables).fn(expr)(state)
+        return Emitter(tables).evaluate(expr)(state)
     except IndexError:
         raise UnknownSymbolError(
             f"state {state!r} has no slot for a variable the expression reads"

@@ -26,11 +26,11 @@ def optimality_gap(primal: Optional[Number], dual: Optional[Number]) -> float:
     """
     _not_nan(primal, "primal bound")
     _not_nan(dual, "dual bound")
-    if primal is None or dual is None:
+    if primal is None or dual is None or abs(primal) == math.inf or abs(dual) == math.inf:
         return 1.0
     if primal == dual:
         return 0.0
-    if primal * dual < 0 or math.isinf(primal) or math.isinf(dual):
+    if primal * dual < 0:
         return 1.0
     return abs(primal - dual) / max(abs(primal), abs(dual))
 

@@ -11,18 +11,19 @@ values as ``float``, sets as bitmasks.  Everything here is immutable
 after construction and safe to share across threads.
 
 A model answers the solvers' queries (state constraints, applicable
-transitions, successors, weights, base costs, dual bounds) with closures
-that :mod:`dpsearch.compiler` builds from its expression trees, all at
-once, on the first query.  An arithmetic fault in a query (division by
-zero, 64-bit overflow) surfaces as :class:`EvaluationError` naming the
-constraint, transition, base case or dual bound where it arose.
+transitions, successors, weights, base costs, dual bounds) with functions
+that :mod:`dpsearch.compiler` generates from its expression trees as
+Python source.  An arithmetic fault in a query (division by zero, 64-bit
+overflow) surfaces as :class:`EvaluationError` naming the constraint,
+transition, base case or dual bound where it arose.
 
-The solvers expand a state with ``Model.edges``: one loop over the
-compiled edge table that runs guard, effects, state constraints and
-weight for each transition under a single ``try``.  On any fault it
-reruns the state through the separate queries, which raise the named
-error in their own order; every query is pure, so the rerun sees the
-same values.
+The solvers read three fused functions, compiled on the first query:
+``Model.edges`` runs the base cases, then every transition's guards,
+effects, successor constraints and weight under a single ``try``, and
+``check_constraints`` and ``eval_dual_bound`` run all constraints or
+bounds at once.  On any fault a query reruns the state through the
+separate queries, which raise the named error in their own order; every
+query is pure, so the rerun sees the same values.
 """
 
 from __future__ import annotations
@@ -324,8 +325,13 @@ class Model:
         self.constraints = tuple(constraints)
         self.dual_bounds = tuple(dual_bounds)
         self.costs = costs
-        # the class of the values the cost conversion returns unchanged
-        self._cost_class = int if costs.cost_type == INTEGER else float
+        # the class of the values the cost conversion returns unchanged,
+        # and the conversions of any other value: module functions, which
+        # the compiled queries hold without holding the model
+        integer = costs.cost_type == INTEGER
+        self._cost_class = int if integer else float
+        self._cost_value = _integer_cost if integer else _continuous_cost
+        self._bound_value = _integer_bound if integer else _continuous_bound
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -343,21 +349,27 @@ class Model:
 
     # -- compiled queries ----------------------------------------------
     #
-    # Every query compiles on the first one asked, so a model only written
-    # and read back compiles nothing; later reads find the closures in
-    # the instance dict.
+    # The fused queries compile on the first query asked, so a model only
+    # written and read back compiles nothing; the separate ones, which
+    # name faults, compile on first use.  Later reads find them in the
+    # instance dict.
 
     _queries = functools.cached_property(compiler.Queries)
+    _separate = functools.cached_property(compiler.Separate)
 
     def __getstate__(self):
-        """Pickle the declarations only; closures cannot be pickled, and
-        the compiled queries rebuild on first use."""
-        return {k: v for k, v in self.__dict__.items() if k != "_queries"}
+        """Pickle the declarations only; the compiled queries rebuild on
+        first use."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("_queries", "_separate")}
 
     # -- state queries ------------------------------------------------
 
     def check_constraints(self, state: State) -> bool:
-        checks = self._queries.constraints
+        try:
+            return self._queries.feasible(state)
+        except Exception:  # rerun outside the handler: the named error chains to no other
+            pass
+        checks = self._separate.constraints
         check = None
         try:
             for check in checks:
@@ -369,7 +381,7 @@ class Model:
 
     def base_cost(self, state: State) -> Optional[Number]:
         """Best base cost over satisfied base cases, or None if none holds."""
-        cases = self._queries.base_cases
+        cases = self._separate.base_cases
         case = None
         values = []
         try:
@@ -391,7 +403,7 @@ class Model:
         regular = []
         transition = None
         try:
-            for transition, guard, _, _ in self._queries.edges:
+            for transition, guard, _, _ in self._separate.edges:
                 if guard(state):
                     if transition.forced:
                         return [transition]
@@ -405,7 +417,7 @@ class Model:
         applicable = []
         transition = None
         try:
-            for transition, guard, _, _ in self._queries.edges:
+            for transition, guard, _, _ in self._separate.edges:
                 if guard(state):
                     applicable.append(transition)
         except _FAULTS as err:
@@ -413,7 +425,7 @@ class Model:
         return applicable
 
     def _edge(self, transition: Transition) -> tuple:
-        edge = self._queries.edge_of.get(id(transition))
+        edge = self._separate.edge_of.get(id(transition))
         if edge is None:
             raise _foreign(transition)
         return edge
@@ -446,30 +458,8 @@ class Model:
         fault lay in work they skip: the effects of regular transitions
         that a later forced one overrides.
         """
-        queries, cost_class = self._queries, self._cost_class
-        try:
-            for holds, _ in queries.base_cases:
-                if holds(state):
-                    return self.base_cost(state)
-            feasible = queries.feasible
-            edges = []
-            for transition, guard, successor_of, weight in queries.edges:
-                if not guard(state):
-                    continue
-                if transition.forced:  # the first applicable forced one alone
-                    edges = []
-                successor = successor_of(state)
-                if feasible(successor):
-                    w = weight(state)
-                    if w.__class__ is not cost_class:
-                        w = self._cost_value(w)
-                    edges.append((transition, successor, w))
-                if transition.forced:
-                    break
-            return edges
-        except Exception:  # rerun outside the handler: the named error chains to no other
-            pass
-        return self._edges_by_query(state)
+        edges = self._queries.expand(state)
+        return self._edges_by_query(state) if edges is None else edges
 
     def _edges_by_query(self, state: State) -> Union[Number, list]:
         """``edges`` through the separate queries, each with its own fault
@@ -490,9 +480,11 @@ class Model:
         Absent when the model declares no dual bounds; solvers then guide
         by the path weight alone and do not prune.
         """
-        bounds = self._queries.bounds
-        if not bounds:
-            return None
+        try:
+            return self._queries.bound(state)
+        except Exception:  # rerun outside the handler: the named error chains to no other
+            pass
+        bounds = self._separate.bounds
         minimize, cost_class = self.costs.minimize, self._cost_class
         best = bound = None
         try:
@@ -506,20 +498,24 @@ class Model:
             raise _fault(err, f"dual bound {bounds.index(bound)}") from err
         return best
 
-    def _cost_value(self, value) -> Number:
-        value = ex.collapse(value)
-        if self.costs.cost_type == INTEGER:
-            if isinstance(value, Fraction) or isinstance(value, float):
-                raise EvaluationError(
-                    f"integer cost expression produced non-integer {value!r}"
-                )
-            return value
-        return float(value)
 
-    def _bound_value(self, value) -> Number:
-        if isinstance(value, float) and math.isinf(value):
-            return value
-        return self._cost_value(value)
+def _integer_cost(value) -> Number:
+    value = ex.collapse(value)
+    if isinstance(value, Fraction) or isinstance(value, float):
+        raise EvaluationError(f"integer cost expression produced non-integer {value!r}")
+    return value
+
+
+def _continuous_cost(value) -> Number:
+    return float(ex.collapse(value))
+
+
+def _integer_bound(value) -> Number:
+    return value if isinstance(value, float) and math.isinf(value) else _integer_cost(value)
+
+
+def _continuous_bound(value) -> Number:
+    return value if isinstance(value, float) and math.isinf(value) else _continuous_cost(value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ best f among the frontier, the states cut by the width so far, and the
 primal bound.
 
 The wrapper reruns beam search with widths 1, 2, 4, ... until a run
-comes back complete.  Every pass records into one ``Run``,
-so the event logs of the ``Solution`` it returns span all its passes.
-The wrapper carries forward the primal bound, and memoizes the run's
-state constraints, edges and dual bounds for all its passes
-(``PassCache``), so the target is checked once and a state any earlier
-pass expanded is not expanded through the model again.
+comes back complete.  Every pass records into one ``Run``, so the event
+logs of the ``Solution`` it returns span all its passes.  The wrapper
+carries forward the primal bound, and memoizes the run's state
+constraints, edges and dual bounds for all its passes (``PassCache``),
+so the target is checked once and a state any earlier pass expanded is
+not expanded through the model again; it frees the memos before it
+reports, so ``Solution.elapsed`` covers that.
 """
 
 from __future__ import annotations
@@ -115,15 +116,14 @@ def cabs(model: Model, params: Optional[SolverParams] = None) -> Solution:
     infeasibility when no solution was ever found).
     """
     run = Run(model, params or SolverParams())
+    own = run.feasible, run.edges, run.bound
     # bound to the memos, not the run: no reference cycle
-    run.feasible, run.edges, run.bound = (
-        PassCache(fn).__getitem__ for fn in (run.feasible, run.edges, run.bound)
-    )
+    run.feasible, run.edges, run.bound = (PassCache(fn).__getitem__ for fn in own)
     width = 1
     while True:
         _, complete = beam_search(model, width, run=run)
-        if complete:
-            return run.finish(natural=True)
-        if run.out_of_time():
-            return run.finish(natural=False)
+        if complete or run.out_of_time():
+            # the memos are freed here, within ``elapsed``
+            run.feasible, run.edges, run.bound = own
+            return run.finish(natural=complete)
         width *= 2

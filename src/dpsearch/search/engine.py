@@ -6,7 +6,7 @@ incumbents, event logs, counters, the wall clock) and the kernel:
 ``root`` builds the target node, and ``expand`` turns a node into its
 successors.  A base state is a candidate solution, recorded when it
 improves the primal bound.  Any other state's edges come from
-``Model.edges``, one fused loop over the compiled guards, effects, state
+``Model.edges``, one fused function over the guards, effects, state
 constraints and weights that falls back on the per-query path when
 anything in it raises, so a fault is named as the separate queries name
 it.  The edges are all built before any dual bound is evaluated, so a
@@ -71,7 +71,7 @@ def collector_paused(search: Callable) -> Callable:
     it back on when it returns or raises; a nested call, or a caller who
     disabled it, is left alone.  On the way out one young-generation
     collection moves the objects the run left alive (mostly the model's
-    lazily compiled closures) to an older generation and resets the
+    lazily compiled queries) to an older generation and resets the
     allocation count, so the caller's next steps do not pay for the
     collections the run put off.
     """

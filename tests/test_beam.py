@@ -181,10 +181,11 @@ def test_cabs_reuses_expansions_without_changing_its_answer():
 
 def test_cabs_memo_holds_every_pass(monkeypatch):
     model = _cvrp_of_six_passes()
-    runs, expanded = [], []
+    runs, memos, expanded = [], [], []
 
     def beam_search(model, width, params=None, run=None):
         runs.append(run)
+        memos.append((run.edges.__self__, run.bound.__self__))
         return search(model, width, params=params, run=run)
 
     def expand(run, node, registry):
@@ -195,8 +196,9 @@ def test_cabs_memo_holds_every_pass(monkeypatch):
     monkeypatch.setattr(beam, "beam_search", beam_search)
     monkeypatch.setattr(Run, "expand", expand)
     dp.cabs(model)
-    assert len(runs) >= 3 and len(set(map(id, runs))) == 1  # one run, one memo
-    edges, bounds = runs[-1].edges.__self__, runs[-1].bound.__self__
+    assert len(runs) >= 3 and len(set(map(id, runs))) == 1  # one run
+    assert len({tuple(map(id, pair)) for pair in memos}) == 1  # one memo
+    edges, bounds = memos[-1]
     assert edges.keys() == set(expanded)  # over all passes, not the last two
     assert len(expanded) > len(edges)  # later passes re-expanded earlier states
     expansions = [model.edges(state) for state in edges]
@@ -257,6 +259,27 @@ def test_cabs_memo_is_freed_with_its_run(monkeypatch):
         assert runs[-1]() is None
     finally:
         gc.enable()
+
+
+def test_cabs_frees_its_memos_before_it_reports(monkeypatch):
+    # the memos are freed within ``Solution.elapsed``, not after it
+    memos, alive = [], []
+
+    class Memo(beam.PassCache):
+        def __init__(self, fn):
+            super().__init__(fn)
+            memos.append(weakref.ref(self))
+
+    def finish(run, natural):
+        alive.append(sum(memo() is not None for memo in memos))
+        return run_finish(run, natural)
+
+    run_finish = Run.finish
+    monkeypatch.setattr(beam, "PassCache", Memo)
+    monkeypatch.setattr(Run, "finish", finish)
+    dp.cabs(_cvrp_of_six_passes())
+    assert len(memos) == 3
+    assert alive[:-1] == [3] * (len(alive) - 1) and alive[-1] == 0  # each pass, then the run
 
 
 def test_cabs_reports_a_deep_effect_fault_as_caasdy_does(deep_effect_fault_model):

@@ -614,6 +614,11 @@ class TestMetricsCommands:
         assert run_cli("gap", "6", "absent") == 0
         assert capsys.readouterr().out.strip() == "1.0"
 
+    @pytest.mark.parametrize("primal, dual", [("inf", "inf"), ("-inf", "-inf")])
+    def test_gap_of_two_equal_infinite_bounds_is_a_full_gap(self, capsys, primal, dual):
+        assert run_cli("gap", "--", primal, dual) == 0
+        assert capsys.readouterr().out.strip() == "1.0"
+
     def test_primal_integral(self, capsys, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text("2,10\n6,5\n")

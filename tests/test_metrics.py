@@ -28,7 +28,8 @@ class TestOptimalityGap:
 
     @pytest.mark.parametrize(
         "primal, dual",
-        [(5, -5), (-1, 1), (3, -0.5), (-2.0, 7), (5, math.inf), (math.inf, 0), (-5, -math.inf)],
+        [(5, -5), (-1, 1), (3, -0.5), (-2.0, 7), (5, math.inf), (math.inf, 0), (-5, -math.inf),
+         (math.inf, math.inf), (-math.inf, -math.inf), (math.inf, -math.inf)],
     )
     def test_opposite_signs_or_an_infinite_bound_are_a_full_gap(self, primal, dual):
         assert optimality_gap(primal, dual) == 1.0
@@ -51,6 +52,9 @@ class TestPrimalIntegral:
         # a cost of -1 against 1 is a gap of 1, not |-1 - 1| / 1 = 2
         assert primal_integral([(1.0, -1)], reference=1, horizon=10) == 10.0
         assert primal_integral([(2.0, 3), (5.0, -1)], reference=-1, horizon=10) == 5.0
+
+    def test_an_infinite_cost_against_an_infinite_reference_is_a_full_gap(self):
+        assert primal_integral([(1.0, math.inf)], reference=math.inf, horizon=10) == 10.0
 
     def test_infeasibility_proof_zeroes_the_gap(self):
         assert primal_integral([(4.0, None)], reference=5, horizon=10) == 4.0

@@ -311,15 +311,21 @@ def test_pickled_model_recompiles(desk_tsptw_model):
 
 
 def test_queries_compile_once_on_first_use(desk_tsptw_model):
+    """The fused queries compile on the first query of the search, the
+    separate ones on the first that asks for them; neither pickles."""
     model = desk_tsptw_model
     read_back = yamlio.load_model(*yamlio.serialize_model(model))
-    assert "_queries" not in vars(read_back) and "_queries" not in vars(model)
+    for name in ("_queries", "_separate"):
+        assert name not in vars(read_back) and name not in vars(model)
     model.successor(model.transitions[0], model.target)
+    assert "_queries" not in vars(model)
+    separate = vars(model)["_separate"]
+    assert model.check_constraints(model.target)
     compiled = vars(model)["_queries"]
-    assert model.check_constraints(model.target) and model.base_cost(model.target) is None
-    assert model.eval_dual_bound(model.target) is not None
-    assert vars(model)["_queries"] is compiled
-    assert "_queries" not in model.__getstate__()
+    assert model.base_cost(model.target) is None and model.eval_dual_bound(model.target) is not None
+    assert model.edges(model.target)
+    assert vars(model)["_queries"] is compiled and vars(model)["_separate"] is separate
+    assert "_queries" not in model.__getstate__() and "_separate" not in model.__getstate__()
 
 
 def test_foreign_transition_is_a_model_error(desk_tsptw_model):
