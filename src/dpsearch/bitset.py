@@ -32,11 +32,3 @@ def members(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def contains(mask: int, item: int) -> bool:
-    return item >= 0 and (mask >> item) & 1 == 1
-
-
-def size(mask: int) -> int:
-    return mask.bit_count()

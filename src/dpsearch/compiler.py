@@ -8,15 +8,15 @@ the body of a Python function: one statement per operation followed by
 its check (``v3 = v1 + v2``, then the 64-bit range and NaN test), with
 conditions tested inline (``if s0 >> k0 & 1:``).  Every value a document
 supplies (constants, table slices, names for messages) is a parameter of
-the function, never text in its source.  Within a block, a pure
-subexpression computed on every path to a second use is computed once
-(TSPTW's ``t + c[i][j]`` serves guard and effect); had the first
-evaluation raised, the second would never have run.  A table read
-indexes a dense slice behind a range check; a sum of a clean integer
-vector over a set adds one precomputed partial sum per 4 bits of the mask;
-the floor or ceiling of ``a * p/q`` or of ``a / b`` is integer floor
-division while the operands are ints and the result fits in 64 bits,
-and otherwise the general statements run.
+the function, never text in its source.  Every operation is emitted where
+the tree evaluates it, and every use of a constant is a parameter of its
+own, named by its position, so the text of a block depends only on the
+shape of its tree: the members of a family of transitions have one text
+whatever their data.  A table read indexes a dense slice behind a range
+check; a sum of a clean integer vector over a set adds one precomputed
+partial sum per 4 bits of the mask; the floor or ceiling of ``a * p/q``
+or of ``a / b`` is integer floor division while the operands are ints
+and the result fits in 64 bits, and otherwise the general statements run.
 
 Every check of the expression semantics stays and raises only when the
 faulty node is evaluated: table arity, index range, missing keys, the
@@ -29,13 +29,13 @@ arose (``"weight of 't': ..."``).
 
 A model's hot path is three fused functions (:class:`Queries`):
 ``expand`` (base cases, then each transition's guards, effects, the
-successor's state constraints and weight, under one ``try``),
-``feasible`` and ``bound``.  Each transition, constraint, base case and
-bound is a block; runs of blocks of one text, or of a repeated group of
-them (CVRP's ``visit-j``/``visit-via-depot-j`` pairs), fold into a loop
-over rows of their constants, so the source keeps its size as the
-instance grows.  The separate queries that name faults (:class:`Separate`)
-and ``eval_*`` come from the same emitter.  Code is cached by source text
+successor's state constraints and weight), ``feasible`` and ``bound``.
+Each transition, constraint, base case and bound is a block; runs of
+blocks of one text, or of a repeated group of them (CVRP's
+``visit-j``/``visit-via-depot-j`` pairs), fold into a loop over rows of
+their constants, so the source keeps its size as the instance grows.
+The separate queries that name faults (:class:`Separate`) and
+``eval_*`` come from the same emitter.  Code is cached by source text
 in a bounded dict, so models of one structure share one code object; a
 function is that code with the model's constants as its defaults, and a
 subtree nested too deep for one body spills into a function of its own.
@@ -287,14 +287,12 @@ _RANGE = f"-{_M} <= {{0}} <= {_M}"  # the 64-bit range test of a name
 
 
 class _Const:
-    """A value known when the source is written, and its key: two
-    constants of one key are one value and get one name."""
+    """A value known when the source is written."""
 
-    __slots__ = ("value", "key")
+    __slots__ = ("value",)
 
-    def __init__(self, value, key=None):
+    def __init__(self, value):
         self.value = value
-        self.key = (type(value), value) if key is None else key
 
 
 class _Test(str):
@@ -304,16 +302,16 @@ class _Test(str):
 class _Block:
     """The statements of one block of a generated function.
 
-    Its constants are listed in ``row`` and named ``kN`` for the N-th,
-    or, in a ``fused`` block, ``\\x00N\\x00`` until ``_render`` names
-    them; ``shared`` maps the names of function-wide values (``COST``,
-    ``FEASIBLE``) to them.  ``code`` returns a :class:`_Const`, a
-    :class:`_Test` or the name of a value it has emitted statements for;
-    ``value``, a name.  ``values`` maps the key of each pure value
-    computed so far to its name, and ``added`` the keys added in each
-    open nested block, so a name is reused only where the statement
-    that set it has run.  A ``fused`` block reads state slots once, at
-    the top of the function (``s0 = s[0]``), and lists them in ``slots``."""
+    Every use of a constant appends its value to ``row`` and is named by
+    its position there: ``kN`` for the N-th, or, in a ``fused`` block,
+    ``\\x00N\\x00`` until ``_render`` names it.  Every operation is emitted
+    where the tree evaluates it, so the block's text depends only on the
+    shape of its tree, never on the values in its row.  ``shared`` maps
+    the names of function-wide values (``COST``, ``FEASIBLE``) to them.
+    ``code`` returns a :class:`_Const`, a :class:`_Test` or the name of a
+    value it has emitted statements for; ``value``, a name.  A ``fused``
+    block reads state slots once, at the top of the function
+    (``s0 = s[0]``), and lists them in ``slots``."""
 
     def __init__(self, emitter: "Emitter", fused=False):
         self.emitter = emitter
@@ -321,9 +319,6 @@ class _Block:
         self.lines: list[str] = []
         self.depth = 0
         self.indent = ""
-        self.values: dict = {}
-        self.added: list[list] = [[]]
-        self.names: dict = {}
         self.row: list = []
         self.shared: dict = {}
         self.temps = 0
@@ -336,20 +331,14 @@ class _Block:
     def open(self) -> None:
         self.depth += 1
         self.indent += "    "
-        self.added.append([])
 
     def close(self) -> None:
         self.depth -= 1
         self.indent = self.indent[4:]
-        for key in self.added.pop():
-            del self.values[key]
 
-    def const(self, value, key) -> str:
-        name = self.names.get(key)
-        if name is None:
-            name = self.names[key] = self.naming % len(self.row)
-            self.row.append(value)
-        return name
+    def const(self, value) -> str:
+        self.row.append(value)
+        return self.naming % (len(self.row) - 1)
 
     def share(self, name: str, value) -> str:
         self.shared[name] = value
@@ -359,20 +348,10 @@ class _Block:
         self.temps += 1
         return f"v{self.temps - 1}"
 
-    def bind(self, key, text: str) -> str:
-        """Emit ``name = text`` and return the name; a key makes it the
-        value of that key while the current block lasts."""
-        name = f"v{self.temps}"
-        self.temps += 1
+    def bind(self, text: str) -> str:
+        """Emit ``name = text`` and return the name."""
+        name = self.temp()
         self.lines.append(f"{self.indent}{name} = {text}")
-        if key is not None:
-            self.values[key] = name
-            self.added[-1].append(key)
-        return name
-
-    def note(self, key, name: str) -> str:
-        self.values[key] = name
-        self.added[-1].append(key)
         return name
 
     def code(self, expr):
@@ -386,7 +365,7 @@ class _Block:
         if rule is _var:
             return self.slot(expr.index)
         if rule is _const:
-            return self.const(expr.value, (expr.__class__, expr.value))
+            return self.const(expr.value)
         if self.depth > _DEPTH and expr.__class__ in _NESTING:
             return self.spill(expr)
         code = rule(self, expr)
@@ -397,8 +376,8 @@ class _Block:
         if code.__class__ is str:
             return code
         if code.__class__ is _Const:
-            return self.const(code.value, code.key)
-        return self.bind(None, code)
+            return self.const(code.value)
+        return self.bind(code)
 
     def test(self, code) -> str:
         """A code as an expression to test or return."""
@@ -408,13 +387,12 @@ class _Block:
         if self.slots is not None and index >= 0:
             self.slots.add(index)
             return f"s{index}"
-        key = ("slot", index)
-        return self.values.get(key) or self.bind(key, f"s[{index:d}]")
+        return self.bind(f"s[{index:d}]")
 
     def spill(self, expr) -> str:
         """Call a function of its own that evaluates ``expr``."""
         fn = self.emitter.item("spill", lambda b: b.code(expr))
-        return self.bind(None, f"{self.const(fn, ('spill', id(expr)))}(s)")
+        return self.bind(f"{self.const(fn)}(s)")
 
     def checked(self, name: str) -> None:
         """The numeric result check of ``name``: NaN, the 64-bit range."""
@@ -450,17 +428,15 @@ class Emitter:
         b.open()
         result = b.test(build(b))
         b.emit(f"return {result}")
-        return _function(name, [*b.names.values(), *b.shared], lambda: b.lines,
-                         b.row + list(b.shared.values()))
+        return _function(name, [*(f"k{n}" for n in range(len(b.row))), *b.shared],
+                         lambda: b.lines, b.row + list(b.shared.values()))
 
     def evaluate(self, expr) -> FunctionType:
         return self.item("evaluate", lambda b: b.code(expr))
 
-    def fused(self, name: str, parts, guarded=False) -> FunctionType:
+    def fused(self, name: str, parts) -> FunctionType:
         """``name`` over ``parts``, blocks and lines in order; runs of
-        blocks of one text fold into loops over rows of their constants.
-        With ``guarded`` the body runs under ``try``, and any exception
-        returns None."""
+        blocks of one text fold into loops over rows of their constants."""
         blocks = [part for part in parts if part.__class__ is _Block]
         shared, slots, ranges, params, defaults = {}, set(), set(), [], []
         for block in blocks:
@@ -482,7 +458,7 @@ class Emitter:
             start += period * count
 
         def body():
-            pad = "        " if guarded else "    "
+            pad = "    "
             lines = [f"{pad}s{k} = s[{k}]" for k in sorted(slots)]
             if ranges:  # a fault here sends the state to the separate queries
                 tests = " and ".join(f"0 <= {i} < {n}" for i, n in sorted(ranges))
@@ -500,11 +476,9 @@ class Emitter:
                     for k in range(start, start + period):
                         lines.append(_render(texts[k], pad + "    ", "k", offset))
                         offset += len(parts[k].row)
-            if guarded:
-                lines = ["    try:", *lines, "    except Exception:", "        return None"]
             return lines
 
-        key = (name, guarded, tuple(sorted(ranges)), *shared, *(
+        key = (name, tuple(sorted(ranges)), *shared, *(
             part if part.__class__ is str else (count > 1, *texts[start : start + period])
             for start, period, count, _ in runs for part in [parts[start]]))
         return _function(name, params + list(shared), body, defaults + list(shared.values()), key)
@@ -554,7 +528,7 @@ def _run(texts, start: int) -> tuple[int, int]:
 
 
 def _const(b, e):
-    return _Const(e.value, (e.__class__, e.value))
+    return _Const(e.value)
 
 
 def _var(b, e):
@@ -568,29 +542,23 @@ def _table_read(b, name: str, args, context: str):
     em = b.emitter
     table = em.named.get(name)
     if table is None:
-        return b.bind(None, f"_unknown_table({b.const(name, ('name', name))})")
-    codes, key, pattern, free = [], ["read", name, context], [], []
+        return b.bind(f"_unknown_table({b.const(name)})")
+    codes, pattern, free = [], [], []
     for arg in args:
-        code = _Const(arg.value, (ex.ElementConst, arg.value)) if arg.__class__ is ex.ElementConst \
-            else b.code(arg)
+        code = _Const(arg.value) if arg.__class__ is ex.ElementConst else b.code(arg)
         codes.append(code)
         if code.__class__ is _Const:
-            key.append(code.key)
             pattern.append(code.value)
         else:
-            key.append(code)
             pattern.append(None)
             free.append(code)
-    key, pattern = tuple(key), tuple(pattern)
-    found = b.values.get(key)
-    if found is not None:
-        return found
+    pattern = tuple(pattern)
     array = em._arrays.get((name, context, pattern), _MISSING)
     if array is _MISSING:
         array = em.array(table, context, pattern) if len(pattern) == len(table.shape) else None
     if array is not None:
         if not free:
-            return _Const(array, key)
+            return _Const(array)
         tests, index, k = [], "", 0
         for p, n in zip(pattern, table.shape):
             if p is None:
@@ -601,19 +569,18 @@ def _table_read(b, name: str, args, context: str):
                     bound = em.bounds.setdefault(extent, f"N{len(em.bounds)}")
                     b.ranges.add((i, b.share(bound, extent)))
                 else:
-                    tests.append(f"0 <= {i} < {b.const(n, (int, n))}")
+                    tests.append(f"0 <= {i} < {b.const(n)}")
         if tests:
             b.emit(f"if not ({' and '.join(tests)}):")
-            b.emit(f"    _fail({b.const((table, pattern), ('at', name, pattern))}, "
-                   f"({''.join(i + ', ' for i in free)}))")
-        return b.bind(key, b.const(array, ("array", name, context, pattern)) + index)
+            b.emit(f"    _fail({b.const((table, pattern))}, ({''.join(i + ', ' for i in free)}))")
+        return b.bind(b.const(array) + index)
     if not free:
         try:
-            return _Const(_read(table, context, pattern), key)
+            return _Const(_read(table, context, pattern))
         except Exception:  # raises when evaluated
             pass
     atoms = "".join(b.atom(code) + ", " for code in codes)
-    return b.bind(key, f"_read({b.const(table, ('table', name))}, {context!r}, ({atoms}))")
+    return b.bind(f"_read({b.const(table)}, {context!r}, ({atoms}))")
 
 
 _ELEMENT_OPS = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
@@ -621,16 +588,11 @@ _DIVISIONS = {"/": "element division by zero", "%": "element modulo by zero"}
 
 
 def _element_binary(b, e):
-    op = _ELEMENT_OPS[e.op]
     a, c = b.value(e.lhs), b.value(e.rhs)
-    key = ("element", op, a, c)
-    found = b.values.get(key)
-    if found is not None:
-        return found
     if e.op in _DIVISIONS:
         b.emit(f"if {c} == 0:")
         b.emit(f"    raise ZeroDivisionError({_DIVISIONS[e.op]!r})")
-    v = b.bind(key, f"{a} {op} {c}")
+    v = b.bind(f"{a} {_ELEMENT_OPS[e.op]} {c}")
     b.emit(f"if not 0 <= {v} <= {_M}:")
     b.emit(f"    _element({v}, {e.op!r})")
     return v
@@ -651,68 +613,55 @@ def _if(b, e):
 
 def _set_add(b, e):
     j, universe = b.code(e.element), e.operand.universe
-    inside = j.__class__ is _Const and j.value < universe
-    element = b.atom(j)
-    if not inside:
-        u = b.const(universe, (int, universe))
-        b.emit(f"if {element} >= {u}:")
-        b.emit(f"    _cannot_add({element}, {u})")
-    mask = b.value(e.operand)
-    key = ("add", element, mask)
-    bit = b.const(1 << j.value, ("bit", j.key)) if inside else f"1 << {element}"
-    return b.values.get(key) or b.bind(key, f"{mask} | {bit}")
+    if j.__class__ is _Const and j.value < universe:
+        return b.bind(f"{b.value(e.operand)} | {b.const(1 << j.value)}")
+    element, u = b.atom(j), b.const(universe)
+    b.emit(f"if {element} >= {u}:")
+    b.emit(f"    _cannot_add({element}, {u})")
+    return b.bind(f"{b.value(e.operand)} | 1 << {element}")
 
 
 def _set_remove(b, e):
     j = b.code(e.element)
     if j.__class__ is _Const and j.value < e.operand.universe:
-        keep = b.const(~(1 << j.value), ("keep", j.key))
+        keep = b.const(~(1 << j.value))
     else:
         keep = f"~(1 << {b.atom(j)})"
-    mask = b.value(e.operand)
-    key = ("remove", keep, mask)
-    return b.values.get(key) or b.bind(key, f"{mask} & {keep}")
+    return b.bind(f"{b.value(e.operand)} & {keep}")
 
 
 def _binary(template: str):
     def rule(b, e):
-        a, c = b.value(e.lhs), b.value(e.rhs)
-        key = (template, a, c)
-        return b.values.get(key) or b.bind(key, template.format(a, c))
+        return b.bind(template.format(b.value(e.lhs), b.value(e.rhs)))
 
     return rule
 
 
 def _unary(template: str):
     def rule(b, e):
-        a = b.value(e.operand)
-        key = (template, a)
-        return b.values.get(key) or b.bind(key, template.format(a))
+        return b.bind(template.format(b.value(e.operand)))
 
     return rule
 
 
 def _set_complement(b, e):
-    full = b.const(bitset.full(e.operand.universe), ("full", e.operand.universe))
-    mask = b.value(e.operand)
-    key = ("complement", full, mask)
-    return b.values.get(key) or b.bind(key, f"{full} & ~{mask}")
+    full = b.const(bitset.full(e.operand.universe))
+    return b.bind(f"{full} & ~{b.value(e.operand)}")
 
 
 _NUMERIC_OPS = {"+": "+", "-": "-", "*": "*"}
 
 
-def _numeric_binary(b, e):
-    a, c = b.value(e.lhs), b.value(e.rhs)
-    key = ("numeric", e.op, a, c)
-    found = b.values.get(key)
-    if found is not None:
-        return found
-    if e.op == "/":
-        return b.bind(key, f"_divide({a}, {c})")
-    v = b.bind(key, f"{a} {_NUMERIC_OPS[e.op]} {c}")
+def _arithmetic(b, op: str, a: str, c: str) -> str:
+    if op == "/":
+        return b.bind(f"_divide({a}, {c})")
+    v = b.bind(f"{a} {_NUMERIC_OPS[op]} {c}")
     b.checked(v)
     return v
+
+
+def _numeric_binary(b, e):
+    return _arithmetic(b, e.op, b.value(e.lhs), b.value(e.rhs))
 
 
 def _split(array):
@@ -739,32 +688,29 @@ def _ratios(b, read):
     split, k = em.derived("ratios", table, pattern, _split), free[0]
     if split is None:
         return None
-    return (codes[k], b.const(table.shape[k], ("shape", table.name, k)),
-            *(b.const(part, (kind, table.name, pattern)) for part, kind in zip(split, "pq")))
+    return (codes[k], b.const(table.shape[k]), *map(b.const, split))
 
 
 def _rounding(helper: str, ceil: bool):
-    """Floor or ceiling, with the integer fast path of the module docstring."""
+    """Floor or ceiling, with the integer fast path of the module docstring.
+    The general statements take the left operand the fast path computed,
+    so a chain of roundings is emitted once, not twice per link."""
     general = _unary(helper + "({0})")
 
     def rule(b, e):
         operand = e.operand
         if operand.__class__ is not ex.NumericBinary or operand.op not in ("/", "*"):
             return general(b, e)
-        a = b.value(operand.lhs)
-        if operand.op == "/":
+        op, a = operand.op, b.value(operand.lhs)
+        if op == "/":
             c = b.value(operand.rhs)
             test, fast = f"{a}.__class__ is int and {c}.__class__ is int and {c}", f"{a} // {c}"
         else:
             found = _ratios(b, operand.rhs)
             if found is None:
-                return general(b, e)
-            c, n, p, q = found
-            test, fast = f"{a}.__class__ is int and 0 <= {c} < {n}", f"{a} * {p}[{c}] // {q}[{c}]"
-        key = (helper, operand.op, a, c)
-        found = b.values.get(key)
-        if found is not None:
-            return found
+                return b.bind(f"{helper}({_arithmetic(b, op, a, b.value(operand.rhs))})")
+            i, n, p, q = found
+            test, fast = f"{a}.__class__ is int and 0 <= {i} < {n}", f"{a} * {p}[{i}] // {q}[{i}]"
         v = b.temp()
         b.emit(f"{v} = None")
         b.emit(f"if {test}:")
@@ -773,9 +719,10 @@ def _rounding(helper: str, ceil: bool):
         b.emit(f"        {v} = None")
         b.emit(f"if {v} is None:")
         b.open()
-        b.emit(f"{v} = {helper}({b.value(operand)})")
+        c = c if op == "/" else b.value(operand.rhs)  # the checked read
+        b.emit(f"{v} = {helper}({_arithmetic(b, op, a, c)})")
         b.close()
-        return b.note(key, v)
+        return v
 
     return rule
 
@@ -791,29 +738,23 @@ def _set_reduce(b, e):
             and all(p.__class__ is _Const for p in prefix)):
         head = tuple(p.value for p in prefix)
         sums = em.derived("sums", table, head + (None,), _nibble_sums)
-    heads = "".join(b.atom(p) + ", " for p in prefix)
-    mask = b.value(e.over)
-    key = ("reduce", e.op, e.table, heads, mask)
-    found = b.values.get(key)
-    if found is not None:
-        return found
     if sums is None:
-        fold = b.const(_FOLDS[e.op], ("fold", e.op))
-        table = b.const(table, ("table", e.table))
-        return b.bind(key, f"_reduce({table}, {fold}, ({heads}), {mask})")
-    n = b.const(table.shape[-1], ("shape", e.table, len(prefix)))
-    rest, v, row = b.bind(None, mask), b.temp(), b.temp()
+        heads = "".join(b.atom(p) + ", " for p in prefix)
+        mask = b.value(e.over)
+        return b.bind(f"_reduce({b.const(table)}, {b.const(_FOLDS[e.op])}, ({heads}), {mask})")
+    rest, v, row = b.bind(b.value(e.over)), b.temp(), b.temp()
+    n = b.const(table.shape[-1])
     b.emit(f"if {rest} >> {n}:")
-    b.emit(f"    _beyond({b.const((table, head), ('at', e.table, head))}, {n}, {rest})")
+    b.emit(f"    _beyond({b.const((table, head))}, {n}, {rest})")
     b.emit(f"{v} = 0")
-    b.emit(f"for {row} in {b.const(sums, ('sums', e.table, head))}:")
+    b.emit(f"for {row} in {b.const(sums)}:")
     b.emit(f"    if not {rest}:")
     b.emit("        break")
     b.emit(f"    {v} += {row}[{rest} & 15]")
     b.emit(f"    {rest} >>= 4")
     b.emit(f"if not {_RANGE.format(v)}:")
     b.emit(f"    _number({v})")
-    return b.note(key, v)
+    return v
 
 
 _COMPARISONS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -847,7 +788,7 @@ def _junction(b, e):
         constant = code.__class__ is _Const
         fixed = constant and bool(code.value) == short  # the later operands never run
         if result is None and not constant:
-            result = b.bind(None, b.test(code))
+            result = b.bind(b.test(code))
         elif result is not None:
             b.emit(f"{result} = {short}" if fixed else "pass" if constant
                    else f"{result} = {b.test(code)}")
@@ -863,7 +804,7 @@ _RULES = {
     ex.ElementTable: lambda b, e: _table_read(b, e.table, e.args, "element"),
     ex.ElementBinary: _element_binary,
     ex.ElementIf: _if,
-    ex.SetConst: lambda b, e: _Const(e.mask, (ex.SetConst, e.mask)),
+    ex.SetConst: lambda b, e: _Const(e.mask),
     ex.SetVar: _var,
     ex.SetTable: lambda b, e: _table_read(b, e.table, e.args, "set"),
     ex.SetAdd: _set_add,
@@ -885,7 +826,7 @@ _RULES = {
     ex.SetReduce: _set_reduce,
     ex.Cardinality: _unary("{0}.bit_count()"),
     ex.NumericIf: _if,
-    ex.SuccessorCost: lambda b, e: b.bind(None, "_placeholder()"),
+    ex.SuccessorCost: lambda b, e: b.bind("_placeholder()"),
     ex.BoolConst: _const,
     ex.Comparison: lambda b, e: _Test(" ".join((b.value(e.lhs), _COMPARISONS[e.op],
                                                 b.value(e.rhs)))),
@@ -928,7 +869,7 @@ def _successor(b, transition, variables) -> str:
     effects = dict(transition.effects)
     extra = set(effects) - set(range(len(variables)))
     if extra:
-        b.emit(f"_no_slot({b.const(min(extra), ('slot', min(extra)))})")
+        b.emit(f"_no_slot({b.const(min(extra))})")
         return "None"
     values = []
     for index, variable in enumerate(variables):
@@ -939,25 +880,26 @@ def _successor(b, transition, variables) -> str:
         if variable.kind in ("integer", "continuous"):
             name = b.share(f"V{index}", variable.name)
             if variable.kind == "integer":
-                v = b.bind(None, f"{v} if {v}.__class__ is int else _integer_effect({v}, {name})")
+                v = b.bind(f"{v} if {v}.__class__ is int else _integer_effect({v}, {name})")
             else:
-                v = b.bind(None, f"_continuous_effect({v}, {name})")
+                v = b.bind(f"_continuous_effect({v}, {name})")
         values.append(v)
-    return b.bind(None, f"({''.join(v + ', ' for v in values)})")
+    return b.bind(f"({''.join(v + ', ' for v in values)})")
 
 
 def _as_cost(b, name: str, model, convert: str) -> str:
     """``name`` as a cost, through ``COST_VALUE`` or ``BOUND_VALUE`` if need be."""
     b.share("COST", model._cost_class)
     b.share(convert, model._cost_value if convert == "COST_VALUE" else model._bound_value)
-    return b.bind(None, f"{name} if {name}.__class__ is COST else {convert}({name})")
+    return b.bind(f"{name} if {name}.__class__ is COST else {convert}({name})")
 
 
 class Queries:
     """The fused queries of one model: ``expand(state)`` returns what
-    ``Model.edges`` does, or None when anything in it raised; ``feasible``
-    and ``bound`` (None without bounds) raise faults unnamed, and the
-    model reruns the state through the separate queries to name them."""
+    ``Model.edges`` does, ``feasible`` what ``check_constraints`` does and
+    ``bound`` what ``eval_dual_bound`` does (None without bounds).  Each
+    raises its faults unnamed, and the model reruns the state through the
+    separate queries to name them."""
 
     __slots__ = ("expand", "feasible", "bound")
 
@@ -1002,13 +944,13 @@ class Queries:
                 b.emit(f"if {b.share('FEASIBLE', self.feasible)}({successor}):")
                 b.open()
                 w = _as_cost(b, b.value(transition.weight), model, "COST_VALUE")
-                edge = f"({b.const(transition, ('transition',))}, {successor}, {w})"
+                edge = f"({b.const(transition)}, {successor}, {w})"
                 b.emit(f"return [{edge}]" if transition.forced else f"append({edge})")
                 b.close()
                 if transition.forced:
                     b.emit("return []")
             parts.append(b)
-        self.expand = em.fused("expand", parts + ["return edges"], guarded=True)
+        self.expand = em.fused("expand", parts + ["return edges"])
 
 
 class Separate:

@@ -148,9 +148,6 @@ class TableRegistry:
     def __iter__(self):
         return iter(self._tables.values())
 
-    def __len__(self) -> int:
-        return len(self._tables)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableRegistry):
             return NotImplemented

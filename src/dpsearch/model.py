@@ -19,11 +19,11 @@ transition, base case or dual bound where it arose.
 
 The solvers read three fused functions, compiled on the first query:
 ``Model.edges`` runs the base cases, then every transition's guards,
-effects, successor constraints and weight under a single ``try``, and
-``check_constraints`` and ``eval_dual_bound`` run all constraints or
-bounds at once.  On any fault a query reruns the state through the
-separate queries, which raise the named error in their own order; every
-query is pure, so the rerun sees the same values.
+effects, successor constraints and weight, and ``check_constraints`` and
+``eval_dual_bound`` run all constraints or bounds at once.  On any fault
+a query reruns the state through the separate queries, which raise the
+named error in their own order; every query is pure, so the rerun sees
+the same values.
 """
 
 from __future__ import annotations
@@ -369,6 +369,11 @@ class Model:
             return self._queries.feasible(state)
         except Exception:  # rerun outside the handler: the named error chains to no other
             pass
+        return self._constraints_by_query(state)
+
+    def _constraints_by_query(self, state: State) -> bool:
+        """``check_constraints`` through the separate queries, each
+        constraint named in its own fault: the path it falls back on."""
         checks = self._separate.constraints
         check = None
         try:
@@ -450,7 +455,8 @@ class Model:
     def edges(self, state: State) -> Union[Number, list]:
         """The base cost of ``state``, or else the edges ``(transition,
         successor, weight)`` of the transitions ``applicable_transitions``
-        returns whose successor passes the state constraints.
+        returns whose successor passes the state constraints, from the
+        fused ``expand``.
 
         On any exception the state runs again through the separate queries
         (``_edges_by_query``), which name the fault in their own order
@@ -458,8 +464,11 @@ class Model:
         fault lay in work they skip: the effects of regular transitions
         that a later forced one overrides.
         """
-        edges = self._queries.expand(state)
-        return self._edges_by_query(state) if edges is None else edges
+        try:
+            return self._queries.expand(state)
+        except Exception:  # rerun outside the handler: the named error chains to no other
+            pass
+        return self._edges_by_query(state)
 
     def _edges_by_query(self, state: State) -> Union[Number, list]:
         """``edges`` through the separate queries, each with its own fault
@@ -470,7 +479,7 @@ class Model:
         edges = []
         for transition in self.applicable_transitions(state):
             successor = self.successor(transition, state)
-            if self.check_constraints(successor):
+            if self._constraints_by_query(successor):
                 edges.append((transition, successor, self.weight(transition, state)))
         return edges
 

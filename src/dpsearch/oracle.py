@@ -67,10 +67,10 @@ def bellman_oracle(
         ``(None, edges)`` with one ``(weight, successor)`` per transition.
 
         It asks the model's separate queries, not the fused ``Model.edges``
-        loop the solvers expand with: the acceptance gate checks the
-        solvers against this oracle, so the oracle must not share the
-        fast path it checks."""
-        if not model.check_constraints(state):
+        loop or constraint check the solvers use: the acceptance gate
+        checks the solvers against this oracle, so the oracle must not
+        share the fast path it checks."""
+        if not model._constraints_by_query(state):
             return worst, None  # constraint violation: worth the worst sentinel
         base = model.base_cost(state)
         if base is not None:

@@ -36,7 +36,7 @@ def exhaustive_optimum(model: Model, limit: int = 500_000):
         calls[0] += 1
         if calls[0] > limit:
             raise RuntimeError("instance too large for exhaustive enumeration")
-        if not model.check_constraints(state):
+        if not model._constraints_by_query(state):
             return None
         base = model.base_cost(state)
         if base is not None:

@@ -16,6 +16,7 @@ from dpsearch.expressions import (
     Comparison,
     NumericBinary,
     NumericConst,
+    NumericFloor,
     NumericIf,
     NumericVar,
     Or,
@@ -202,6 +203,21 @@ def test_deep_trees_in_a_model(x):
     assert model.edges((x,)) == expected
 
 
+def test_a_chain_of_roundings_is_emitted_once():
+    # the general path of each floor reuses the operand its fast path computed
+    tree, links = X, 12
+    for k in range(links):
+        tree = NumericFloor(NumericBinary("/", NumericBinary("+", tree, NumericConst(k)),
+                                          NumericConst(2)))
+    fn = compiler.Emitter(TableRegistry()).evaluate(tree)
+    assert _source(fn).count("\n") < 12 * links
+    for x in (0, 5, 1000, 2.5):
+        value = x
+        for k in range(links):
+            value = math.floor((value + k) / 2)
+        assert fn((x,)) == value
+
+
 # -- one code object per structure, of one size whatever n
 
 
@@ -226,6 +242,24 @@ def test_models_of_one_structure_share_their_code():
     mdkp = CLASSES["mdkp"]
     other = mdkp.build(mdkp.random(random.Random(1)))
     assert other._queries.expand.__code__ is not small._queries.expand.__code__
+
+
+def _steps(c: int) -> Model:
+    """Six transitions ``t{j}``: when x = j, x := x + c."""
+    steps = [Transition(f"t{j}", (Comparison("=", X, NumericConst(j)),),
+                        ((0, NumericBinary("+", X, NumericConst(c))),), NumericConst(1))
+             for j in range(6)]
+    return Model(StateMetadata({}, [Variable("x", "integer")]), TableRegistry(), (0,), steps,
+                 [BaseCase((Comparison(">=", X, NumericConst(6)),), NumericConst(0))])
+
+
+def test_a_block_source_does_not_depend_on_its_constants():
+    # with c = 3, t3 holds the value 3 twice; its block keeps the text of the others
+    three, hundred = _steps(3), _steps(100)
+    assert three._queries.expand.__code__ is hundred._queries.expand.__code__
+    assert three.edges((3,)) == [(three.transitions[3], (6,), 1)]
+    assert hundred.edges((5,)) == [(hundred.transitions[5], (105,), 1)]
+    assert three.edges((6,)) == 0
 
 
 @pytest.mark.parametrize("build", [_tsptw, _cvrp], ids=["tsptw", "cvrp"])

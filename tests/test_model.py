@@ -433,14 +433,15 @@ def test_model_pickles_after_solving(desk_tsptw_model):
 
 
 def _per_query_edges(model, state):
-    """The edges of ``state`` through the separate public queries."""
+    """The edges of ``state`` through the separate queries, none of which
+    shares the fused constraint check that ``Model.edges`` runs."""
     base = model.base_cost(state)
     if base is not None:
         return base
     edges = []
     for transition in model.applicable_transitions(state):
         successor = model.successor(transition, state)
-        if model.check_constraints(successor):
+        if model._constraints_by_query(successor):
             edges.append((transition, successor, model.weight(transition, state)))
     return edges
 

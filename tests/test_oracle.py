@@ -25,6 +25,14 @@ def test_desk_tsptw_is_six(desk_tsptw_model):
     assert result.memo_size >= 5
 
 
+def test_the_oracle_builds_no_fused_query():
+    # the acceptance gate checks the solvers' fused queries against the
+    # oracle, so neither the oracle nor the enumerator may build them
+    model = build_tsptw(TsptwInstance(((0, 2, 3), (2, 0, 4), (3, 4, 0)), (0, 0, 0), (9, 9, 9)))
+    assert bellman_oracle(model).cost == exhaustive_optimum(model) == 9
+    assert "_queries" not in vars(model)
+
+
 def test_zero_customers_immediate_base():
     model = build_tsptw(TsptwInstance(((0,),), (0,), (10,)))
     assert bellman_oracle(model).cost == 0
