@@ -23,9 +23,10 @@ faulty node is evaluated: table arity, index range, missing keys, the
 value kind each context expects (skipped for a slice whose every value
 passes it), negative elements, the 64-bit range, NaN, division by zero
 and the set universe.  A read past the end of a short state raises
-``IndexError``, which the query entry points turn into
-:class:`UnknownSymbolError`; they also prefix each message with where it
-arose (``"weight of 't': ..."``).
+``IndexError``.  A function given a label (:meth:`Emitter.item`) runs in
+one ``try`` whose handler names its faults: it prefixes each message with
+the label (``"weight of 't': ..."``) and turns an ``IndexError`` into
+:class:`UnknownSymbolError`.
 
 A model's hot path is three fused functions (:class:`Queries`):
 ``expand`` (base cases, then each transition's guards, effects, the
@@ -34,11 +35,12 @@ Each transition, constraint, base case and bound is a block; runs of
 blocks of one text, or of a repeated group of them (CVRP's
 ``visit-j``/``visit-via-depot-j`` pairs), fold into a loop over rows of
 their constants, so the source keeps its size as the instance grows.
-The separate queries that name faults (:class:`Separate`) and
-``eval_*`` come from the same emitter.  Code is cached by source text
-in a bounded dict, so models of one structure share one code object; a
-function is that code with the model's constants as its defaults, and a
-subtree nested too deep for one body spills into a function of its own.
+The separate queries (:class:`Separate`), each labelled and returning
+costs converted as the fused ones do, and the unlabelled ``eval_*`` come
+from the same emitter.  Code is cached by source text in a bounded dict,
+so models of one structure share one code object; a function is that
+code with the model's constants as its defaults, and a subtree nested
+too deep for one body spills into a function of its own.
 """
 
 from __future__ import annotations
@@ -269,15 +271,29 @@ def _placeholder():
     raise EvaluationError("successor-cost placeholder cannot be evaluated")
 
 
+# Faults of the arithmetic, of reads past the end of a short state, and
+# of evaluation (a table read out of range, a value of the wrong kind, a
+# non-integer cost), which a labelled item names by where they arose.
+_FAULTS = (ZeroDivisionError, OverflowError, IndexError, EvaluationError)
+
+
+def _fault(err: Exception, where: str) -> EvaluationError:
+    if isinstance(err, IndexError):
+        return UnknownSymbolError(f"{where} reads a variable slot the state lacks")
+    kind = err.__class__ if isinstance(err, EvaluationError) else EvaluationError
+    return kind(f"{where}: {err}")
+
+
 _GLOBALS = {  # all that generated code sees by name
     "__builtins__": builtins,
     "_number": _number,
     "_floor": lambda value: ex._check_int(math.floor(value)),
     "_ceil": lambda value: ex._check_int(math.ceil(value)),
+    "_FAULTS": _FAULTS,
 } | {
     fn.__name__: fn for fn in (_element, _fail, _read, _unknown_table, _divide, _cannot_add,
                                _beyond, _reduce, _integer_effect, _continuous_effect, _no_slot,
-                               _placeholder)
+                               _placeholder, _fault)
 }
 _RANGE = f"-{_M} <= {{0}} <= {_M}"  # the 64-bit range test of a name
 
@@ -384,7 +400,7 @@ class _Block:
         return code if code.__class__ is _Test else self.atom(code)
 
     def slot(self, index: int) -> str:
-        if self.slots is not None and index >= 0:
+        if self.slots is not None:
             self.slots.add(index)
             return f"s{index}"
         return self.bind(f"s[{index:d}]")
@@ -422,12 +438,22 @@ class Emitter:
         self._layouts: dict[str, _Layout] = {}
         self._arrays: dict[tuple, object] = {}
 
-    def item(self, name: str, build) -> FunctionType:
-        """The function of one block that returns what ``build(block)`` codes."""
+    def item(self, name: str, build, label=None) -> FunctionType:
+        """The function of one block that returns what ``build(block)`` codes.
+        With a ``label``, the block runs in one ``try`` whose handler raises
+        any fault of ``_FAULTS`` as ``_fault`` names it at ``label``
+        (``"weight of 't': ..."``); without, faults pass unnamed."""
         b = _Block(self)
         b.open()
+        if label is not None:
+            b.emit("try:")
+            b.open()
         result = b.test(build(b))
         b.emit(f"return {result}")
+        if label is not None:
+            b.close()
+            b.emit("except _FAULTS as err:")
+            b.emit(f"    raise _fault(err, {b.share('WHERE', label)}) from err")
         return _function(name, [*(f"k{n}" for n in range(len(b.row))), *b.shared],
                          lambda: b.lines, b.row + list(b.shared.values()))
 
@@ -887,10 +913,12 @@ def _successor(b, transition, variables) -> str:
     return b.bind(f"({''.join(v + ', ' for v in values)})")
 
 
-def _as_cost(b, name: str, model, convert: str) -> str:
-    """``name`` as a cost, through ``COST_VALUE`` or ``BOUND_VALUE`` if need be."""
-    b.share("COST", model._cost_class)
-    b.share(convert, model._cost_value if convert == "COST_VALUE" else model._bound_value)
+def _as_cost(b, name: str, costs, bound=False) -> str:
+    """``name`` as a cost of the cost structure ``costs``: itself if of its
+    ``value_class``, or else through its ``as_bound`` or ``as_cost``."""
+    b.share("COST", costs.value_class)
+    convert = b.share("BOUND_VALUE" if bound else "COST_VALUE",
+                      costs.as_bound if bound else costs.as_cost)
     return b.bind(f"{name} if {name}.__class__ is COST else {convert}({name})")
 
 
@@ -919,7 +947,7 @@ class Queries:
         parts = ["best = None"]
         for bound in model.dual_bounds:
             b = block()
-            v = _as_cost(b, b.value(bound), model, "BOUND_VALUE")
+            v = _as_cost(b, b.value(bound), model.costs, bound=True)
             b.emit(f"if best is None or {v} {'>' if model.costs.minimize else '<'} best:")
             b.emit(f"    best = {v}")
             parts.append(b)
@@ -930,7 +958,7 @@ class Queries:
         for case in model.base_cases:
             b = block()
             if _guards(b, case.conditions):
-                v = _as_cost(b, b.value(case.cost), model, "COST_VALUE")
+                v = _as_cost(b, b.value(case.cost), model.costs)
                 b.emit(f"return {v}" if single else f"base.append({v})")
             b.share("REDUCE", min if model.costs.minimize else max)
             parts.append(b)
@@ -943,7 +971,7 @@ class Queries:
                 successor = _successor(b, transition, variables)
                 b.emit(f"if {b.share('FEASIBLE', self.feasible)}({successor}):")
                 b.open()
-                w = _as_cost(b, b.value(transition.weight), model, "COST_VALUE")
+                w = _as_cost(b, b.value(transition.weight), model.costs)
                 edge = f"({b.const(transition)}, {successor}, {w})"
                 b.emit(f"return [{edge}]" if transition.forced else f"append({edge})")
                 b.close()
@@ -955,26 +983,38 @@ class Queries:
 
 class Separate:
     """The queries of one model one by one, built kind by kind on first
-    use, each raising its own faults for the model to name: the edges
-    ``(transition, guard, successor, weight)``, also keyed by transition
-    id (``edge_of``), each base case's condition and cost, the state
-    constraints and the dual bounds."""
+    use: the edges ``(transition, guard, successor, weight)``, also keyed
+    by transition id (``edge_of``), each base case's condition and cost,
+    the state constraints and the dual bounds.  Each is complete: it
+    raises its faults named where they arose (``"precondition of 't'"``,
+    ``"effect of 't'"``, ``"weight of 't'"``, ``"base case k"`` for a
+    base case's condition and cost, ``"state constraint k"``, ``"dual
+    bound k"``), and returns weights, base costs and bounds as costs,
+    converted as the fused queries convert them."""
 
     def __init__(self, model):
         # the model's parts, not the model: the model holds this object
         self._emitter, self._variables = Emitter(model.tables), model.metadata.variables
         self._transitions, self._base_cases = model.transitions, model.base_cases
         self._constraints, self._bounds = model.constraints, model.dual_bounds
+        self._costs = model.costs
+
+    def _test(self, name: str, conditions, label: str) -> FunctionType:
+        return self._emitter.item(name, lambda b: _junction(b, ex.And(conditions)), label)
+
+    def _cost(self, name: str, expr, label: str, bound=False) -> FunctionType:
+        return self._emitter.item(
+            name, lambda b: _as_cost(b, b.value(expr), self._costs, bound), label)
 
     @functools.cached_property
     def edges(self):
-        em, variables = self._emitter, self._variables
+        item, variables = self._emitter.item, self._variables
         return tuple(
             (
                 t,
-                em.item("guard", lambda b: _junction(b, ex.And(t.preconditions))),
-                em.item("successor", lambda b: _successor(b, t, variables)),
-                em.item("weight", lambda b: b.code(t.weight)),
+                self._test("guard", t.preconditions, f"precondition of {t.name!r}"),
+                item("successor", lambda b: _successor(b, t, variables), f"effect of {t.name!r}"),
+                self._cost("weight", t.weight, f"weight of {t.name!r}"),
             )
             for t in self._transitions
         )
@@ -985,15 +1025,17 @@ class Separate:
 
     @functools.cached_property
     def base_cases(self):
-        em = self._emitter
-        return tuple((em.item("base_case", lambda b: _junction(b, ex.And(case.conditions))),
-                      em.item("base_cost", lambda b: b.code(case.cost)))
-                     for case in self._base_cases)
+        return tuple((self._test("base_case", case.conditions, f"base case {k}"),
+                      self._cost("base_cost", case.cost, f"base case {k}"))
+                     for k, case in enumerate(self._base_cases))
 
     @functools.cached_property
     def constraints(self):
-        return tuple(map(self._emitter.evaluate, self._constraints))
+        item = self._emitter.item
+        return tuple(item("constraint", lambda b: b.code(condition), f"state constraint {k}")
+                     for k, condition in enumerate(self._constraints))
 
     @functools.cached_property
     def bounds(self):
-        return tuple(map(self._emitter.evaluate, self._bounds))
+        return tuple(self._cost("bound", bound, f"dual bound {k}", bound=True)
+                     for k, bound in enumerate(self._bounds))

@@ -178,6 +178,10 @@ class ElementVar(ElementExpression):
     index: int
     name: str
 
+    def __post_init__(self):
+        if self.index < 0:
+            raise ValueError("variable slots must be nonnegative")
+
 
 @dataclass(frozen=True, slots=True)
 class ElementTable(ElementExpression):
@@ -229,6 +233,10 @@ class SetVar(SetExpression):
     index: int
     name: str
     universe: int
+
+    def __post_init__(self):
+        if self.index < 0:
+            raise ValueError("variable slots must be nonnegative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,6 +328,10 @@ class NumericConst(NumericExpression):
 class NumericVar(NumericExpression):
     index: int
     name: str
+
+    def __post_init__(self):
+        if self.index < 0:
+            raise ValueError("variable slots must be nonnegative")
 
 
 @dataclass(frozen=True, slots=True)

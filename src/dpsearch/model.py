@@ -23,7 +23,10 @@ effects, successor constraints and weight, and ``check_constraints`` and
 ``eval_dual_bound`` run all constraints or bounds at once.  On any fault
 a query reruns the state through the separate queries, which raise the
 named error in their own order; every query is pure, so the rerun sees
-the same values.
+the same values.  The separate queries come complete from the compiler
+(``compiler.Separate``): each names its own faults and returns costs as
+``CostStructure.as_cost``/``as_bound`` convert them, so the methods here
+that ask them only loop and pick.
 """
 
 from __future__ import annotations
@@ -214,6 +217,24 @@ class CostStructure:
             return max
         return _integer_sum if self.cost_type == INTEGER else _sum
 
+    @functools.cached_property
+    def value_class(self) -> type:
+        """The class of the costs that ``as_cost`` and ``as_bound`` return
+        unchanged, so a caller converts only values of another class."""
+        return int if self.cost_type == INTEGER else float
+
+    @functools.cached_property
+    def as_cost(self) -> Callable[[object], Number]:
+        """``as_cost(value)``: a weight or base cost as a cost of
+        ``cost_type``; a non-integer value of an integer model raises
+        ``EvaluationError``.  A module-level function, as for ``add``."""
+        return _integer_cost if self.cost_type == INTEGER else _continuous_cost
+
+    @functools.cached_property
+    def as_bound(self) -> Callable[[object], Number]:
+        """``as_cost`` for a dual bound, which may also be infinite."""
+        return _integer_bound if self.cost_type == INTEGER else _continuous_bound
+
     def reduce(self, values) -> Number:
         return min(values) if self.minimize else max(values)
 
@@ -242,6 +263,25 @@ def _sum(w: Number, x: Number) -> Number:
     if isinstance(value, int) and abs(value) > ex.INT64_MAX:
         raise OverflowError(f"cost {value} exceeds 64-bit range")
     return value
+
+
+def _integer_cost(value) -> Number:
+    value = ex.collapse(value)
+    if isinstance(value, Fraction) or isinstance(value, float):
+        raise EvaluationError(f"integer cost expression produced non-integer {value!r}")
+    return value
+
+
+def _continuous_cost(value) -> Number:
+    return float(ex.collapse(value))
+
+
+def _integer_bound(value) -> Number:
+    return value if isinstance(value, float) and math.isinf(value) else _integer_cost(value)
+
+
+def _continuous_bound(value) -> Number:
+    return value if isinstance(value, float) and math.isinf(value) else _continuous_cost(value)
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +321,6 @@ class BaseCase:
     cost: ex.NumericExpression
 
 
-# Faults of the arithmetic, of reads past the end of a short state, and
-# of evaluation (a table read out of range, a value of the wrong kind, a
-# non-integer cost), which the queries report naming where they arose.
-_FAULTS = (ZeroDivisionError, OverflowError, IndexError, EvaluationError)
-
-
-def _fault(err: Exception, where: str) -> EvaluationError:
-    if isinstance(err, IndexError):
-        return UnknownSymbolError(f"{where} reads a variable slot the state lacks")
-    kind = err.__class__ if isinstance(err, EvaluationError) else EvaluationError
-    return kind(f"{where}: {err}")
-
-
 def _foreign(transition: Transition) -> ModelError:
     return ModelError(f"transition {transition.name!r} is not one of the model's")
 
@@ -325,13 +352,11 @@ class Model:
         self.constraints = tuple(constraints)
         self.dual_bounds = tuple(dual_bounds)
         self.costs = costs
-        # the class of the values the cost conversion returns unchanged,
-        # and the conversions of any other value: module functions, which
-        # the compiled queries hold without holding the model
-        integer = costs.cost_type == INTEGER
-        self._cost_class = int if integer else float
-        self._cost_value = _integer_cost if integer else _continuous_cost
-        self._bound_value = _integer_bound if integer else _continuous_bound
+        names = set()
+        for transition in self.transitions:
+            if transition.name in names:
+                raise ModelError(f"transition name {transition.name!r} is used twice")
+            names.add(transition.name)
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -374,30 +399,15 @@ class Model:
     def _constraints_by_query(self, state: State) -> bool:
         """``check_constraints`` through the separate queries, each
         constraint named in its own fault: the path it falls back on."""
-        checks = self._separate.constraints
-        check = None
-        try:
-            for check in checks:
-                if not check(state):
-                    return False
-        except _FAULTS as err:
-            raise _fault(err, f"state constraint {checks.index(check)}") from err
+        for check in self._separate.constraints:
+            if not check(state):
+                return False
         return True
 
     def base_cost(self, state: State) -> Optional[Number]:
-        """Best base cost over satisfied base cases, or None if none holds."""
-        cases = self._separate.base_cases
-        case = None
-        values = []
-        try:
-            for case in cases:
-                if case[0](state):
-                    value = case[1](state)
-                    values.append(
-                        value if value.__class__ is self._cost_class else self._cost_value(value)
-                    )
-        except _FAULTS as err:
-            raise _fault(err, f"base case {cases.index(case)}") from err
+        """Best base cost over satisfied base cases, or None if none holds.
+        A fault in a base case's condition or cost is named ``base case k``."""
+        values = [cost(state) for holds, cost in self._separate.base_cases if holds(state)]
         if not values:
             return None
         return values[0] if len(values) == 1 else self.costs.reduce(values)
@@ -406,28 +416,16 @@ class Model:
         """Transitions to expand: the first applicable forced one alone,
         otherwise every applicable non-forced one in declaration order."""
         regular = []
-        transition = None
-        try:
-            for transition, guard, _, _ in self._separate.edges:
-                if guard(state):
-                    if transition.forced:
-                        return [transition]
-                    regular.append(transition)
-        except _FAULTS as err:
-            raise _fault(err, f"precondition of {transition.name!r}") from err
+        for transition, guard, _, _ in self._separate.edges:
+            if guard(state):
+                if transition.forced:
+                    return [transition]
+                regular.append(transition)
         return regular
 
     def all_applicable_transitions(self, state: State) -> list[Transition]:
         """Every applicable transition, ignoring forced flags."""
-        applicable = []
-        transition = None
-        try:
-            for transition, guard, _, _ in self._separate.edges:
-                if guard(state):
-                    applicable.append(transition)
-        except _FAULTS as err:
-            raise _fault(err, f"precondition of {transition.name!r}") from err
-        return applicable
+        return [transition for transition, guard, _, _ in self._separate.edges if guard(state)]
 
     def _edge(self, transition: Transition) -> tuple:
         edge = self._separate.edge_of.get(id(transition))
@@ -438,19 +436,12 @@ class Model:
     def successor(self, transition: Transition, state: State) -> State:
         """The state after ``transition``; every effect is evaluated on
         ``state`` and checked against the kind of its variable."""
-        effects = self._edge(transition)[2]
-        try:
-            return effects(state)
-        except _FAULTS as err:
-            raise _fault(err, f"effect of {transition.name!r}") from err
+        return self._edge(transition)[2](state)
 
     def weight(self, transition: Transition, state: State) -> Number:
-        weight = self._edge(transition)[3]
-        try:
-            value = weight(state)
-            return value if value.__class__ is self._cost_class else self._cost_value(value)
-        except _FAULTS as err:
-            raise _fault(err, f"weight of {transition.name!r}") from err
+        """The weight of ``transition`` at ``state``, as a cost of the
+        model's cost type."""
+        return self._edge(transition)[3](state)
 
     def edges(self, state: State) -> Union[Number, list]:
         """The base cost of ``state``, or else the edges ``(transition,
@@ -487,44 +478,18 @@ class Model:
         """Tightest declared bound: max for minimization, min for maximization.
 
         Absent when the model declares no dual bounds; solvers then guide
-        by the path weight alone and do not prune.
+        by the path weight alone and do not prune.  On a fault the bounds
+        run one by one through the separate queries, which name it
+        ``dual bound k``.
         """
         try:
             return self._queries.bound(state)
         except Exception:  # rerun outside the handler: the named error chains to no other
             pass
-        bounds = self._separate.bounds
-        minimize, cost_class = self.costs.minimize, self._cost_class
-        best = bound = None
-        try:
-            for bound in bounds:
-                value = bound(state)
-                if value.__class__ is not cost_class:
-                    value = self._bound_value(value)
-                if best is None or (value > best if minimize else value < best):
-                    best = value
-        except _FAULTS as err:
-            raise _fault(err, f"dual bound {bounds.index(bound)}") from err
-        return best
-
-
-def _integer_cost(value) -> Number:
-    value = ex.collapse(value)
-    if isinstance(value, Fraction) or isinstance(value, float):
-        raise EvaluationError(f"integer cost expression produced non-integer {value!r}")
-    return value
-
-
-def _continuous_cost(value) -> Number:
-    return float(ex.collapse(value))
-
-
-def _integer_bound(value) -> Number:
-    return value if isinstance(value, float) and math.isinf(value) else _integer_cost(value)
-
-
-def _continuous_bound(value) -> Number:
-    return value if isinstance(value, float) and math.isinf(value) else _continuous_cost(value)
+        bounds = [bound(state) for bound in self._separate.bounds]
+        if not bounds:
+            return None
+        return max(bounds) if self.costs.minimize else min(bounds)
 
 
 # ---------------------------------------------------------------------------

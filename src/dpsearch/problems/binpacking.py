@@ -112,7 +112,7 @@ def build_binpacking(instance: BinPackingInstance) -> Model:
     n = instance.n
     q = instance.capacity
     meta = StateMetadata(
-        {"item": max(n, 1)},
+        {"item": n},
         [
             Variable("U", SET, "item"),
             Variable("r", INTEGER, preference=GREATER),
@@ -124,15 +124,8 @@ def build_binpacking(instance: BinPackingInstance) -> Model:
     room = meta.numeric("r")
     bins = meta.element("k")
 
-    nothing_fits = (
-        c.and_(
-            *[
-                c.or_(c.not_(c.member(j, U)), c.lt(room, c.ntab("w", c.econst(j))))
-                for j in range(n)
-            ]
-        )
-        if n
-        else ex.BoolConst(True)
+    nothing_fits = c.and_(
+        *[c.or_(c.not_(c.member(j, U)), c.lt(room, c.ntab("w", c.econst(j)))) for j in range(n)]
     )
 
     opens = []
@@ -176,7 +169,7 @@ def build_binpacking(instance: BinPackingInstance) -> Model:
     return Model(
         metadata=meta,
         tables=tables,
-        target=(bitset.from_items(range(n), max(n, 1)), 0, 0),
+        target=(bitset.from_items(range(n), n), 0, 0),
         transitions=opens + packs,
         base_cases=[BaseCase((c.empty(U),), c.nconst(0))],
         dual_bounds=bound_expressions(meta, U, room, q),

@@ -150,7 +150,8 @@ def num(value) -> ex.NumericExpression:
 
 
 def add(*terms):
-    terms = [num(t) for t in terms]
+    """The sum of ``terms``; 0 for none."""
+    terms = [num(t) for t in terms] or [ex.NumericConst(0)]
     expr = terms[0]
     for term in terms[1:]:
         expr = ex.NumericBinary("+", expr, term)
@@ -235,14 +236,16 @@ def not_(c):
 
 
 def and_(*cs):
+    """The conjunction of ``cs``; true for none."""
     if not cs:
-        raise ValueError("and_ needs at least one condition")
+        return ex.BoolConst(True)
     return cs[0] if len(cs) == 1 else ex.And(tuple(cs))
 
 
 def or_(*cs):
+    """The disjunction of ``cs``; false for none."""
     if not cs:
-        raise ValueError("or_ needs at least one condition")
+        return ex.BoolConst(False)
     return cs[0] if len(cs) == 1 else ex.Or(tuple(cs))
 
 

@@ -66,7 +66,7 @@ def parse_graphclear(text: str) -> GraphClearInstance:
 def build_graphclear(instance: GraphClearInstance) -> Model:
     n = instance.n
     meta = StateMetadata(
-        {"node": max(n, 1)},
+        {"node": n},
         [Variable("C", SET, "node")],
     )
     edge_values = {}
@@ -76,7 +76,7 @@ def build_graphclear(instance: GraphClearInstance) -> Model:
     tables = ex.TableRegistry(
         [
             c.vector_table("a", instance.node_weights),
-            ex.Table("b", "integer", (max(n, 1), max(n, 1)), edge_values, default=0),
+            ex.Table("b", "integer", (n, n), edge_values, default=0),
         ]
     )
     swept = meta.set_("C")
@@ -99,11 +99,11 @@ def build_graphclear(instance: GraphClearInstance) -> Model:
                 name=f"sweep-{node}",
                 preconditions=(c.not_(c.member(node, swept)),),
                 effects=((meta.index("C"), ex.SetAdd(e, swept)),),
-                weight=c.add(blocking, *crossing) if crossing else c.nconst(blocking),
+                weight=c.add(blocking, *crossing),
             )
         )
 
-    everything = c.sconst(range(n), max(n, 1))
+    everything = c.sconst(range(n), n)
     return Model(
         metadata=meta,
         tables=tables,

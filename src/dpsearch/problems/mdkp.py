@@ -124,7 +124,7 @@ def build_mdkp(instance: MdkpInstance) -> Model:
     m = instance.dimensions
     room_kind = CONTINUOUS if instance.fractional else INTEGER
     meta = StateMetadata(
-        {"item": max(n, 1), "stage": n + 1, "dimension": max(m, 1)},
+        {"item": n, "stage": n + 1, "dimension": m},
         [Variable("i", ELEMENT, "stage")]
         + [Variable(f"r{j}", room_kind) for j in range(m)],
     )
@@ -134,12 +134,12 @@ def build_mdkp(instance: MdkpInstance) -> Model:
     tables = ex.TableRegistry(
         [
             c.vector_table("p", instance.profits),
-            ex.Table("w", room_kind, (max(n, 1), max(m, 1)), weight_values, default=0),
+            ex.Table("w", room_kind, (n, m), weight_values, default=0),
             c.vector_table("rest", instance.suffix_profit),
             ex.Table(
                 "rate",
                 "continuous",
-                (max(m, 1), n + 1),
+                (m, n + 1),
                 {
                     (j, i): instance.best_ratio[j][i]
                     for j in range(m)

@@ -73,7 +73,7 @@ def parse_mosp(text: str) -> MospInstance:
 def build_mosp(instance: MospInstance) -> Model:
     n = instance.customers
     meta = StateMetadata(
-        {"customer": max(n, 1)},
+        {"customer": n},
         [
             Variable("R", SET, "customer"),
             Variable("O", SET, "customer"),
@@ -86,7 +86,7 @@ def build_mosp(instance: MospInstance) -> Model:
     transitions = []
     for customer in range(n):
         e = c.econst(customer)
-        near = c.sconst(sorted(instance.neighbors[customer]), max(n, 1))
+        near = c.sconst(sorted(instance.neighbors[customer]), n)
         stacks = c.card(
             ex.SetUnion(
                 ex.SetIntersection(opened, remaining),
@@ -108,7 +108,7 @@ def build_mosp(instance: MospInstance) -> Model:
     return Model(
         metadata=meta,
         tables=tables,
-        target=(bitset.from_items(range(n), max(n, 1)), 0),
+        target=(bitset.from_items(range(n), n), 0),
         transitions=transitions,
         base_cases=[BaseCase((c.empty(remaining),), c.nconst(0))],
         dual_bounds=[c.nconst(0)],

@@ -130,21 +130,18 @@ def build_mpdtsp(instance: MpdtspInstance) -> Model:
     transitions = []
     for j in range(1, n - 1):
         ej = c.econst(j)
-        preconditions = [
+        # an empty predecessor set passes, and keeps one shape for every customer
+        before = c.sconst(sorted(instance.predecessors[j]), n)
+        preconditions = (
             c.member(j, U),
             c.eq(c.ntab("edge", i, ej), 1),
             c.le(c.add(load, c.ntab("delta", ej)), q),
-        ]
-        if instance.predecessors[j]:
-            preconditions.append(
-                c.empty(
-                    ex.SetIntersection(c.sconst(sorted(instance.predecessors[j]), n), U)
-                )
-            )
+            c.empty(ex.SetIntersection(before, U)),
+        )
         transitions.append(
             Transition(
                 name=f"visit-{j}",
-                preconditions=tuple(preconditions),
+                preconditions=preconditions,
                 effects=(
                     (meta.index("U"), ex.SetRemove(ej, U)),
                     (meta.index("i"), ej),

@@ -127,11 +127,8 @@ def build_optw(instance: OptwInstance) -> Model:
         )
 
     nobody_visitable = c.and_(
-        *[
-            c.not_(c.and_(c.member(j, U), directly_visitable(j)))
-            for j in range(1, n)
-        ]
-    ) if n > 1 else ex.BoolConst(True)
+        *[c.not_(c.and_(c.member(j, U), directly_visitable(j))) for j in range(1, n)]
+    )
 
     removals = []
     fallbacks = []
@@ -174,7 +171,7 @@ def build_optw(instance: OptwInstance) -> Model:
         return c.and_(c.member(j, U), c.not_(unreachable(j)))
 
     profit_terms = [c.ite(still_open(j), c.ntab("p", c.econst(j)), 0) for j in range(1, n)]
-    reachable_profit = c.add(*profit_terms) if profit_terms else c.nconst(0)
+    reachable_profit = c.add(*profit_terms)
 
     def ratio_bound(rates: str, slack: ex.NumericExpression) -> ex.NumericExpression:
         best = c.num(0)

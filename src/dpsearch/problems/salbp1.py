@@ -61,7 +61,7 @@ def build_salbp1(instance: Salbp1Instance) -> Model:
     n = instance.n
     q = instance.capacity
     meta = StateMetadata(
-        {"task": max(n, 1)},
+        {"task": n},
         [
             Variable("U", SET, "task"),
             Variable("r", INTEGER, preference=GREATER),
@@ -72,22 +72,15 @@ def build_salbp1(instance: Salbp1Instance) -> Model:
     room = meta.numeric("r")
 
     def schedulable(task: int) -> ex.Condition:
-        parts = [c.member(task, U), c.ge(room, c.ntab("w", c.econst(task)))]
-        if instance.predecessors[task]:
-            parts.append(
-                c.empty(
-                    ex.SetIntersection(
-                        c.sconst(sorted(instance.predecessors[task]), max(n, 1)), U
-                    )
-                )
-            )
-        return c.and_(*parts)
+        # an empty predecessor set passes, and keeps one shape for every task
+        before = c.sconst(sorted(instance.predecessors[task]), n)
+        return c.and_(
+            c.member(task, U),
+            c.ge(room, c.ntab("w", c.econst(task))),
+            c.empty(ex.SetIntersection(before, U)),
+        )
 
-    none_schedulable = (
-        c.and_(*[c.not_(schedulable(task)) for task in range(n)])
-        if n
-        else ex.BoolConst(True)
-    )
+    none_schedulable = c.and_(*[c.not_(schedulable(task)) for task in range(n)])
 
     transitions = [
         Transition(
@@ -115,7 +108,7 @@ def build_salbp1(instance: Salbp1Instance) -> Model:
     return Model(
         metadata=meta,
         tables=tables,
-        target=(bitset.from_items(range(n), max(n, 1)), 0),
+        target=(bitset.from_items(range(n), n), 0),
         transitions=transitions,
         base_cases=[BaseCase((c.empty(U),), c.nconst(0))],
         dual_bounds=bp.bound_expressions(meta, U, room, q),

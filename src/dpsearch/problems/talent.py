@@ -104,7 +104,7 @@ def build_talent(instance: TalentInstance) -> Model:
     instance = merge_identical_scenes(instance)
     n = instance.scenes
     meta = StateMetadata(
-        {"scene": max(n, 1), "actor": max(instance.actors, 1)},
+        {"scene": n, "actor": instance.actors},
         [Variable("Q", SET, "scene")],
     )
     tables = ex.TableRegistry(
@@ -116,7 +116,7 @@ def build_talent(instance: TalentInstance) -> Model:
     Q = meta.set_("Q")
 
     def on_location(actor: int) -> ex.Condition:
-        plays_in = c.sconst(sorted(instance.actor_scenes[actor]), max(n, 1))
+        plays_in = c.sconst(sorted(instance.actor_scenes[actor]), n)
         return c.and_(
             c.not_(c.empty(ex.SetIntersection(plays_in, Q))),
             c.not_(c.empty(ex.SetDifference(plays_in, Q))),
@@ -128,7 +128,7 @@ def build_talent(instance: TalentInstance) -> Model:
         for actor in range(instance.actors):
             here = on_location(actor)
             parts.append(here if actor in cast else c.not_(here))
-        return c.and_(*parts) if parts else ex.BoolConst(True)
+        return c.and_(*parts)
 
     def shoot_cost(scene: int) -> ex.NumericExpression:
         cast = instance.scene_actors[scene]
@@ -139,7 +139,7 @@ def build_talent(instance: TalentInstance) -> Model:
                 terms.append(fee)
             else:
                 terms.append(c.ite(on_location(actor), fee, 0))
-        paid = c.add(*terms) if terms else c.nconst(0)
+        paid = c.add(*terms)
         return c.mul(instance.durations[scene], paid)
 
     def not_superseded(scene: int) -> list[ex.Condition]:
@@ -155,7 +155,7 @@ def build_talent(instance: TalentInstance) -> Model:
                 c.not_(
                     c.empty(
                         ex.SetDifference(
-                            c.sconst(sorted(instance.actor_scenes[a]), max(n, 1)), Q
+                            c.sconst(sorted(instance.actor_scenes[a]), n), Q
                         )
                     )
                 )
@@ -190,7 +190,7 @@ def build_talent(instance: TalentInstance) -> Model:
     return Model(
         metadata=meta,
         tables=tables,
-        target=(bitset.from_items(range(n), max(n, 1)),),
+        target=(bitset.from_items(range(n), n),),
         transitions=forced + regular,
         base_cases=[BaseCase((c.empty(Q),), c.nconst(0))],
         dual_bounds=[c.sum_over("pay", Q)],

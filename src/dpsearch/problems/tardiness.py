@@ -61,7 +61,7 @@ def parse_wt(text: str) -> WtInstance:
 def build_wt(instance: WtInstance) -> Model:
     n = instance.n
     meta = StateMetadata(
-        {"job": max(n, 1)},
+        {"job": n},
         [Variable("F", SET, "job")],
     )
     tables = ex.TableRegistry(
@@ -76,23 +76,20 @@ def build_wt(instance: WtInstance) -> Model:
     transitions = []
     for job in range(n):
         e = c.econst(job)
-        preconditions = [c.not_(c.member(job, done))]
-        if instance.predecessors[job]:
-            preconditions.append(
-                c.subset(c.sconst(sorted(instance.predecessors[job]), n), done)
-            )
+        # an empty predecessor set passes, and keeps one shape for every job
+        before = c.sconst(sorted(instance.predecessors[job]), n)
         completion = c.add(c.sum_over("p", done), c.ntab("p", e))
         tardiness = c.nmax(0, c.sub(completion, c.ntab("d", e)))
         transitions.append(
             Transition(
                 name=f"schedule-{job}",
-                preconditions=tuple(preconditions),
+                preconditions=(c.not_(c.member(job, done)), c.subset(before, done)),
                 effects=((meta.index("F"), ex.SetAdd(e, done)),),
                 weight=c.mul(c.ntab("w", e), tardiness),
             )
         )
 
-    everyone = c.sconst(range(n), max(n, 1))
+    everyone = c.sconst(range(n), n)
     return Model(
         metadata=meta,
         tables=tables,

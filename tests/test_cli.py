@@ -12,6 +12,7 @@ import dpsearch
 from conftest import FIXTURES, REMOVED_POLICY_KEYS
 from dpsearch import cli
 from dpsearch.cli import main
+from test_yamlio import REPEATED_NAME_DOMAIN
 
 # subprocesses import dpsearch from this checkout, installed or not
 SOURCES_ENV = {**os.environ, "PYTHONPATH": str(Path(dpsearch.__file__).resolve().parents[1])}
@@ -458,6 +459,21 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: table 'c' takes 2 indices, got 1 in weight of ")
         assert captured.out == "" and not out.exists()
+
+
+    def test_repeated_transition_name_exits_with_message(self, tmp_path, config_path, capsys):
+        (tmp_path / "d.yaml").write_text(REPEATED_NAME_DOMAIN)
+        (tmp_path / "p.yaml").write_text("object_numbers: {spot: 2}\ntarget: {x: 0}\n")
+        code = run_cli(
+            "solve",
+            "--domain", str(tmp_path / "d.yaml"),
+            "--problem", str(tmp_path / "p.yaml"),
+            "--config", config_path,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: transition name 'a-1' is used twice\n"
+        assert captured.out == ""
 
 
 class TestConvert:

@@ -85,6 +85,17 @@ TIME = NumericVar(2, "t")
 TARGET = (bitset.from_items([1, 2], 3), 0, 0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ElementVar(-1, "x"), lambda: SetVar(-1, "x", 3), lambda: NumericVar(-1, "x")],
+    ids=["element", "set", "numeric"],
+)
+def test_a_negative_variable_slot_is_rejected(make):
+    """A slot counts from the front of the state; -1 would read its last value."""
+    with pytest.raises(ValueError, match="^variable slots must be nonnegative$"):
+        make()
+
+
 class TestElement:
     def test_constant(self):
         assert eval_element(ElementConst(3), TARGET, TABLES) == 3

@@ -1,6 +1,7 @@
 """Model operations: constraints, base costs, expansion, dominance,
 cost combination, dual bounds, and the validator."""
 
+import functools
 import itertools
 import math
 import pickle
@@ -541,6 +542,36 @@ def test_fused_edges_name_each_fault_of_the_queries(zero_at):
     model = _faulty_model(zero_at)
     for state in ((0,), (1,), (-1,)):
         assert _outcome(model.edges, state) == _outcome(_per_query_edges, model, state)
+
+
+def test_a_non_integer_base_cost_is_named_by_either_path():
+    model = Model(
+        StateMetadata({}, [Variable("x", "integer")]),
+        TableRegistry(),
+        (0,),
+        [],
+        [BaseCase((BoolConst(True),), NumericBinary("/", NumericConst(1), NumericConst(2)))],
+    )
+    for query in (model.base_cost, model.edges):
+        with pytest.raises(EvaluationError) as raised:
+            query(model.target)
+        assert str(raised.value) == (
+            "base case 0: integer cost expression produced non-integer Fraction(1, 2)"
+        )
+
+
+def test_an_infinite_weight_is_named_by_either_path():
+    model = _one_variable_model([_step("t", weight=NumericConst(math.inf))])
+    for query in (functools.partial(model.weight, model.transitions[0]), model.edges):
+        with pytest.raises(EvaluationError) as raised:
+            query(model.target)
+        assert str(raised.value) == "weight of 't': integer cost expression produced non-integer inf"
+
+
+def test_transition_names_are_unique():
+    step = _step("a-1")
+    with pytest.raises(ModelError, match="^transition name 'a-1' is used twice$"):
+        _one_variable_model([step, _step("a-0"), step])
 
 
 class TestDominance:

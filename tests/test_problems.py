@@ -4,6 +4,7 @@ Expected costs were derived by exhaustive enumeration over the model
 definitions (see conftest.exhaustive_optimum) and frozen here.
 """
 
+import dataclasses
 import math
 import random
 import re
@@ -42,6 +43,7 @@ from dpsearch.problems import (
     parse_mpdtsp,
     parse_tsptw,
 )
+from dpsearch import yamlio
 from conftest import exhaustive_optimum, strip_preferences
 
 DESK_TRAVEL = ((0, 2, 3), (2, 0, 1), (3, 1, 0))
@@ -557,3 +559,60 @@ def test_routing_derives_shortest_paths_and_cheapest_edges(name):
     assert instance.n == 3
     assert instance.shortest == ((0, 2, 3), (2, 0, 1), (3, 1, 0))
     assert instance.cheapest_in == instance.cheapest_out == (2, 1, 1)
+
+
+# One empty instance per class: no items, tasks, jobs, scenes, actors,
+# customers or nodes; a routing instance keeps its depot (m-PDTSP its
+# start and end).
+EMPTY = {
+    "binpacking": BinPackingInstance((), 5),
+    "cvrp": CvrpInstance(((0,),), (0,), 5, 1),
+    "graphclear": GraphClearInstance((), {}),
+    "mdkp": MdkpInstance((), (), (5,)),
+    "mosp": MospInstance((), 0),
+    "mpdtsp": MpdtspInstance(((0, 2), (2, 0)), frozenset({(0, 1)}), 5, ()),
+    "optw": OptwInstance(((0,),), (0,), (0,), (10,)),
+    "salbp1": Salbp1Instance((), 5, ()),
+    "talent": TalentInstance((), (), ()),
+    "talent without actors": TalentInstance((frozenset(),), (3,), ()),
+    "tsptw": TsptwInstance(((0,),), (0,), (10,)),
+    "wt": WtInstance((), (), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY))
+def test_an_empty_instance_converts_and_solves(name):
+    model = CLASSES[name.split()[0]].build(EMPTY[name])
+    read_back = yamlio.load_model(*yamlio.serialize_model(model))
+    expected = oracle_cost(model)
+    assert expected is not None
+    costs = model.costs
+    if not model.transitions:  # nothing carries the operator: MOSP's and graph clear's max reads +
+        costs = dataclasses.replace(costs, operator="+")
+    assert read_back.costs == costs
+    for part in ("metadata", "tables", "target", "transitions", "base_cases", "constraints",
+                 "dual_bounds"):
+        assert getattr(read_back, part) == getattr(model, part), part
+    assert oracle_cost(read_back) == expected
+    assert dp.caasdy(read_back).cost == expected
+
+
+@pytest.mark.parametrize("make", [
+    lambda before: build_salbp1(Salbp1Instance((3, 4, 5, 2), 10, before)),
+    lambda before: build_wt(WtInstance((3, 4, 5, 2), (4, 6, 9, 9), (1, 2, 3, 1), before)),
+    lambda before: build_mpdtsp(MpdtspInstance(
+        tuple(tuple(abs(i - j) for j in range(4)) for i in range(4)),
+        frozenset((i, j) for i in range(4) for j in range(4) if i != j),
+        2,
+        () if not any(before) else ((1, 2, 1),),
+    )),
+], ids=["salbp1", "wt", "mpdtsp"])
+def test_precedence_keeps_one_shape_per_transition_family(make):
+    """Every member carries its precedence guard, empty or not, so two
+    instances of one size that differ only in precedence share their code."""
+    free = make((frozenset(),) * 4)
+    ordered = make((frozenset(), frozenset(), frozenset({1}), frozenset()))
+    assert [len(t.preconditions) for t in free.transitions] == [
+        len(t.preconditions) for t in ordered.transitions
+    ]
+    assert free._queries.expand.__code__ is ordered._queries.expand.__code__

@@ -28,6 +28,25 @@ from dpsearch.expressions import (
 from dpsearch.problems import CLASSES, TsptwInstance, build_tsptw
 
 
+# A domain whose grounded transitions are named a-1, a-0, a-1.
+REPEATED_NAME_DOMAIN = (
+    "cost_type: integer\n"
+    "reduce: min\n"
+    "objects: [spot]\n"
+    "state_variables:\n"
+    "  - {name: x, type: integer}\n"
+    "transitions:\n"
+    "  - {name: a-1, preconditions: ['(< x 1)'], effect: {x: '(+ x 1)'}, cost: '(+ 1 cost)'}\n"
+    "  - name: a\n"
+    "    parameters: [{name: p, object: spot}]\n"
+    "    preconditions: ['(< x 1)']\n"
+    "    effect: {x: '(+ x 1)'}\n"
+    "    cost: '(+ 1 cost)'\n"
+    "base_cases:\n"
+    "  - {conditions: ['(>= x 1)'], cost: '0'}\n"
+)
+
+
 @pytest.fixture
 def tsptw_context(desk_tsptw_model):
     model = desk_tsptw_model
@@ -215,6 +234,12 @@ class TestInstantiation:
         names = [t.name for t in model.transitions]
         assert len(names) == 9  # 3 x 3, textual parameter order
         assert names[:4] == ["move-0-0", "move-0-1", "move-0-2", "move-1-0"]
+
+    def test_a_grounded_name_that_repeats_another_is_rejected(self):
+        """``a`` over two spots grounds to ``a-0`` and ``a-1``, and a
+        declared ``a-1`` already holds that name."""
+        with pytest.raises(dp.ModelError, match="^transition name 'a-1' is used twice$"):
+            yamlio.load_model(REPEATED_NAME_DOMAIN, "object_numbers: {spot: 2}\ntarget: {x: 0}\n")
 
     def test_mixed_cost_operators_rejected(self):
         text = (
