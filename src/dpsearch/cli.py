@@ -4,7 +4,9 @@
 solver, writes the solution record, and prints a run report.  Exit
 status: 0 when optimality or infeasibility was proved, 2 on a feasible
 solution without proof, 3 when nothing was found, 1 on usage, parse or
-write errors.  ``dpsearch convert`` turns a raw instance text into domain and
+write errors, and on an expression nested too deeply for the
+interpreter's stack; such an exit gives its reason on ``error:`` lines,
+never a traceback.  ``dpsearch convert`` turns a raw instance text into domain and
 problem files.  ``dpsearch gap`` and ``dpsearch primal-integral``
 compute the two run metrics; the latter reads ``time,cost`` CSV lines.
 """
@@ -212,6 +214,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:  # a text or expression nested deeper than the interpreter's stack
+        print("error: an expression is nested too deeply to read or compile", file=sys.stderr)
         return EXIT_USAGE
 
 

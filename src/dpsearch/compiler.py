@@ -267,10 +267,6 @@ def _no_slot(index: int):
     raise UnknownSymbolError(f"assigns no variable slot {index}")
 
 
-def _placeholder():
-    raise EvaluationError("successor-cost placeholder cannot be evaluated")
-
-
 # Faults of the arithmetic, of reads past the end of a short state, and
 # of evaluation (a table read out of range, a value of the wrong kind, a
 # non-integer cost), which a labelled item names by where they arose.
@@ -293,7 +289,7 @@ _GLOBALS = {  # all that generated code sees by name
 } | {
     fn.__name__: fn for fn in (_element, _fail, _read, _unknown_table, _divide, _cannot_add,
                                _beyond, _reduce, _integer_effect, _continuous_effect, _no_slot,
-                               _placeholder, _fault)
+                               _fault)
 }
 _RANGE = f"-{_M} <= {{0}} <= {_M}"  # the 64-bit range test of a name
 
@@ -852,7 +848,6 @@ _RULES = {
     ex.SetReduce: _set_reduce,
     ex.Cardinality: _unary("{0}.bit_count()"),
     ex.NumericIf: _if,
-    ex.SuccessorCost: lambda b, e: b.bind("_placeholder()"),
     ex.BoolConst: _const,
     ex.Comparison: lambda b, e: _Test(" ".join((b.value(e.lhs), _COMPARISONS[e.op],
                                                 b.value(e.rhs)))),

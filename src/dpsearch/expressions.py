@@ -224,7 +224,7 @@ class SetConst(SetExpression):
     universe: int
 
     def __post_init__(self):
-        if self.mask & ~bitset.full(self.universe):
+        if self.mask >> self.universe:
             raise ValueError("set constant exceeds its universe")
 
 
@@ -415,16 +415,6 @@ class NumericIf(NumericExpression):
     condition: "Condition"
     then: NumericExpression
     otherwise: NumericExpression
-
-
-@dataclass(frozen=True, slots=True)
-class SuccessorCost(NumericExpression):
-    """Placeholder for the successor cost inside raw cost texts.
-
-    Transition weights must never contain it; it only exists transiently
-    while a cost expression of the shape ``w (+|max) cost`` is split into
-    the weight ``w`` and the combining operator.
-    """
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import gt, lt
 from typing import Callable, Optional, Sequence, Union
 
-from . import bitset, compiler
+from . import compiler
 from . import expressions as ex
 from .errors import EvaluationError, ModelError, UnknownSymbolError
 
@@ -154,7 +154,7 @@ class StateMetadata:
                     raise ModelError(f"bad element value {value!r} for {var.name!r}")
             elif var.kind == SET:
                 universe = self.objects[var.object_type]
-                if not isinstance(value, int) or value & ~bitset.full(universe):
+                if not isinstance(value, int) or value >> universe:
                     raise ModelError(f"bad set value {value!r} for {var.name!r}")
             elif var.kind == INTEGER:
                 if not isinstance(value, int):
@@ -390,8 +390,9 @@ class Model:
     # -- state queries ------------------------------------------------
 
     def check_constraints(self, state: State) -> bool:
+        queries = self._queries  # outside the try: a fault in the build is raised, not rerun
         try:
-            return self._queries.feasible(state)
+            return queries.feasible(state)
         except Exception:  # rerun outside the handler: the named error chains to no other
             pass
         return self._constraints_by_query(state)
@@ -455,8 +456,9 @@ class Model:
         fault lay in work they skip: the effects of regular transitions
         that a later forced one overrides.
         """
+        queries = self._queries  # outside the try: a fault in the build is raised, not rerun
         try:
-            return self._queries.expand(state)
+            return queries.expand(state)
         except Exception:  # rerun outside the handler: the named error chains to no other
             pass
         return self._edges_by_query(state)
@@ -482,8 +484,9 @@ class Model:
         run one by one through the separate queries, which name it
         ``dual bound k``.
         """
+        queries = self._queries  # outside the try: a fault in the build is raised, not rerun
         try:
-            return self._queries.bound(state)
+            return queries.bound(state)
         except Exception:  # rerun outside the handler: the named error chains to no other
             pass
         bounds = [bound(state) for bound in self._separate.bounds]
@@ -512,7 +515,7 @@ def _iter_expressions(model: Model):
     for i, case in enumerate(model.base_cases):
         for cond in case.conditions:
             yield f"base case {i}", cond
-        yield f"base cost {i}", case.cost
+        yield f"base case {i}", case.cost
     for i, cond in enumerate(model.constraints):
         yield f"state constraint {i}", cond
     for i, bound in enumerate(model.dual_bounds):
@@ -520,7 +523,13 @@ def _iter_expressions(model: Model):
 
 
 def validate(model: Model, solver: Optional[str] = None) -> list[Diagnostic]:
-    """Collect diagnostics without raising; an empty list means clean."""
+    """Collect diagnostics without raising; an empty list means clean.
+
+    Errors name an undeclared variable, an unknown table or a table read
+    with the wrong number of indices, each in the expression where it
+    lies, labelled as a fault there is at run time (``weight of 't'``,
+    ``base case k``, ``dual bound k``, ...).
+    """
     diags: list[Diagnostic] = []
     n_vars = len(model.metadata.variables)
 
@@ -548,16 +557,6 @@ def validate(model: Model, solver: Optional[str] = None) -> list[Diagnostic]:
                             f"got {arity} in {where}",
                         )
                     )
-
-    for t in model.transitions:
-        if any(isinstance(node, ex.SuccessorCost) for node in ex.walk(t.weight)):
-            diags.append(
-                Diagnostic(
-                    "error",
-                    f"cost term of {t.name!r} must have the shape weight-then-cost; "
-                    "the weight cannot reference the successor cost",
-                )
-            )
 
     first_regular = next(
         (i for i, t in enumerate(model.transitions) if not t.forced), None

@@ -111,8 +111,11 @@ def build_mpdtsp(instance: MpdtspInstance) -> Model:
             Variable("l", INTEGER, preference=LESS),
         ],
     )
+    # the stop customer reaches itself, so a one-customer tour ends where
+    # it starts; with two or more customers the tour never stands on the stop
     edge_matrix = tuple(
-        tuple(1 if (i, j) in instance.edges else 0 for j in range(n)) for i in range(n)
+        tuple(1 if (i, j) in instance.edges or i == j == n - 1 else 0 for j in range(n))
+        for i in range(n)
     )
     tables = ex.TableRegistry(
         [

@@ -31,7 +31,9 @@ Atoms are integers, floats, exact fractions written ``p/q``, and
 symbols.  Symbols resolve, in order, against bound parameters, declared
 state variables, and declared tables.  The symbol ``cost`` is legal only
 in transition cost texts and only as the second argument of the
-outermost ``(+ w cost)`` or ``(max w cost)``.
+outermost ``(+ w cost)`` or ``(max w cost)``: :func:`parse_cost` splits
+such a text into the operator and the weight ``w``, so no parsed
+expression holds ``cost`` and :func:`unparse` never prints it.
 
 Division is exact: on integers it yields an exact rational, so in
 integer-cost models a division must either come out whole or sit under
@@ -167,12 +169,12 @@ def _read(tokens: list[str], pos: int) -> tuple[Ast, int]:
 
 @dataclass
 class ParseContext:
-    """Name bindings used while typing an expression tree."""
+    """Name bindings used while typing an expression tree.  ``cost`` is
+    not among them: only :func:`parse_cost` reads that symbol."""
 
     metadata: StateMetadata
     tables: ex.TableRegistry
     parameters: Mapping[str, int] = field(default_factory=dict)
-    allow_cost: bool = False
 
     def variable_kind(self, name: str):
         try:
@@ -187,9 +189,17 @@ class ParseContext:
         return None
 
 
+class _Cost(ex.NumericExpression):
+    """The symbol ``cost``, which only the parser of :func:`parse_cost`
+    returns: it never leaves that function."""
+
+    __slots__ = ()
+
+
 class _Parser:
-    def __init__(self, ctx: ParseContext):
+    def __init__(self, ctx: ParseContext, cost: bool = False):
         self.ctx = ctx
+        self.cost = cost  # whether the symbol ``cost`` reads as a _Cost
 
     def parse(self, family: str, ast: Ast):
         """Type ``ast`` as an expression of ``family``."""
@@ -216,11 +226,11 @@ class _Parser:
                 return ex.BooleanTable(name, ())
             raise ExpressionParseError(f"expected a condition, got symbol {name!r}")
         if family == NUMERIC and name == "cost":
-            if not ctx.allow_cost:
+            if not self.cost:
                 raise ExpressionParseError(
                     "'cost' is only legal inside a transition cost expression"
                 )
-            return ex.SuccessorCost()
+            return _Cost()
         if family != SET and name in ctx.parameters:
             const = ex.ElementConst if family == ELEMENT else ex.NumericConst
             return const(ctx.parameters[name])
@@ -357,10 +367,10 @@ def parse_cost(text: str, ctx: ParseContext) -> tuple[str, ex.NumericExpression]
     """Split a transition cost text into (operator, weight term).
 
     The text must have the exact shape ``(+ w cost)`` or ``(max w cost)``
-    where ``w`` never mentions ``cost``.
+    where ``w`` never mentions ``cost``.  This is the one parser that reads
+    the symbol ``cost``; every other entry point rejects it.
     """
-    inner = ParseContext(ctx.metadata, ctx.tables, ctx.parameters, allow_cost=True)
-    expr = _Parser(inner).parse(NUMERIC, read(text))
+    expr = _Parser(ctx, cost=True).parse(NUMERIC, read(text))
     bad = ExpressionParseError(
         "cost term must combine a weight with 'cost', as in (+ w cost) or (max w cost)"
     )
@@ -370,9 +380,7 @@ def parse_cost(text: str, ctx: ParseContext) -> tuple[str, ex.NumericExpression]
         operator, weight, tail = "max", expr.lhs, expr.rhs
     else:
         raise bad
-    if not isinstance(tail, ex.SuccessorCost):
-        raise bad
-    if any(isinstance(node, ex.SuccessorCost) for node in ex.walk(weight)):
+    if not isinstance(tail, _Cost) or any(isinstance(node, _Cost) for node in ex.walk(weight)):
         raise bad
     return operator, weight
 
@@ -403,8 +411,6 @@ def unparse(expr) -> str:
         return f"(set-of {expr.universe}{items})"
     if isinstance(expr, ex.BoolConst):
         return "true" if expr.value else "false"
-    if isinstance(expr, ex.SuccessorCost):
-        return "cost"
     if type(expr) not in _HEADS:
         raise TypeError(f"cannot unparse {expr!r}")
     head = getattr(expr, "op", _HEADS[type(expr)])

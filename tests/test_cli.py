@@ -118,6 +118,64 @@ class TestSolve:
         assert fault in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "effect",
+        [
+            # a flat sum folds into a chain 500 deep, and its emission recurses per level
+            "(+ x " + " ".join(["1"] * 499) + ")",
+            # reading and typing the text recurse per level
+            "(+ 1 " * 300 + "x" + ")" * 300,
+        ],
+        ids=["flat-sum-of-500", "nested-300-deep"],
+    )
+    def test_a_deep_expression_exits_with_one_line(self, tmp_path, config_path, capsys, effect):
+        domain = tmp_path / "domain.yaml"
+        domain.write_text(
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "state_variables:\n"
+            "  - {name: x, type: integer}\n"
+            "transitions:\n"
+            f"  - {{name: step, effect: {{x: '{effect}'}}, cost: '(+ 1 cost)'}}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(>= x 2)'], cost: '0'}\n"
+        )
+        problem = tmp_path / "problem.yaml"
+        problem.write_text("object_numbers: {}\ntarget: {x: 0}\n")
+        code = run_cli(
+            "solve", "--domain", str(domain), "--problem", str(problem), "--config", config_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: an expression is nested too deeply to read or compile\n"
+        )
+
+    def test_a_huge_object_count_solves(self, tmp_path, config_path, capsys):
+        """A set variable over 10**11 objects: its values are checked
+        without building the universe's full mask."""
+        domain = tmp_path / "domain.yaml"
+        domain.write_text(
+            "cost_type: integer\n"
+            "reduce: min\n"
+            "objects: [item]\n"
+            "state_variables:\n"
+            "  - {name: x, type: integer}\n"
+            "  - {name: S, type: set, object: item}\n"
+            "transitions:\n"
+            "  - {name: step, effect: {x: '(+ x 1)'}, cost: '(+ 1 cost)'}\n"
+            "base_cases:\n"
+            "  - {conditions: ['(>= x 2)'], cost: '0'}\n"
+        )
+        problem = tmp_path / "problem.yaml"
+        problem.write_text("object_numbers: {item: 99999999999}\ntarget: {x: 0, S: [3]}\n")
+        out = tmp_path / "solution.txt"
+        code = run_cli(
+            "solve", "--domain", str(domain), "--problem", str(problem), "--config", config_path,
+            "--output", str(out), "--quiet",
+        )
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert out.read_text().startswith("status: optimal\ncost: 2\n")
+
     def test_path_cost_overflow_exits_with_message(self, tmp_path, config_path, capsys):
         domain = tmp_path / "domain.yaml"
         domain.write_text(

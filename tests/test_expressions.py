@@ -52,7 +52,6 @@ from dpsearch.expressions import (
     SetTable,
     SetUnion,
     SetVar,
-    SuccessorCost,
     Table,
     TableRegistry,
     eval_condition,
@@ -336,7 +335,6 @@ ERROR_CASES = {
     "set universe": (eval_set, SetAdd(LOC, U), STRAY, EvaluationError),
     "empty min": (eval_numeric, SetReduce("min", "cin", SetRemove(ONE, SetRemove(TWO, U))),
                   TARGET, EvaluationError),
-    "successor-cost placeholder": (eval_numeric, SuccessorCost(), TARGET, EvaluationError),
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 from dpsearch import (
     BaseCase,
     CostStructure,
+    Diagnostic,
     EvaluationError,
     Model,
     ModelError,
@@ -28,7 +29,7 @@ from dpsearch import (
     solve,
     validate,
 )
-from dpsearch import yamlio
+from dpsearch import compiler, yamlio
 from dpsearch.expressions import (
     INT64_MAX,
     BoolConst,
@@ -39,7 +40,6 @@ from dpsearch.expressions import (
     NumericConst,
     NumericTable,
     NumericVar,
-    SuccessorCost,
     Table,
     TableRegistry,
 )
@@ -327,6 +327,21 @@ def test_queries_compile_once_on_first_use(desk_tsptw_model):
     assert model.edges(model.target)
     assert vars(model)["_queries"] is compiled and vars(model)["_separate"] is separate
     assert "_queries" not in model.__getstate__() and "_separate" not in model.__getstate__()
+
+
+def test_a_fault_in_building_the_fused_queries_is_raised(desk_tsptw_model, monkeypatch):
+    """Only a fault of a state reruns through the separate queries: one
+    in building the fused queries reaches the caller at the first query."""
+    attempts = []
+
+    def broken(self, model):
+        attempts.append(model)
+        raise RuntimeError("broken build")
+
+    monkeypatch.setattr(compiler.Queries, "__init__", broken)
+    with pytest.raises(RuntimeError, match="^broken build$"):
+        caasdy(desk_tsptw_model)
+    assert attempts == [desk_tsptw_model]
 
 
 def test_foreign_transition_is_a_model_error(desk_tsptw_model):
@@ -713,19 +728,6 @@ class TestValidate:
     def test_desk_model_clean(self, desk_tsptw_model):
         assert validate(desk_tsptw_model) == []
 
-    def test_successor_cost_in_weight(self):
-        meta = StateMetadata({}, [Variable("x", "integer")])
-        t = Transition("bad", (), (), SuccessorCost())
-        model = Model(
-            meta,
-            TableRegistry(),
-            (0,),
-            [t],
-            [BaseCase((BoolConst(True),), NumericConst(0))],
-        )
-        messages = [d.message for d in validate(model) if d.level == "error"]
-        assert any("weight" in m for m in messages)
-
     def test_table_arity_mismatch(self, desk_tsptw_model):
         meta = StateMetadata({}, [Variable("x", "integer")])
         model = Model(
@@ -747,8 +749,13 @@ class TestValidate:
             [],
             [BaseCase((BoolConst(True),), NumericTable("ghost", ()))],
         )
-        messages = [d.message for d in validate(model) if d.level == "error"]
-        assert any("ghost" in m for m in messages)
+        # the base cost has the name its fault has at run time
+        assert validate(model) == [
+            Diagnostic("error", "unknown table 'ghost' in base case 0")
+        ]
+        with pytest.raises(UnknownSymbolError) as raised:
+            model.base_cost(model.target)
+        assert str(raised.value) == "base case 0: unknown table 'ghost'"
 
     def test_forced_after_regular_is_informational(self):
         meta = StateMetadata({}, [Variable("x", "integer")])

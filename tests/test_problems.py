@@ -571,6 +571,7 @@ EMPTY = {
     "mdkp": MdkpInstance((), (), (5,)),
     "mosp": MospInstance((), 0),
     "mpdtsp": MpdtspInstance(((0, 2), (2, 0)), frozenset({(0, 1)}), 5, ()),
+    "mpdtsp with one customer": MpdtspInstance(((0,),), frozenset(), 5, ()),
     "optw": OptwInstance(((0,),), (0,), (0,), (10,)),
     "salbp1": Salbp1Instance((), 5, ()),
     "talent": TalentInstance((), (), ()),

@@ -505,6 +505,30 @@ def test_unencodable_name_is_a_document_error():
         yamlio.serialize_model(broken)
 
 
+@pytest.mark.parametrize(
+    "table, needle",
+    [
+        (Table("t", "integer", (3,), {}, default=0),
+         "table 't' indexes 3 objects, but no object type has that count"),
+        (Table("s", "set", (2,), {}, default=0, value_universe=5),
+         "set table 's' values range over 5 objects, but no object type has that count"),
+    ],
+    ids=["argument", "set value"],
+)
+def test_a_count_no_object_type_has_is_a_document_error(table, needle):
+    """YAML-DyPDL names object types, not counts: a table over a count
+    that no object type of the model has cannot be written."""
+    model = dp.Model(
+        dp.StateMetadata({"item": 2}, [dp.Variable("x", "integer")]),
+        TableRegistry([table]),
+        (0,),
+        [],
+        [dp.BaseCase((BoolConst(True),), NumericConst(0))],
+    )
+    with pytest.raises(DocumentError, match=f"^{re.escape(needle)}$"):
+        yamlio.serialize_model(model)
+
+
 class TestTableRows:
     """A table with a value for every key is written as nested rows;
     both the rows and the keyed map read back."""
