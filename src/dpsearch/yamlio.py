@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import re
 import reprlib
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -54,14 +56,14 @@ from .search import SOLVER_NAMES, Solution, SolverParams
 
 
 # ---------------------------------------------------------------------------
-# YAML plumbing: complex (sequence) keys become tuples.  The loader and
-# dumper run on libyaml when PyYAML was built with it, several times
-# faster than the pure-Python ones, which give the same data and text.
+# YAML plumbing.  Documents are read by PyYAML, on libyaml when PyYAML was
+# built with it (several times faster than the pure-Python loader, which
+# gives the same data); complex (sequence) keys become tuples.  They are
+# written by ``_document_text`` below, which walks the maps and lists
+# that ``serialize_model`` builds; the docstring of ``serialize_model``
+# gives the layout and the scalar rules.
 
-if yaml.__with_libyaml__:
-    _BaseLoader, _BaseDumper = yaml.CSafeLoader, yaml.CSafeDumper
-else:
-    _BaseLoader, _BaseDumper = yaml.SafeLoader, yaml.SafeDumper
+_BaseLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class _Loader(_BaseLoader):
@@ -80,18 +82,6 @@ class _Loader(_BaseLoader):
                 ) from None
             mapping[key] = self.construct_object(value_node, deep=deep)
         return mapping
-
-
-class _Dumper(_BaseDumper):
-    pass
-
-
-_Dumper.add_representer(
-    tuple,
-    lambda dumper, data: dumper.represent_sequence(
-        "tag:yaml.org,2002:seq", list(data), flow_style=True
-    ),
-)
 
 
 def _load(text: str) -> dict:
@@ -625,7 +615,7 @@ def _table_value_out(table: ex.Table, value):
 
 def _rows(table: ex.Table, prefix=()):
     """A dense table's values under ``prefix`` as nested rows in row-major
-    order; the innermost rows are tuples, which the dumper writes as flow
+    order; the innermost rows are tuples, which ``_flow`` writes as flow
     lists.  A key of the shape without a value raises ``KeyError``."""
     keys = [(*prefix, i) for i in range(table.shape[len(prefix)])]
     if len(prefix) + 1 < table.arity:
@@ -633,11 +623,105 @@ def _rows(table: ex.Table, prefix=()):
     return tuple(_table_value_out(table, table.values[key]) for key in keys)
 
 
+# A plain scalar must match this conservative pattern (no indicator
+# character, no ": " or " #", no leading or trailing space, nothing a
+# flow list splits on) and the loader's resolver must read it as a
+# string; every other string is double-quoted.
+_PLAIN = re.compile(r"[-+]?[\w(./~$](?:[\w ()./+*<>=!~$^-]*[\w()./+*<>=!~$^-])?", re.ASCII)
+_RESOLVER = yaml.resolver.Resolver()
+_NON_ASCII = re.compile(r"[^\x20-\x7e]")  # what JSON escaping leaves unescaped
+_SIMPLE_KEY_LIMIT = 1024  # YAML reads a longer implicit key as no key at all
+
+
+def _escape(match: re.Match) -> str:
+    code = ord(match[0])
+    if 0xD800 <= code <= 0xDFFF:
+        raise DocumentError(f"model text is not valid Unicode: lone surrogate \\u{code:04x}")
+    return f"\\u{code:04x}" if code <= 0xFFFF else f"\\U{code:08x}"
+
+
+def _flow(value) -> str:
+    """A scalar, a list or tuple of them, or an empty map as one line of YAML."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        if _PLAIN.fullmatch(value) and _RESOLVER.resolve(
+            yaml.ScalarNode, value, (True, False)
+        ) == "tag:yaml.org,2002:str":
+            return value
+        return _NON_ASCII.sub(_escape, json.dumps(value, ensure_ascii=False))
+    if kind is tuple or kind is list:
+        return f"[{', '.join(map(_flow, value))}]"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        if math.isinf(value):
+            return ".inf" if value > 0 else "-.inf"
+        text = repr(value)  # a model holds no NaN: tables and states reject it
+        return text.replace("e", ".0e") if "e" in text and "." not in text else text
+    if kind is dict and not value:
+        return "{}"
+    raise TypeError(f"no YAML form for {reprlib.repr(value)}")
+
+
+def _write_block(value, indent: str, lines: list) -> None:
+    """Append a non-empty map, or a non-empty list as a sequence, with its
+    keys or dashes at ``indent``."""
+    if type(value) is not dict:
+        for item in value:
+            _write_entry(item, indent, "- ", lines)
+        return
+    for key, item in value.items():
+        key_text = _flow(key)
+        if type(key) is tuple or len(key_text) > _SIMPLE_KEY_LIMIT:
+            lines.append(f"{indent}? {key_text}")
+            _write_entry(item, indent, ": ", lines)
+        elif item and (type(item) is dict or type(item) is list):
+            lines.append(f"{indent}{key_text}:")
+            _write_block(item, indent + "  " if type(item) is dict else indent, lines)
+        else:
+            lines.append(f"{indent}{key_text}: {_flow(item)}")
+
+
+def _write_entry(value, indent: str, lead: str, lines: list) -> None:
+    """Append ``value`` after ``lead`` (a dash, or the colon of an explicit
+    key) at ``indent``; a block continues two columns in."""
+    if value and (type(value) is dict or type(value) is list):
+        start = len(lines)
+        _write_block(value, indent + "  ", lines)
+        lines[start] = indent + lead + lines[start][len(indent) + 2:]
+    else:
+        lines.append(f"{indent}{lead}{_flow(value)}")
+
+
+def _document_text(document: dict) -> str:
+    lines: list[str] = []
+    _write_block(document, "", lines)
+    return "\n".join(lines) + "\n"
+
+
 def serialize_model(model: Model) -> tuple[str, str]:
     """Render a model as (domain text, problem text).
 
     Transitions are emitted ground (no parameters), so re-instantiating
     the parsed documents reproduces the model operation for operation.
+
+    The text has PyYAML's block layout: maps indented two spaces, a list
+    under a map key not indented, the innermost table rows (a set value
+    inside one too) as flow lists ``[0, 2, 5]``, a 3-d table's rows as
+    ``- - [..]``, a multi-arity key as ``? [0, 2]`` then ``: 4``, and no
+    line folded.  An int is written by ``str``, a bool as ``true`` or
+    ``false``, a float by ``repr`` with ``.0`` put before an exponent
+    that has no dot (``1.0e-05``, which YAML 1.1 reads as a float) or as
+    ``.inf``/``-.inf``.  A string is plain when it matches a conservative
+    pattern and the loader's resolver reads it back as a string (``1/3``,
+    ``(is_in 1 U)``); any other (``"1"``, ``"true"``, ``"a: b"``) is
+    double-quoted with JSON's escapes, every character outside printable
+    ASCII written as a ``\\u`` or ``\\U`` escape, so the text is ASCII.
+    A key whose text is longer than the 1024 characters YAML allows an
+    implicit key takes the explicit ``? key`` form.  A string holding a
+    lone surrogate raises ``DocumentError``.
     """
     meta = model.metadata
     domain: dict = {
@@ -736,12 +820,7 @@ def serialize_model(model: Model) -> tuple[str, str]:
         del domain["tables"]
         del problem["table_values"]
 
-    try:
-        domain_text = yaml.dump(domain, Dumper=_Dumper, sort_keys=False, width=100)
-        problem_text = yaml.dump(problem, Dumper=_Dumper, sort_keys=False, width=100)
-    except UnicodeEncodeError as err:  # libyaml writes UTF-8: a lone surrogate
-        raise DocumentError(f"model text is not valid Unicode: {err}") from err
-    return domain_text, problem_text
+    return _document_text(domain), _document_text(problem)
 
 
 # ---------------------------------------------------------------------------

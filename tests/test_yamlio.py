@@ -18,9 +18,12 @@ from dpsearch import DocumentError, ExpressionParseError, UnknownSymbolError
 from dpsearch import sexpr, yamlio
 from dpsearch.expressions import (
     BoolConst,
+    ElementConst,
+    NumericBinary,
     NumericConst,
     NumericMax,
     NumericTable,
+    NumericVar,
     SetIsEmpty,
     Table,
     TableRegistry,
@@ -460,29 +463,32 @@ class TestRoundTrip:
         assert yamlio.serialize_model(again) == (domain_text, problem_text)
 
 
+class _PureLoader(yaml.SafeLoader):
+    construct_mapping = yamlio._Loader.construct_mapping
+
+
+def _load_with_both_loaders(texts, monkeypatch) -> list:
+    """The model ``load_model`` reads from ``texts`` with the loader it
+    uses (libyaml's where PyYAML has it) and with the pure-Python one."""
+    models = [yamlio.load_model(*texts)]
+    with monkeypatch.context() as patch:
+        patch.setattr(yamlio, "_Loader", _PureLoader)
+        models.append(yamlio.load_model(*texts))
+    return models
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
 def test_pure_python_yaml_classes_agree(monkeypatch):
-    """The pure-Python loader and dumper, used where PyYAML has no
-    libyaml, give the same text and the same models as libyaml's."""
-
-    class Loader(yaml.SafeLoader):
-        construct_mapping = yamlio._Loader.construct_mapping
-
-    class Dumper(yaml.SafeDumper):
-        pass
-
-    Dumper.add_representer(tuple, yamlio._Dumper.yaml_representers[tuple])
+    """The pure-Python loader, used where PyYAML has no libyaml, and
+    libyaml's both read the written text of every class to the model
+    that was written."""
     assert not issubclass(yamlio._Loader, yaml.SafeLoader)
     for name in sorted(CLASSES):
         cls = CLASSES[name]
         for seed in range(3):
             model = cls.build(cls.random(random.Random(seed)))
             texts = yamlio.serialize_model(model)
-            with monkeypatch.context() as patch:
-                patch.setattr(yamlio, "_Loader", Loader)
-                patch.setattr(yamlio, "_Dumper", Dumper)
-                assert yamlio.serialize_model(model) == texts, name
-                assert yamlio.load_model(*texts) == model, name
+            assert _load_with_both_loaders(texts, monkeypatch) == [model, model], name
 
 
 def test_unencodable_name_is_a_document_error():
@@ -498,11 +504,78 @@ def test_unencodable_name_is_a_document_error():
         dual_bounds=model.dual_bounds,
         costs=model.costs,
     )
-    if yaml.__with_libyaml__:
-        with pytest.raises(DocumentError, match="d800"):
-            yamlio.serialize_model(broken)
-    else:  # the pure-Python emitter escapes it
+    with pytest.raises(DocumentError, match="d800"):
         yamlio.serialize_model(broken)
+
+
+def _named_model(obj="item", var="x", table="t", transition="go"):
+    """A model whose object type, continuous variable, table and
+    transition have the given names, holding continuous values YAML
+    spells in several ways in its target (which takes finite floats
+    only), its rows and its keyed map."""
+    values = {(0,): 1e-05, (1,): 1e20, (2,): math.inf, (3,): Fraction(1, 3)}
+    tables = [
+        Table(table, "continuous", (4,), values),
+        Table("k", "continuous", (4, 4), {(i, i): v for (i,), v in values.items()}, default=0.5),
+    ]
+    metadata = dp.StateMetadata(
+        {obj: 4}, [dp.Variable(name, "continuous") for name in (var, "small", "large")]
+    )
+    grow = NumericBinary("+", NumericVar(0, var), NumericTable(table, (ElementConst(3),)))
+    return dp.Model(
+        metadata,
+        TableRegistry(tables),
+        (0, 1e-05, 1e20),
+        [dp.Transition(transition, (), ((0, grow),), NumericConst(1))],
+        [dp.BaseCase((BoolConst(True),), NumericConst(0))],
+    )
+
+
+# Transition and object type names are free text; variable and table
+# names must also read as one symbol of an expression.
+TEXT_NAMES = [
+    # resolved as other types when plain
+    "1", "true", "null", "~", "1e3", ".inf", "0x10", "yes", "on", "<<", "=", "",
+    # indicators
+    "a: b", "a #b", "a:", "-a", "- a", "-", "?a", "? a", "*a", "&a", "!a", "%a", "@a", "`a",
+    "[a", "a]", "{a", "a,b", "|a", ">a", "---", "...",
+    # quotes, backslashes, tabs and line breaks
+    "'a'", '"a"', "a\\b", "a\tb", "a\nb", "a\r\nb", "a\x00b", "a\x1bb",
+    # not printed by YAML, or read as a line break
+    "a\x7fb", "a\x80b", "a\x9fb", "a\x85b", "a\u2028b", "a\u2029b", "\ufeffa", "a\ufffeb",
+    "a\uffffb", "a\U0001f600b", "\u00e9",
+    # leading or trailing spaces
+    " a", "a ", "a  b",
+    # written longer than the 1024 characters YAML allows an implicit key
+    "n" * 1100, "n" * 3000, "\x01" * 200,
+]
+SYMBOL_NAMES = [
+    "null", "~", ".inf", "0x10", "yes", "on", "<<", "-a", "?a", "*a", "&a", "!a", "%a", "@a",
+    "`a", "[a", "{a", "|a", ">a", "'a'", '"a"', "a\\b", "a\x7fb", "\ufeffa", "a\U0001f600b",
+    "v" * 1024, "v" * 1025, "v" * 1100, "v" * 3000,
+]
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [(field, name) for field in ("transition", "obj") for name in TEXT_NAMES]
+    + [(field, name) for field in ("var", "table") for name in SYMBOL_NAMES],
+)
+def test_odd_names_and_values_round_trip(field, name, monkeypatch):
+    model = _named_model(**{field: name})
+    texts = yamlio.serialize_model(model)
+    assert all(text.isascii() for text in texts)
+    assert _load_with_both_loaders(texts, monkeypatch) == [model, model]
+
+
+def test_continuous_values_are_written_as_yaml_floats():
+    problem_text = yamlio.serialize_model(_named_model())[1]
+    for excerpt in (
+        "  small: 1.0e-05\n  large: 1.0e+20\n",
+        "  t: [1.0e-05, 1.0e+20, .inf, 1/3]\n",
+        "    ? [2, 2]\n    : .inf\n    ? [3, 3]\n    : 1/3\n",
+    ):
+        assert excerpt in problem_text
 
 
 @pytest.mark.parametrize(
