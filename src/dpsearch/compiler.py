@@ -28,19 +28,22 @@ one ``try`` whose handler names its faults: it prefixes each message with
 the label (``"weight of 't': ..."``) and turns an ``IndexError`` into
 :class:`UnknownSymbolError`.
 
-A model's hot path is three fused functions (:class:`Queries`):
-``expand`` (base cases, then each transition's guards, effects, the
-successor's state constraints and weight), ``feasible`` and ``bound``.
-Each transition, constraint, base case and bound is a block; runs of
-blocks of one text, or of a repeated group of them (CVRP's
-``visit-j``/``visit-via-depot-j`` pairs), fold into a loop over rows of
-their constants, so the source keeps its size as the instance grows.
-The separate queries (:class:`Separate`), each labelled and returning
-costs converted as the fused ones do, and the unlabelled ``eval_*`` come
-from the same emitter.  Code is cached by source text in a bounded dict,
-so models of one structure share one code object; a function is that
-code with the model's constants as its defaults, and a subtree nested
-too deep for one body spills into a function of its own.
+A model's hot path is three fused functions (:class:`Queries`), which
+the model serves as its own ``edges``, ``check_constraints`` and
+``eval_dual_bound``: ``expand`` (base cases, then each transition's
+guards, effects, the successor's state constraints when the model has
+any, and weight), ``feasible`` and ``bound``.  Each transition,
+constraint, base case and bound is a block; runs of blocks of one text,
+or of a repeated group of them (CVRP's ``visit-j``/``visit-via-depot-j``
+pairs), fold into a loop over rows of their constants, so the source
+keeps its size as the instance grows.  On any fault a fused function
+reruns the state through the separate queries (:class:`Separate`), each
+labelled and returning costs converted as the fused ones do, which name
+it; they and the unlabelled ``eval_*`` come from the same emitter.  Code
+is cached by source text in a bounded dict, so models of one structure
+share one code object; a function is that code with the model's
+constants as its defaults, and a subtree nested too deep for one body
+spills into a function of its own.
 """
 
 from __future__ import annotations
@@ -456,11 +459,14 @@ class Emitter:
     def evaluate(self, expr) -> FunctionType:
         return self.item("evaluate", lambda b: b.code(expr))
 
-    def fused(self, name: str, parts) -> FunctionType:
+    def fused(self, name: str, parts, fallback) -> FunctionType:
         """``name`` over ``parts``, blocks and lines in order; runs of
-        blocks of one text fold into loops over rows of their constants."""
+        blocks of one text fold into loops over rows of their constants.
+        The body runs in one ``try``: on any exception the state goes to
+        ``fallback``, called after the handler so that its error chains
+        to no other."""
         blocks = [part for part in parts if part.__class__ is _Block]
-        shared, slots, ranges, params, defaults = {}, set(), set(), [], []
+        shared, slots, ranges, params, defaults = {"FALLBACK": fallback}, set(), set(), [], []
         for block in blocks:
             shared.update(block.shared)
             slots.update(block.slots)
@@ -480,8 +486,8 @@ class Emitter:
             start += period * count
 
         def body():
-            pad = "    "
-            lines = [f"{pad}s{k} = s[{k}]" for k in sorted(slots)]
+            pad = "        "
+            lines = ["    try:", *(f"{pad}s{k} = s[{k}]" for k in sorted(slots))]
             if ranges:  # a fault here sends the state to the separate queries
                 tests = " and ".join(f"0 <= {i} < {n}" for i, n in sorted(ranges))
                 lines += [f"{pad}if not ({tests}):", f"{pad}    raise IndexError"]
@@ -498,7 +504,7 @@ class Emitter:
                     for k in range(start, start + period):
                         lines.append(_render(texts[k], pad + "    ", "k", offset))
                         offset += len(parts[k].row)
-            return lines
+            return lines + ["    except Exception:", "        pass", "    return FALLBACK(s)"]
 
         key = (name, tuple(sorted(ranges)), *shared, *(
             part if part.__class__ is str else (count > 1, *texts[start : start + period])
@@ -918,11 +924,11 @@ def _as_cost(b, name: str, costs, bound=False) -> str:
 
 
 class Queries:
-    """The fused queries of one model: ``expand(state)`` returns what
-    ``Model.edges`` does, ``feasible`` what ``check_constraints`` does and
-    ``bound`` what ``eval_dual_bound`` does (None without bounds).  Each
-    raises its faults unnamed, and the model reruns the state through the
-    separate queries to name them."""
+    """The fused queries of one model, which it serves as its own: ``expand``
+    is ``Model.edges``, ``feasible`` is ``check_constraints`` and ``bound``
+    is ``eval_dual_bound`` (None without bounds).  On any fault each reruns
+    the state through the same query of a :class:`Separate` of the model's
+    parts, which names it."""
 
     __slots__ = ("expand", "feasible", "bound")
 
@@ -931,13 +937,14 @@ class Queries:
         em = Emitter(model.tables, {f"s{k}": objects[v.object_type]
                                     for k, v in enumerate(variables) if v.kind == "element"})
         block = functools.partial(_Block, em, fused=True)
+        separate = Separate(model)  # compiles nothing until a fault asks it
         parts = []
         for condition in model.constraints:
             b = block()
             if _guards(b, (ex.Not(condition),)):
                 b.emit("return False")
             parts.append(b)
-        self.feasible = em.fused("feasible", parts + ["return True"])
+        self.feasible = em.fused("feasible", parts + ["return True"], separate.feasible)
 
         parts = ["best = None"]
         for bound in model.dual_bounds:
@@ -946,7 +953,7 @@ class Queries:
             b.emit(f"if best is None or {v} {'>' if model.costs.minimize else '<'} best:")
             b.emit(f"    best = {v}")
             parts.append(b)
-        self.bound = em.fused("bound", parts + ["return best"])
+        self.bound = em.fused("bound", parts + ["return best"], separate.bound)
 
         single = len(model.base_cases) == 1
         parts = [] if single else ["base = []"]
@@ -964,16 +971,18 @@ class Queries:
             b = block()
             if _guards(b, transition.preconditions):
                 successor = _successor(b, transition, variables)
-                b.emit(f"if {b.share('FEASIBLE', self.feasible)}({successor}):")
-                b.open()
+                if model.constraints:  # else no call: every successor passes
+                    b.emit(f"if {b.share('FEASIBLE', self.feasible)}({successor}):")
+                    b.open()
                 w = _as_cost(b, b.value(transition.weight), model.costs)
                 edge = f"({b.const(transition)}, {successor}, {w})"
                 b.emit(f"return [{edge}]" if transition.forced else f"append({edge})")
-                b.close()
+                if model.constraints:
+                    b.close()
                 if transition.forced:
                     b.emit("return []")
             parts.append(b)
-        self.expand = em.fused("expand", parts + ["return edges"])
+        self.expand = em.fused("expand", parts + ["return edges"], separate.expand)
 
 
 class Separate:
@@ -985,7 +994,9 @@ class Separate:
     ``"effect of 't'"``, ``"weight of 't'"``, ``"base case k"`` for a
     base case's condition and cost, ``"state constraint k"``, ``"dual
     bound k"``), and returns weights, base costs and bounds as costs,
-    converted as the fused queries convert them."""
+    converted as the fused queries convert them.  ``expand``, ``feasible``
+    and ``bound`` answer as the fused queries do, the reference path they
+    fall back on."""
 
     def __init__(self, model):
         # the model's parts, not the model: the model holds this object
@@ -1000,6 +1011,44 @@ class Separate:
     def _cost(self, name: str, expr, label: str, bound=False) -> FunctionType:
         return self._emitter.item(
             name, lambda b: _as_cost(b, b.value(expr), self._costs, bound), label)
+
+    def feasible(self, state) -> bool:
+        """Whether ``state`` passes every state constraint."""
+        return all(check(state) for check in self.constraints)
+
+    def base_cost(self, state):
+        """The best base cost over the base cases that hold, or None."""
+        values = [cost(state) for holds, cost in self.base_cases if holds(state)]
+        return self._costs.reduce(values) if values else None
+
+    def applicable(self, state) -> list:
+        """The edges to expand: the first applicable forced one alone,
+        otherwise every applicable non-forced one in declaration order."""
+        regular = []
+        for edge in self.edges:
+            if edge[1](state):
+                if edge[0].forced:
+                    return [edge]
+                regular.append(edge)
+        return regular
+
+    def expand(self, state):
+        """Every guard before any effect, then each successor's state
+        constraints and the weight."""
+        base = self.base_cost(state)
+        if base is not None:
+            return base
+        edges = []
+        for transition, _, successor, weight in self.applicable(state):
+            child = successor(state)
+            if self.feasible(child):
+                edges.append((transition, child, weight(state)))
+        return edges
+
+    def bound(self, state):
+        """The tightest bound, max when minimizing, or None without bounds."""
+        bounds = [bound(state) for bound in self.bounds]
+        return (max if self._costs.minimize else min)(bounds, default=None)
 
     @functools.cached_property
     def edges(self):

@@ -17,23 +17,23 @@ Python source.  An arithmetic fault in a query (division by zero, 64-bit
 overflow) surfaces as :class:`EvaluationError` naming the constraint,
 transition, base case or dual bound where it arose.
 
-The solvers read three fused functions, compiled on the first query:
-``Model.edges`` runs the base cases, then every transition's guards,
-effects, successor constraints and weight, and ``check_constraints`` and
-``eval_dual_bound`` run all constraints or bounds at once.  On any fault
-a query reruns the state through the separate queries, which raise the
-named error in their own order; every query is pure, so the rerun sees
-the same values.  The separate queries come complete from the compiler
-(``compiler.Separate``): each names its own faults and returns costs as
-``CostStructure.as_cost``/``as_bound`` convert them, so the methods here
-that ask them only loop and pick.
+The solvers call three fused functions, compiled on the first query,
+with no method of the model around them: ``Model.edges`` runs the base
+cases, then every transition's guards, effects, successor constraints
+and weight, and ``check_constraints`` and ``eval_dual_bound`` run all
+constraints or bounds at once.  On any fault a fused function reruns the
+state through the separate queries (``compiler.Separate``), which raise
+the named error in their own order; every query is pure, so the rerun
+sees the same values.  They come complete from the compiler, loops
+included: each names its own faults and returns costs as
+``CostStructure.as_cost``/``as_bound`` convert them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import gt, lt
 from typing import Callable, Optional, Sequence, Union
@@ -351,7 +351,9 @@ class Model:
         self.base_cases = tuple(base_cases)
         self.constraints = tuple(constraints)
         self.dual_bounds = tuple(dual_bounds)
-        self.costs = costs
+        # only transitions apply the operator, and with identity 0 and
+        # nonnegative costs ``+`` and ``max`` agree: one operator without them
+        self.costs = costs if self.transitions else replace(costs, operator="+")
         names = set()
         for transition in self.transitions:
             if transition.name in names:
@@ -374,55 +376,46 @@ class Model:
 
     # -- compiled queries ----------------------------------------------
     #
-    # The fused queries compile on the first query asked, so a model only
-    # written and read back compiles nothing; the separate ones, which
+    # ``edges``, ``check_constraints`` and ``eval_dual_bound`` are the fused
+    # functions themselves, compiled on the first query asked, so a model
+    # only written and read back compiles nothing; the separate ones, which
     # name faults, compile on first use.  Later reads find them in the
-    # instance dict.
+    # instance dict.  ``edges(state)`` is the base cost of ``state``, or else
+    # the edges ``(transition, successor, weight)`` of the transitions
+    # ``applicable_transitions`` returns whose successor passes the state
+    # constraints; ``eval_dual_bound`` is the tightest declared bound (max
+    # when minimizing), or None without bounds, when solvers do not prune.
+    # On a fault the separate queries name it in their own order (every
+    # guard before any effect), or return the edges when it lay in work they
+    # skip: the effects of regular transitions a later forced one overrides.
 
     _queries = functools.cached_property(compiler.Queries)
     _separate = functools.cached_property(compiler.Separate)
+    edges = functools.cached_property(lambda self: self._queries.expand)
+    check_constraints = functools.cached_property(lambda self: self._queries.feasible)
+    eval_dual_bound = functools.cached_property(lambda self: self._queries.bound)
 
     def __getstate__(self):
-        """Pickle the declarations only; the compiled queries rebuild on
-        first use."""
-        return {k: v for k, v in self.__dict__.items() if k not in ("_queries", "_separate")}
+        """Pickle the declarations only; the compiled queries, cached under
+        the names of the class's properties, rebuild on first use."""
+        return {k: v for k, v in self.__dict__.items() if k not in vars(Model)}
 
     # -- state queries ------------------------------------------------
-
-    def check_constraints(self, state: State) -> bool:
-        queries = self._queries  # outside the try: a fault in the build is raised, not rerun
-        try:
-            return queries.feasible(state)
-        except Exception:  # rerun outside the handler: the named error chains to no other
-            pass
-        return self._constraints_by_query(state)
 
     def _constraints_by_query(self, state: State) -> bool:
         """``check_constraints`` through the separate queries, each
         constraint named in its own fault: the path it falls back on."""
-        for check in self._separate.constraints:
-            if not check(state):
-                return False
-        return True
+        return self._separate.feasible(state)
 
     def base_cost(self, state: State) -> Optional[Number]:
         """Best base cost over satisfied base cases, or None if none holds.
         A fault in a base case's condition or cost is named ``base case k``."""
-        values = [cost(state) for holds, cost in self._separate.base_cases if holds(state)]
-        if not values:
-            return None
-        return values[0] if len(values) == 1 else self.costs.reduce(values)
+        return self._separate.base_cost(state)
 
     def applicable_transitions(self, state: State) -> list[Transition]:
         """Transitions to expand: the first applicable forced one alone,
         otherwise every applicable non-forced one in declaration order."""
-        regular = []
-        for transition, guard, _, _ in self._separate.edges:
-            if guard(state):
-                if transition.forced:
-                    return [transition]
-                regular.append(transition)
-        return regular
+        return [edge[0] for edge in self._separate.applicable(state)]
 
     def all_applicable_transitions(self, state: State) -> list[Transition]:
         """Every applicable transition, ignoring forced flags."""
@@ -443,56 +436,6 @@ class Model:
         """The weight of ``transition`` at ``state``, as a cost of the
         model's cost type."""
         return self._edge(transition)[3](state)
-
-    def edges(self, state: State) -> Union[Number, list]:
-        """The base cost of ``state``, or else the edges ``(transition,
-        successor, weight)`` of the transitions ``applicable_transitions``
-        returns whose successor passes the state constraints, from the
-        fused ``expand``.
-
-        On any exception the state runs again through the separate queries
-        (``_edges_by_query``), which name the fault in their own order
-        (every guard before any effect), or return the edges when the
-        fault lay in work they skip: the effects of regular transitions
-        that a later forced one overrides.
-        """
-        queries = self._queries  # outside the try: a fault in the build is raised, not rerun
-        try:
-            return queries.expand(state)
-        except Exception:  # rerun outside the handler: the named error chains to no other
-            pass
-        return self._edges_by_query(state)
-
-    def _edges_by_query(self, state: State) -> Union[Number, list]:
-        """``edges`` through the separate queries, each with its own fault
-        naming: the reference path that ``edges`` falls back on."""
-        base = self.base_cost(state)
-        if base is not None:
-            return base
-        edges = []
-        for transition in self.applicable_transitions(state):
-            successor = self.successor(transition, state)
-            if self._constraints_by_query(successor):
-                edges.append((transition, successor, self.weight(transition, state)))
-        return edges
-
-    def eval_dual_bound(self, state: State) -> Optional[Number]:
-        """Tightest declared bound: max for minimization, min for maximization.
-
-        Absent when the model declares no dual bounds; solvers then guide
-        by the path weight alone and do not prune.  On a fault the bounds
-        run one by one through the separate queries, which name it
-        ``dual bound k``.
-        """
-        queries = self._queries  # outside the try: a fault in the build is raised, not rerun
-        try:
-            return queries.bound(state)
-        except Exception:  # rerun outside the handler: the named error chains to no other
-            pass
-        bounds = [bound(state) for bound in self._separate.bounds]
-        if not bounds:
-            return None
-        return max(bounds) if self.costs.minimize else min(bounds)
 
 
 # ---------------------------------------------------------------------------

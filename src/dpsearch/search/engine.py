@@ -6,19 +6,21 @@ incumbents, event logs, counters, the wall clock) and the kernel:
 ``root`` builds the target node, and ``expand`` turns a node into its
 successors.  A base state is a candidate solution, recorded when it
 improves the primal bound.  Any other state's edges come from
-``Model.edges``, one fused function over the guards, effects, state
+``Model.edges``, one generated function over the guards, effects, state
 constraints and weights that falls back on the per-query path when
 anything in it raises, so a fault is named as the separate queries name
 it.  The edges are all built before any dual bound is evaluated, so a
 fault in a later transition surfaces before one in an earlier
-successor's bound.  Path costs use the cost structure's builtin
-comparison and adder (``CostStructure.better`` and ``add``).  Each
-successor is checked against the dominance registry, cut off when its
-f-value cannot beat the primal bound, and inserted into the registry.
-The kernel reads the model through three callables of the ``Run``,
-``feasible``, ``edges`` and ``bound``; beam search (``beam.py``) drives
-the kernel layer by layer, and ``cabs`` swaps the three for memos that
-last its whole run.
+successor's bound.  Path costs are summed or maximized and compared
+inline, with the operator and direction picked once per run; a cost
+that is infinite or past 64 bits goes to ``CostStructure.add``, which
+saturates or raises.  Each successor is checked against the dominance
+registry, cut off when its f-value cannot beat the primal bound, and
+inserted into the registry.  The kernel calls the model's generated
+functions through three attributes of the ``Run``, ``feasible``,
+``edges`` and ``bound``; beam search (``beam.py``) drives the kernel
+layer by layer, and ``cabs`` swaps the three for memos that last its
+whole run.
 
 ``generic_search`` drives it for every non-beam solver; the open-list
 policy is the only difference between them.  A popped node is closed,
@@ -51,6 +53,7 @@ import time
 from typing import Callable, Optional
 
 from ..errors import EvaluationError
+from ..expressions import INT64_MAX
 from ..model import Model
 from .nodes import BoundTracker, SearchNode, StateRegistry, make_node
 from .open_lists import (
@@ -96,17 +99,21 @@ class Run:
     ``generated`` doubles as the node counter behind the most-recently-
     generated tie-break, so it keeps counting across beam passes.  The
     kernel reads the model only through ``feasible`` (the state
-    constraints), ``edges`` and ``bound`` (the dual bound), the model's
-    own queries unless a caller swaps them, as ``cabs`` does for its
-    memos.  A swapped-in callable must not hold the run, or the two form
-    a reference cycle.
+    constraints), ``edges`` and ``bound`` (the dual bound): the model's
+    generated functions themselves, called with no wrapper, unless a
+    caller swaps them, as ``cabs`` does for its memos.  A swapped-in
+    callable must not hold the run, or the two form a reference cycle.
+    ``out_of_time`` compares the clock with a deadline fixed at the start.
     """
 
     def __init__(self, model: Model, params: SolverParams):
         self.model = model
-        self.params = params
         self.start = time.monotonic()
+        limit = params.time_limit
+        self.deadline = None if limit is None else self.start + limit
         self.costs = model.costs
+        # the operator and direction of the costs the kernel adds and compares
+        self.plus, self.minimize = model.costs.operator == "+", model.costs.minimize
         self.has_bound = bool(model.dual_bounds)
         self.primal = params.initial_bound
         # the primal bound as a pruning threshold, read for every node;
@@ -126,8 +133,8 @@ class Run:
         return time.monotonic() - self.start
 
     def out_of_time(self) -> bool:
-        limit = self.params.time_limit
-        return limit is not None and self.elapsed() >= limit
+        deadline = self.deadline  # None without a limit: no clock read
+        return deadline is not None and time.monotonic() >= deadline
 
     def is_live(self, node: SearchNode) -> bool:
         """Whether ``node`` is still worth expanding: neither closed nor
@@ -135,7 +142,8 @@ class Run:
         model has a dual bound.  A node that fails is marked dead."""
         if node.dead:
             return False
-        if self.has_bound and not self.costs.better(node.f, self.cutoff):
+        f, cutoff = node.f, self.cutoff
+        if self.has_bound and not (f < cutoff if self.minimize else cutoff < f):
             node.dead = True
             return False
         return True
@@ -209,21 +217,28 @@ class Run:
             return None
 
         # Locals for the successor loop, its hottest code.  The cutoff
-        # stays fixed: only a base state changes it.
+        # stays fixed: only a base state changes it.  A cost within 64 bits
+        # is what ``add`` returns; any other, infinite or past the range, is
+        # left to ``add``, which saturates or raises.
         blocked, insert = registry.blocked, registry.insert
-        better, add, new_node, dual_bound = costs.better, costs.add, make_node, self.bound
+        add, new_node, dual_bound = costs.add, make_node, self.bound
+        plus, minimize, top, low = self.plus, self.minimize, INT64_MAX, -INT64_MAX
         has_bound, cutoff, identity = self.has_bound, self.cutoff, costs.identity
         g0, depth, generated = node.g, node.depth + 1, self.generated
         children = []
         try:
             for transition, successor, w in edges:
-                g = add(g0, w)
+                g = g0 + w if plus else w if w > g0 else g0
+                if not low <= g <= top:
+                    g = add(g0, w)
                 if blocked(successor, g):
                     continue
                 if has_bound:
                     h = dual_bound(successor)
-                    f = add(g, h)
-                    if not better(f, cutoff):
+                    f = g + h if plus else h if h > g else g
+                    if not low <= f <= top:
+                        f = add(g, h)
+                    if not (f < cutoff if minimize else cutoff < f):
                         continue
                 else:
                     h = identity
@@ -270,6 +285,7 @@ def _search(run: Run, policy_factory: Callable) -> bool:
             tracker = separate = BoundTracker(run.is_live)
     # probed through the class, so a traced ``BoundTracker`` times the shared heap too
     probe = BoundTracker.probe
+    recorded = None  # the bound last recorded: recording it again changes nothing
 
     registry.insert(root)
     policy.push((root,))
@@ -281,7 +297,9 @@ def _search(run: Run, policy_factory: Callable) -> bool:
             bound = probe(tracker)
             if bound is None and run.incumbent is not None:
                 bound = run.primal  # no open node beats the incumbent: proved
-            run.record_dual(bound)
+            if bound is not recorded:
+                run.record_dual(bound)
+                recorded = bound
         if run.out_of_time():
             return False
         node = policy.pop()

@@ -244,6 +244,21 @@ def test_models_of_one_structure_share_their_code():
     assert other._queries.expand.__code__ is not small._queries.expand.__code__
 
 
+def test_expand_calls_no_constraint_check_for_a_model_without_constraints():
+    mdkp = CLASSES["mdkp"]
+    model = mdkp.build(mdkp.random(random.Random(1)))
+    assert not model.constraints and model.edges(model.target)
+    assert "FEASIBLE" not in model._queries.expand.__code__.co_varnames
+    assert "FEASIBLE" in _tsptw(5)._queries.expand.__code__.co_varnames  # TSPTW has some
+
+
+def test_the_model_queries_are_the_generated_functions():
+    model = _tsptw(5)
+    queries = model._queries
+    assert model.edges is queries.expand and model.check_constraints is queries.feasible
+    assert model.eval_dual_bound is queries.bound
+
+
 def _steps(c: int) -> Model:
     """Six transitions ``t{j}``: when x = j, x := x + c."""
     steps = [Transition(f"t{j}", (Comparison("=", X, NumericConst(j)),),

@@ -320,6 +320,86 @@ def test_path_cost_overflow_is_an_evaluation_error(solver, step_weight, base_cos
         dp.solve(model, solver)
 
 
+def _kernel_model(costs, bound):
+    """Steps from ``x`` to ``x + 1`` or ``x + 2`` whose weights include 0
+    and, in a continuous model, infinity; two steps share a successor, so
+    dominance blocks or evicts one of them.  ``bound`` is the one dual
+    bound, or None for none."""
+    from dpsearch import BaseCase, Model, StateMetadata, TableRegistry, Transition, Variable
+    from dpsearch.expressions import Comparison, NumericBinary, NumericConst, NumericVar
+
+    x = NumericVar(0, "x")
+    weights = (0, 2.5, 7, math.inf) if costs.cost_type == "continuous" else (0, 2, 7)
+    steps = [
+        Transition(f"t{k}", (), ((0, NumericBinary("+", x, NumericConst(1 + k % 2))),),
+                   NumericConst(w))
+        for k, w in enumerate(weights)
+    ]
+    never = BaseCase((Comparison(">=", x, NumericConst(100)),), NumericConst(0))
+    bounds = () if bound is None else (NumericConst(bound),)
+    return Model(StateMetadata({}, [Variable("x", "integer")]), TableRegistry(), (0,), steps,
+                 [never], dual_bounds=bounds, costs=costs)
+
+
+def _reference_children(run, node, registry):
+    """``Run.expand`` of a non-base ``node`` as a loop over ``costs.add``
+    and ``costs.better``."""
+    from dpsearch.search.nodes import make_node
+
+    costs, children = run.costs, []
+    for transition, successor, w in run.model.edges(node.state):
+        try:
+            g = costs.add(node.g, w)
+        except OverflowError as err:
+            raise dp.EvaluationError(f"path cost through {transition.name!r}: {err}") from err
+        if registry.blocked(successor, g):
+            continue
+        h, f = costs.identity, g
+        if run.has_bound:
+            h = run.model.eval_dual_bound(successor)
+            f = costs.add(g, h)
+            if not costs.better(f, run.cutoff):
+                continue
+        child = make_node(costs, successor, g, h, f, node.depth + 1, run.generated + len(children),
+                          node, transition.name)
+        registry.insert(child)
+        children.append(child)
+    return children
+
+
+def _children(expand, model, g0, cutoff):
+    from dpsearch.search.engine import Run
+    from dpsearch.search.nodes import StateRegistry, make_node
+
+    run = Run(model, dp.SolverParams(initial_bound=cutoff))
+    node = make_node(model.costs, (3,), g0, 0, g0, 1, 0)
+    try:
+        children = expand(run, node, StateRegistry(model.metadata, model.costs))
+    except dp.EvaluationError as err:
+        return str(err)
+    return [repr((c.state, c.g, c.f, c.order, c.transition)) for c in children]
+
+
+@pytest.mark.parametrize("bound", [None, 1, math.inf, -math.inf], ids=["none", "1", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "costs",
+    [dp.CostStructure(op, direction, kind)
+     for op in ("+", "max") for direction in ("min", "max") for kind in ("integer", "continuous")],
+    ids=lambda c: f"{c.operator}-{c.direction}-{c.cost_type}",
+)
+def test_the_kernel_adds_and_compares_as_the_cost_structure_does(costs, bound):
+    from dpsearch.search.engine import Run
+
+    model = _kernel_model(costs, bound)
+    for g0, cutoff in itertools.product((0, 4, 9, 2**63 - 2), (None, 5, 8)):
+        kernel = _children(Run.expand, model, g0, cutoff)
+        assert kernel == _children(_reference_children, model, g0, cutoff), (g0, cutoff)
+        # a g one past INT64_MAX raises where the sum is exact
+        overflows = costs.operator == "+" and costs.cost_type == "integer" and g0 > 9
+        assert (kernel == "path cost through 't1': cost 9223372036854775808 exceeds 64-bit range"
+                ) is overflows
+
+
 def _stop_after_pops(monkeypatch, solver, model, pops):
     """Run ``solver`` with ``Run.out_of_time`` true once ``pops`` nodes
     have been popped, so that it stops after exactly that many.  Returns
