@@ -927,17 +927,17 @@ class Queries:
     """The fused queries of one model, which it serves as its own: ``expand``
     is ``Model.edges``, ``feasible`` is ``check_constraints`` and ``bound``
     is ``eval_dual_bound`` (None without bounds).  On any fault each reruns
-    the state through the same query of a :class:`Separate` of the model's
-    parts, which names it."""
+    the state through the same query of ``separate``, the model's one
+    :class:`Separate`, which names it."""
 
-    __slots__ = ("expand", "feasible", "bound")
+    __slots__ = ("expand", "feasible", "bound", "separate")
 
     def __init__(self, model):
         objects, variables = model.metadata.objects, model.metadata.variables
         em = Emitter(model.tables, {f"s{k}": objects[v.object_type]
                                     for k, v in enumerate(variables) if v.kind == "element"})
         block = functools.partial(_Block, em, fused=True)
-        separate = Separate(model)  # compiles nothing until a fault asks it
+        self.separate = separate = vars(model).get("_separate") or Separate(model)
         parts = []
         for condition in model.constraints:
             b = block()

@@ -378,19 +378,20 @@ class Model:
     #
     # ``edges``, ``check_constraints`` and ``eval_dual_bound`` are the fused
     # functions themselves, compiled on the first query asked, so a model
-    # only written and read back compiles nothing; the separate ones, which
-    # name faults, compile on first use.  Later reads find them in the
-    # instance dict.  ``edges(state)`` is the base cost of ``state``, or else
-    # the edges ``(transition, successor, weight)`` of the transitions
-    # ``applicable_transitions`` returns whose successor passes the state
-    # constraints; ``eval_dual_bound`` is the tightest declared bound (max
-    # when minimizing), or None without bounds, when solvers do not prune.
-    # On a fault the separate queries name it in their own order (every
-    # guard before any effect), or return the edges when it lay in work they
-    # skip: the effects of regular transitions a later forced one overrides.
+    # only written and read back compiles nothing.  They fall back on the
+    # model's one ``compiler.Separate``, which the per-query methods ask too
+    # and which compiles each kind of query on first use.  ``edges(state)``
+    # is the base cost of ``state``, or else the edges ``(transition,
+    # successor, weight)`` of the ``applicable_transitions`` whose successor
+    # passes the state constraints; ``eval_dual_bound`` is the tightest bound
+    # (max when minimizing), or None without bounds.  On a fault the separate
+    # queries name it in their own order (every guard before any effect), or
+    # return the edges when it lay in work they skip: the effects of regular
+    # transitions a later forced one overrides.
 
     _queries = functools.cached_property(compiler.Queries)
-    _separate = functools.cached_property(compiler.Separate)
+    _separate = functools.cached_property(lambda self: (
+        self._queries.separate if "_queries" in vars(self) else compiler.Separate(self)))
     edges = functools.cached_property(lambda self: self._queries.expand)
     check_constraints = functools.cached_property(lambda self: self._queries.feasible)
     eval_dual_bound = functools.cached_property(lambda self: self._queries.bound)
@@ -403,8 +404,7 @@ class Model:
     # -- state queries ------------------------------------------------
 
     def _constraints_by_query(self, state: State) -> bool:
-        """``check_constraints`` through the separate queries, each
-        constraint named in its own fault: the path it falls back on."""
+        """``check_constraints`` through the separate queries, faults named."""
         return self._separate.feasible(state)
 
     def base_cost(self, state: State) -> Optional[Number]:

@@ -313,3 +313,24 @@ def test_a_solve_never_falls_back_on_the_separate_queries(name):
         model = cls.build(cls.random(random.Random(seed)))
         caasdy(model)
         assert "_separate" not in vars(model), seed
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_a_solve_builds_none_of_the_fallback_queries(name):
+    # the fallback the fused functions call builds its query sets on first
+    # use, so a solve that never falls back leaves every one of them unbuilt
+    cls = CLASSES[name]
+    for seed in range(4):
+        model = cls.build(cls.random(random.Random(seed)))
+        caasdy(model)
+        built = vars(model._queries.separate).keys()
+        assert not built & {"edges", "edge_of", "base_cases", "constraints", "bounds"}, seed
+
+
+def test_a_model_has_one_separate_whichever_query_is_built_first(desk_tsptw_model):
+    model = desk_tsptw_model
+    copy = yamlio.load_model(*yamlio.serialize_model(model))
+    assert model.check_constraints(model.target) and copy.base_cost(copy.target) is None
+    assert model._separate is model._queries.separate
+    assert copy.check_constraints(copy.target)
+    assert copy._queries.separate is vars(copy)["_separate"]
