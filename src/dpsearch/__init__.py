@@ -31,6 +31,7 @@ from .model import (
     BaseCase,
     CostStructure,
     Diagnostic,
+    Forall,
     Model,
     StateMetadata,
     Transition,
@@ -63,6 +64,7 @@ __all__ = [
     "CostStructure",
     "DepthLimitError",
     "Diagnostic",
+    "Forall",
     "DocumentError",
     "DpsearchError",
     "EvaluationError",

@@ -32,6 +32,7 @@ node is evaluated, never earlier.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,6 +172,14 @@ class ElementConst(ElementExpression):
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("element constants must be nonnegative")
+
+
+@dataclass(frozen=True, slots=True)
+class ElementParameter(ElementExpression):
+    """A parameter of a lifted transition or constraint in element
+    context; :func:`bind` replaces it with an ``ElementConst``."""
+
+    name: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,6 +331,13 @@ class NumericConst(NumericExpression):
     def __post_init__(self):
         if isinstance(self.value, float) and math.isnan(self.value):
             raise ValueError("NaN constants are rejected")
+
+
+@dataclass(frozen=True, slots=True)
+class NumericParameter(NumericExpression):
+    """``ElementParameter`` in numeric context, bound to a ``NumericConst``."""
+
+    name: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -537,3 +553,20 @@ def walk(expr):
     yield expr
     for child in children(expr):
         yield from walk(child)
+
+
+def bind(expr, constants: Mapping):
+    """``expr`` with each parameter leaf replaced by its constant node in
+    ``constants``; a subtree without a parameter is shared, not copied."""
+    if type(expr) is ElementParameter or type(expr) is NumericParameter:
+        return constants[expr]
+    old = [getattr(expr, name) for name in expr.__dataclass_fields__]
+    new = [_bind_field(value, constants) for value in old]
+    return expr if all(map(operator.is_, new, old)) else type(expr)(*new)
+
+
+def _bind_field(value, constants: Mapping):
+    if type(value) is tuple:  # of nodes: a table's arguments, an and's operands
+        bound = tuple(bind(v, constants) for v in value)
+        return value if all(map(operator.is_, bound, value)) else bound
+    return bind(value, constants) if isinstance(value, _NODES) else value

@@ -32,13 +32,14 @@ included: each names its own faults and returns costs as
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import gt, lt
 from typing import Callable, Optional, Sequence, Union
 
-from . import compiler
+from . import bitset, compiler
 from . import expressions as ex
 from .errors import EvaluationError, ModelError, UnknownSymbolError
 
@@ -298,6 +299,13 @@ class Transition:
     Effects are simultaneous: every effect expression is evaluated on the
     pre-state.  The weight is the ``w`` of a cost expression ``w (op) x``
     and must not reference the successor cost.
+
+    A lifted transition has ``parameters``, (name, binding) pairs, and
+    parameter leaves in its expressions.  A parameter bound to an object
+    type takes every object; one bound to a set variable takes the members
+    of the variable's target value and adds the membership guard.  The
+    model grounds it into one member ``<name>-<v1>-<v2>...`` per value
+    combination, in product order, its guards before its preconditions.
     """
 
     name: str
@@ -305,6 +313,7 @@ class Transition:
     effects: tuple[Effect, ...]
     weight: ex.NumericExpression
     forced: bool = False
+    parameters: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         indices = [i for i, _ in self.effects]
@@ -313,6 +322,16 @@ class Transition:
         object.__setattr__(
             self, "effects", tuple(sorted(self.effects, key=lambda pair: pair[0]))
         )
+
+
+@dataclass(frozen=True)
+class Forall:
+    """A lifted state constraint: ``condition`` for every value of
+    ``parameter``, bound as a transition's parameter is; over a set
+    variable's members each value grounds to (not member) or (condition)."""
+
+    parameter: tuple[str, str]
+    condition: ex.Condition
 
 
 @dataclass(frozen=True)
@@ -330,7 +349,11 @@ def _foreign(transition: Transition) -> ModelError:
 
 
 class Model:
-    """A complete decision model; immutable after construction."""
+    """A complete decision model; immutable after construction.  It
+    grounds the lifted transitions and ``Forall`` constraints it is given
+    (see ``Transition``) into ``transitions`` and ``constraints``, which
+    equality compares, and keeps them as given in ``declared_transitions``
+    and ``declared_constraints`` for the writer."""
 
     def __init__(
         self,
@@ -339,7 +362,7 @@ class Model:
         target: State,
         transitions: Sequence[Transition],
         base_cases: Sequence[BaseCase],
-        constraints: Sequence[ex.Condition] = (),
+        constraints: Sequence[Union[ex.Condition, Forall]] = (),
         dual_bounds: Sequence[ex.NumericExpression] = (),
         costs: CostStructure = CostStructure(),
     ):
@@ -347,9 +370,29 @@ class Model:
         self.metadata = metadata
         self.tables = tables
         self.target = tuple(target)
-        self.transitions = tuple(transitions)
-        self.base_cases = tuple(base_cases)
+        self.declared_transitions = tuple(transitions)
+        self.declared_constraints = tuple(constraints)
+        self.transitions = tuple(
+            Transition(
+                f"{t.name}-{'-'.join(map(str, combo))}",
+                guards + tuple(ex.bind(c, constants) for c in t.preconditions),
+                tuple((i, ex.bind(e, constants)) for i, e in t.effects),
+                ex.bind(t.weight, constants),
+                t.forced,
+            ) if t.parameters else t
+            for t in self.declared_transitions
+            for combo, constants, guards in self._bindings(t.parameters)
+        )
+        constraints = []
+        for c in self.declared_constraints:
+            if type(c) is not Forall:
+                constraints.append(c)
+                continue
+            for _, constants, guards in self._bindings((c.parameter,)):
+                condition = ex.bind(c.condition, constants)
+                constraints.append(ex.Or((ex.Not(guards[0]), condition)) if guards else condition)
         self.constraints = tuple(constraints)
+        self.base_cases = tuple(base_cases)
         self.dual_bounds = tuple(dual_bounds)
         # only transitions apply the operator, and with identity 0 and
         # nonnegative costs ``+`` and ``max`` agree: one operator without them
@@ -359,6 +402,28 @@ class Model:
             if transition.name in names:
                 raise ModelError(f"transition name {transition.name!r} is used twice")
             names.add(transition.name)
+
+    def _bindings(self, parameters):
+        """Per combination of the values of ``parameters``, in product
+        order: the values, each parameter leaf's constant for ``ex.bind``,
+        and the membership guards of the set-bound parameters.  No
+        parameters: one empty combination."""
+        meta, ranges, sets = self.metadata, [], []
+        for name, binding in parameters:
+            try:
+                sets.append(None if binding in meta.objects else meta.set_(binding))
+            except (ModelError, UnknownSymbolError):
+                raise ModelError(f"parameter {name!r} binds {binding!r}, which is neither "
+                                 "an object type nor a set variable") from None
+            ranges.append(range(meta.objects[binding]) if sets[-1] is None
+                          else bitset.members(self.target[sets[-1].index]))
+        for combo in itertools.product(*ranges):
+            constants = {}
+            for (name, _), v in zip(parameters, combo):
+                constants[ex.ElementParameter(name)] = ex.ElementConst(v)
+                constants[ex.NumericParameter(name)] = ex.NumericConst(v)
+            yield combo, constants, tuple(
+                ex.SetMember(ex.ElementConst(v), s) for v, s in zip(combo, sets) if s is not None)
 
     def __eq__(self, other):
         if not isinstance(other, Model):

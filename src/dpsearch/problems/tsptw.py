@@ -1,11 +1,12 @@
 """Traveling salesperson with time windows.
 
 State: unvisited customers U, current location i, current time t (less
-preferred).  One transition per customer visits it within its window;
-the tour ends back at the depot once U is empty.  State constraints cut
-states from which some unvisited customer can no longer be reached by
-its deadline even via shortest paths, and two bound expressions sum the
-cheapest incoming/outgoing edges over the remaining customers.
+preferred).  One lifted transition, ``visit`` j for every j in U,
+visits a customer within its window; the tour ends back at the depot
+once U is empty.  A ``forall`` state constraint cuts states from which
+some unvisited customer can no longer be reached by its deadline even
+via shortest paths, and two bound expressions sum the cheapest
+incoming/outgoing edges over the remaining customers.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .. import expressions as ex
 from ..model import (
     CostStructure,
     ELEMENT,
+    Forall,
     INTEGER,
     LESS,
     Model,
@@ -82,43 +84,30 @@ def build_tsptw(instance: TsptwInstance) -> Model:
     i = meta.element("i")
     t = meta.numeric("t")
 
-    transitions = []
-    for j in range(1, n):
-        ej = c.econst(j)
-        arrival = c.add(t, c.ntab("c", i, ej))
-        transitions.append(
-            Transition(
-                name=f"visit-{j}",
-                preconditions=(
-                    c.member(j, U),
-                    c.le(arrival, c.ntab("b", ej)),
-                ),
-                effects=(
-                    (meta.index("U"), ex.SetRemove(ej, U)),
-                    (meta.index("i"), ej),
-                    (meta.index("t"), c.nmax(arrival, c.ntab("a", ej))),
-                ),
-                weight=c.ntab("c", i, ej),
-            )
-        )
-
-    constraints = [
-        c.or_(
-            c.not_(c.member(j, U)),
-            c.le(c.add(t, c.ntab("cstar", i, c.econst(j))), c.ntab("b", c.econst(j))),
-        )
-        for j in range(1, n)
-    ]
+    j = ex.ElementParameter("j")
+    arrival = c.add(t, c.ntab("c", i, j))
+    visit = Transition(
+        name="visit",
+        preconditions=(c.le(arrival, c.ntab("b", j)),),
+        effects=(
+            (meta.index("U"), ex.SetRemove(j, U)),
+            (meta.index("i"), j),
+            (meta.index("t"), c.nmax(arrival, c.ntab("a", j))),
+        ),
+        weight=c.ntab("c", i, j),
+        parameters=(("j", "U"),),
+    )
+    deadline = Forall(("j", "U"), c.le(c.add(t, c.ntab("cstar", i, j)), c.ntab("b", j)))
 
     return Model(
         metadata=meta,
         tables=tables,
         target=(bitset.from_items(range(1, n), n), 0, 0),
-        transitions=transitions,
+        transitions=[visit],
         base_cases=[
             BaseCase((c.empty(U),), c.ntab("c", i, c.econst(0))),
         ],
-        constraints=constraints,
+        constraints=[deadline],
         dual_bounds=[
             c.add(c.sum_over("cin", U), c.ntab("cin", c.econst(0))),
             c.add(c.sum_over("cout", U), c.ntab("cout", i)),

@@ -28,7 +28,7 @@ S)``.  A ``max`` or ``min`` is a reduction when its first argument names
 a table and its second looks like a set.
 
 Atoms are integers, floats, exact fractions written ``p/q``, and
-symbols.  Symbols resolve, in order, against bound parameters, declared
+symbols.  Symbols resolve, in order, against parameters, declared
 state variables, and declared tables.  The symbol ``cost`` is legal only
 in transition cost texts and only as the second argument of the
 outermost ``(+ w cost)`` or ``(max w cost)``: :func:`parse_cost` splits
@@ -48,7 +48,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from . import bitset
 from . import expressions as ex
@@ -170,11 +170,13 @@ def _read(tokens: list[str], pos: int) -> tuple[Ast, int]:
 @dataclass
 class ParseContext:
     """Name bindings used while typing an expression tree.  ``cost`` is
-    not among them: only :func:`parse_cost` reads that symbol."""
+    not among them: only :func:`parse_cost` reads that symbol.  A
+    parameter bound to None reads as a parameter leaf, which a model binds
+    when it grounds the lifted transition or constraint that holds it."""
 
     metadata: StateMetadata
     tables: ex.TableRegistry
-    parameters: Mapping[str, int] = field(default_factory=dict)
+    parameters: Mapping[str, Optional[int]] = field(default_factory=dict)
 
     def variable_kind(self, name: str):
         try:
@@ -232,6 +234,8 @@ class _Parser:
                 )
             return _Cost()
         if family != SET and name in ctx.parameters:
+            if ctx.parameters[name] is None:
+                return (ex.ElementParameter if family == ELEMENT else ex.NumericParameter)(name)
             const = ex.ElementConst if family == ELEMENT else ex.NumericConst
             return const(ctx.parameters[name])
         kind = ctx.variable_kind(name)
@@ -400,7 +404,8 @@ def unparse(expr) -> str:
         if isinstance(value, Fraction):
             return f"{value.numerator}/{value.denominator}"
         return repr(value) if isinstance(value, float) else str(value)
-    if isinstance(expr, (ex.ElementVar, ex.NumericVar, ex.SetVar)):
+    if isinstance(expr, (ex.ElementVar, ex.NumericVar, ex.SetVar,
+                         ex.ElementParameter, ex.NumericParameter)):
         return expr.name
     if isinstance(expr, (ex.ElementTable, ex.NumericTable, ex.BooleanTable, ex.SetTable)):
         return _application(expr.table, expr.args)

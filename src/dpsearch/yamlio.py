@@ -11,17 +11,18 @@ key as an index list, a YAML complex key) or nested rows in row-major
 order, which must give every key a value; ``serialize_model`` writes
 rows whenever every key has a value.
 
-A transition parameter bound to a set variable ranges over that
-variable's value in the target state and adds the membership
-precondition; a ``forall`` constraint bound to a set variable grounds to
-the guarded disjunction (not member) or (condition).  Models built here
-are assumed acyclic, which every shipped model class satisfies.
+``instantiate`` parses each expression text once.  In the texts of a
+transition with ``parameters`` or a ``forall`` constraint, a parameter
+reads as a parameter leaf, and the lifted transition or ``Forall`` goes
+to ``Model``, which grounds it (see ``Transition``): so a malformed text
+is rejected whatever the instance, even one that grounds no member.
+Models built here are assumed acyclic, which every shipped model class
+satisfies.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import re
@@ -35,12 +36,13 @@ import yaml
 from . import bitset
 from . import expressions as ex
 from . import sexpr
-from .errors import DocumentError, UnknownSymbolError
+from .errors import DocumentError
 from .model import (
     BaseCase,
     CONTINUOUS,
     CostStructure,
     ELEMENT,
+    Forall,
     GREATER,
     INTEGER,
     LESS,
@@ -453,32 +455,6 @@ def _target_state(
     return tuple(values)
 
 
-def _parameter_ranges(
-    decl: ParameterDecl,
-    metadata: StateMetadata,
-    target: tuple,
-) -> list[int]:
-    """Objects of the bound type, or the members of a set variable's
-    target value when the binding names one."""
-    if decl.object in metadata.objects:
-        return list(range(metadata.objects[decl.object]))
-    try:
-        index = metadata.index(decl.object)
-    except UnknownSymbolError:
-        raise DocumentError(
-            f"parameter {decl.name!r} binds unknown object {decl.object!r}"
-        ) from None
-    if metadata.variables[index].kind != SET:
-        raise DocumentError(
-            f"parameter {decl.name!r} must bind an object type or set variable"
-        )
-    return list(bitset.members(target[index]))
-
-
-def _is_set_binding(decl: ParameterDecl, metadata: StateMetadata) -> bool:
-    return decl.object not in metadata.objects
-
-
 def instantiate(domain: DomainDocument, problem: ProblemDocument) -> Model:
     """Ground a domain against a problem into a solvable model."""
     objects = {}
@@ -506,64 +482,34 @@ def instantiate(domain: DomainDocument, problem: ProblemDocument) -> Model:
 
     target = _target_state(metadata, problem.target)
 
-    def context(params=None):
-        return sexpr.ParseContext(metadata, registry, params or {})
+    def context(parameters=()):
+        return sexpr.ParseContext(metadata, registry, {p.name: None for p in parameters})
 
     transitions = []
     operators = set()
     for decl in domain.transitions:
-        ranges = [
-            _parameter_ranges(p, metadata, target) for p in decl.parameters
-        ]
-        for combo in itertools.product(*ranges):
-            params = {p.name: v for p, v in zip(decl.parameters, combo)}
-            ctx = context(params)
-            preconditions = []
-            for p, v in zip(decl.parameters, combo):
-                if _is_set_binding(p, metadata):
-                    preconditions.append(
-                        ex.SetMember(ex.ElementConst(v), metadata.set_(p.object))
-                    )
-            preconditions.extend(
-                sexpr.parse_condition(text, ctx) for text in decl.preconditions
-            )
-            effects = []
-            for var_name, text in decl.effect.items():
-                index = metadata.index(var_name)
-                kind = metadata.variables[index].kind
-                effects.append((index, sexpr.parse_effect(text, ctx, kind)))
-            operator, weight = sexpr.parse_cost(decl.cost, ctx)
-            operators.add(operator)
-            name = decl.name
-            if combo:
-                name = f"{decl.name}-{'-'.join(str(v) for v in combo)}"
-            transitions.append(
-                Transition(
-                    name=name,
-                    preconditions=tuple(preconditions),
-                    effects=tuple(effects),
-                    weight=weight,
-                    forced=decl.forced,
-                )
-            )
+        ctx = context(decl.parameters)
+        preconditions = tuple(sexpr.parse_condition(text, ctx) for text in decl.preconditions)
+        effects = []
+        for var_name, text in decl.effect.items():
+            index = metadata.index(var_name)
+            kind = metadata.variables[index].kind
+            effects.append((index, sexpr.parse_effect(text, ctx, kind)))
+        operator, weight = sexpr.parse_cost(decl.cost, ctx)
+        operators.add(operator)
+        parameters = tuple((p.name, p.object) for p in decl.parameters)
+        transitions.append(
+            Transition(decl.name, preconditions, tuple(effects), weight, decl.forced, parameters)
+        )
     if len(operators) > 1:
         raise DocumentError("transitions mix + and max cost operators")
     operator = operators.pop() if operators else "+"
 
     constraints = []
     for decl in domain.constraints:
-        if decl.forall is None:
-            constraints.append(sexpr.parse_condition(decl.condition, context()))
-            continue
-        for value in _parameter_ranges(decl.forall, metadata, target):
-            ctx = context({decl.forall.name: value})
-            condition = sexpr.parse_condition(decl.condition, ctx)
-            if _is_set_binding(decl.forall, metadata):
-                guard = ex.Not(
-                    ex.SetMember(ex.ElementConst(value), metadata.set_(decl.forall.object))
-                )
-                condition = ex.Or((guard, condition))
-            constraints.append(condition)
+        forall = decl.forall
+        condition = sexpr.parse_condition(decl.condition, context([forall] if forall else []))
+        constraints.append(Forall((forall.name, forall.object), condition) if forall else condition)
 
     base_cases = [
         BaseCase(
@@ -704,8 +650,11 @@ def _document_text(document: dict) -> str:
 def serialize_model(model: Model) -> tuple[str, str]:
     """Render a model as (domain text, problem text).
 
-    Transitions are emitted ground (no parameters), so re-instantiating
-    the parsed documents reproduces the model operation for operation.
+    Transitions and constraints are written as the model declares them:
+    a lifted transition as one entry with ``parameters``, a ``Forall`` as
+    one constraint with ``forall``, and a ground one as itself, so the
+    read-back model grounds to the same transitions and constraints and
+    writes the same text.
 
     The text has PyYAML's block layout: maps indented two spaces, a list
     under a map key not indented, the innermost table rows (a set value
@@ -792,8 +741,10 @@ def serialize_model(model: Model) -> tuple[str, str]:
         elif () in table.values:  # a scalar with only a default reads back from the default
             problem["table_values"][table.name] = _table_value_out(table, table.values[()])
 
-    for t in model.transitions:
+    for t in model.declared_transitions:
         entry: dict = {"name": t.name}
+        if t.parameters:
+            entry["parameters"] = [{"name": n, "object": b} for n, b in t.parameters]
         if t.preconditions:
             entry["preconditions"] = [sexpr.unparse(c) for c in t.preconditions]
         entry["effect"] = {
@@ -804,7 +755,12 @@ def serialize_model(model: Model) -> tuple[str, str]:
             entry["forced"] = True
         domain["transitions"].append(entry)
 
-    domain["constraints"] = [{"condition": sexpr.unparse(c)} for c in model.constraints]
+    domain["constraints"] = [
+        {"condition": sexpr.unparse(c.condition),
+         "forall": {"name": c.parameter[0], "object": c.parameter[1]}}
+        if type(c) is Forall else {"condition": sexpr.unparse(c)}
+        for c in model.declared_constraints
+    ]
     domain["base_cases"] = [
         {
             "conditions": [sexpr.unparse(c) for c in case.conditions],

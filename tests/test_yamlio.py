@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import random
 import re
 import zlib
@@ -28,7 +29,7 @@ from dpsearch.expressions import (
     Table,
     TableRegistry,
 )
-from dpsearch.problems import CLASSES, TsptwInstance, build_tsptw
+from dpsearch.problems import CLASSES, CvrpInstance, TsptwInstance, build_cvrp, build_tsptw
 
 
 # A domain whose grounded transitions are named a-1, a-0, a-1.
@@ -258,6 +259,122 @@ class TestInstantiation:
             yamlio.instantiate(yamlio.parse_domain(text), yamlio.parse_problem(
                 "object_numbers: {}\ntarget: {x: 0}\n"
             ))
+
+
+def _customers_problem(*unvisited: int) -> str:
+    """A TSPTW problem for the fixture domain: the depot and the customers
+    ``unvisited``, all one apart, in wide windows."""
+    n = 1 + len(unvisited)
+    square = [[int(a != b) for b in range(n)] for a in range(n)]
+    return (
+        f"object_numbers: {{customer: {n}}}\n"
+        f"target: {{U: {list(unvisited)}, i: 0, t: 0}}\n"
+        f"table_values: {{c: {square}, cstar: {square}, a: {[0] * n}, b: {[99] * n},\n"
+        f"  cin: {[1] * n}, cout: {[1] * n}}}\n"
+    )
+
+
+def _tsptw(customers: int) -> TsptwInstance:
+    travel = tuple(tuple(abs(a - b) for b in range(customers)) for a in range(customers))
+    return TsptwInstance(travel, (0,) * customers, (10 * customers,) * customers)
+
+
+def _cvrp(customers: int) -> CvrpInstance:
+    travel = _tsptw(customers).travel
+    return CvrpInstance(travel, (0,) + (2,) * (customers - 1), 2 * customers, 2)
+
+
+class TestLiftedFamilies:
+    """A transition with parameters and a ``forall`` constraint are read
+    as one family each, parsed once, grounded by the model and written
+    back whole."""
+
+    @pytest.mark.parametrize("unvisited", [(), (1,)], ids=["no-member", "one-member"])
+    def test_a_malformed_precondition_is_rejected_whatever_the_instance(
+        self, fixture_texts, unvisited
+    ):
+        text = '"(<= (+ t (c i j)) (b j))"'
+        domain = fixture_texts[0]
+        assert text in domain
+        broken = domain.replace(text, text[:-2] + '"')
+        with pytest.raises(ExpressionParseError, match="^unbalanced parentheses$"):
+            yamlio.load_model(broken, _customers_problem(*unvisited))
+
+    def test_a_malformed_forall_condition_over_an_empty_set_is_rejected(self, fixture_texts):
+        text = '"(<= (+ t (cstar i j)) (b j))"'
+        domain = fixture_texts[0]
+        assert text in domain
+        broken = domain.replace(text, text[:-2] + '"')
+        yamlio.load_model(domain, _customers_problem())  # well formed before the change
+        with pytest.raises(ExpressionParseError, match="^unbalanced parentheses$"):
+            yamlio.load_model(broken, _customers_problem())
+
+    def test_parsing_does_not_grow_with_the_customers(self, monkeypatch):
+        calls = []
+        for name in ("parse_condition", "parse_effect", "parse_cost", "parse_numeric",
+                     "parse_set"):
+            parse = getattr(sexpr, name)
+            monkeypatch.setattr(
+                sexpr, name, lambda *args, _parse=parse: calls.append(1) or _parse(*args)
+            )
+        counts = []
+        for customers in (5, 40):
+            texts = yamlio.serialize_model(build_tsptw(_tsptw(customers)))
+            calls.clear()
+            assert len(yamlio.load_model(*texts).transitions) == customers - 1
+            counts.append(len(calls))
+        # visit: a precondition, three effects and a cost; the forall
+        # condition; a base case's condition and cost; two dual bounds
+        assert counts == [10, 10]
+
+    @pytest.mark.parametrize("customers", [4, 14, 40])
+    @pytest.mark.parametrize(
+        "build, instance, lifted",
+        [(build_tsptw, _tsptw, True), (build_cvrp, _cvrp, False)],
+        ids=["tsptw", "cvrp"],
+    )
+    def test_written_text_is_a_fixpoint(self, build, instance, lifted, customers):
+        """TSPTW is written as one ``visit`` family and one ``forall``
+        constraint; CVRP stays ground, its visits interleaved by customer."""
+        model = build(instance(customers))
+        texts = yamlio.serialize_model(model)
+        loaded = yamlio.load_model(*texts)
+        assert loaded == model
+        assert yamlio.serialize_model(loaded) == texts
+        assert yamlio.serialize_model(pickle.loads(pickle.dumps(loaded))) == texts
+        domain = yamlio.parse_domain(texts[0])
+        members = len(model.transitions) // (customers - 1)
+        assert len(domain.transitions) == (1 if lifted else members * (customers - 1))
+        assert [len(t.parameters) for t in domain.transitions] == (
+            [1] if lifted else [0] * len(domain.transitions)
+        )
+        assert len(domain.constraints) == 1
+        assert (domain.constraints[0].forall is not None) == lifted
+
+    def test_a_lifted_and_a_ground_document_of_one_model_are_equal(self, fixture_texts):
+        lifted = yamlio.load_model(*fixture_texts)
+        ground = dp.Model(
+            lifted.metadata, lifted.tables, lifted.target, lifted.transitions,
+            lifted.base_cases, lifted.constraints, lifted.dual_bounds, lifted.costs,
+        )
+        texts = yamlio.serialize_model(ground)
+        assert "parameters" not in texts[0] and "visit-3" in texts[0]
+        assert yamlio.load_model(*texts) == lifted
+        assert texts != yamlio.serialize_model(lifted)
+
+    def test_grounding_shares_what_holds_no_parameter(self, fixture_texts):
+        first, second = yamlio.load_model(*fixture_texts).transitions[:2]
+        assert first.effects != second.effects
+        # (remove j U) shares U, and (max (+ t (c i j)) (a j)) shares t
+        assert first.effects[0][1].operand is second.effects[0][1].operand
+        assert first.effects[2][1].lhs.lhs is second.effects[2][1].lhs.lhs
+
+    @pytest.mark.parametrize("binding", ["ghost", "i"])
+    def test_a_parameter_binds_an_object_type_or_a_set_variable(self, fixture_texts, binding):
+        domain = fixture_texts[0].replace("        object: U", f"        object: {binding}", 1)
+        message = f"parameter 'j' binds '{binding}', which is neither an object type nor a set"
+        with pytest.raises(dp.ModelError, match=f"^{re.escape(message)} variable$"):
+            yamlio.load_model(domain, fixture_texts[1])
 
 
 MINIMAL_DOMAIN = (
