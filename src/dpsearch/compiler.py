@@ -32,18 +32,26 @@ A model's hot path is three fused functions (:class:`Queries`), which
 the model serves as its own ``edges``, ``check_constraints`` and
 ``eval_dual_bound``: ``expand`` (base cases, then each transition's
 guards, effects, the successor's state constraints when the model has
-any, and weight), ``feasible`` and ``bound``.  Each transition,
-constraint, base case and bound is a block; runs of blocks of one text,
-or of a repeated group of them (CVRP's ``visit-j``/``visit-via-depot-j``
-pairs), fold into a loop over rows of their constants, so the source
-keeps its size as the instance grows.  On any fault a fused function
-reruns the state through the separate queries (:class:`Separate`), each
-labelled and returning costs converted as the fused ones do, which name
-it; they and the unlabelled ``eval_*`` come from the same emitter.  Code
-is cached by source text in a bounded dict, so models of one structure
-share one code object; a function is that code with the model's
-constants as its defaults, and a subtree nested too deep for one body
-spills into a function of its own.
+any, and weight), ``feasible`` and ``bound``.  Each declared transition
+or constraint is a family (``Model.transition_families``), emitted once
+from its lifted trees: a parameter leaf, also the element of the
+membership guard of a set-bound parameter, is a constant with one value
+per member, so one block holds every member's text, and each member's
+row of constants is read off its row.  Where a rule decides on such a
+constant (a clean, in-range dense slice, a constant condition, the
+universe test of ``add`` and ``remove``) the members must agree; where
+they do not, each member is emitted alone.  A ground transition is a family of one member.  Runs
+of rows of one text, or of a repeated group of texts (CVRP's
+``visit-j``/``visit-via-depot-j`` pairs), fold into a loop over the
+rows, so the source keeps its size as the instance grows; source and
+defaults are those of the model's ground copy.  On any fault a fused
+function reruns the state through the separate queries
+(:class:`Separate`), each labelled and returning costs converted as the
+fused ones do, which name it; they and the unlabelled ``eval_*`` come
+from the same emitter.  Code is cached by source text in a bounded dict,
+so models of one structure share one code object; a function is that
+code with the model's constants as its defaults, and a subtree nested
+too deep for one body spills into a function of its own.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ import functools
 import itertools
 import linecache
 import math
+import operator
 import threading
 from fractions import Fraction
 from itertools import product, repeat
@@ -202,6 +211,18 @@ def _read(table: ex.Table, context: str, key: tuple):
     raise EvaluationError(f"table {table.name!r} produced {value!r} in {context} context")
 
 
+def _value(table: ex.Table, context: str, key: tuple):
+    """``_read``'s value, or ``_MISSING`` where it raises (when evaluated)."""
+    try:
+        return _read(table, context, key)
+    except Exception:
+        return _MISSING
+
+
+def _pair(table: ex.Table, pattern: tuple) -> tuple:
+    return table, pattern
+
+
 def _unknown_table(name: str):
     raise UnknownSymbolError(f"unknown table {name!r}")
 
@@ -302,12 +323,59 @@ _RANGE = f"-{_M} <= {{0}} <= {_M}"  # the 64-bit range test of a name
 
 
 class _Const:
-    """A value known when the source is written."""
+    """A value known when the source is written: one value, or in a
+    family's block an ``_Each``."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = value
+
+
+class _Each:
+    """A constant of a family's block that holds one value per member."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+
+class _Split(Exception):
+    """A rule's decision on a constant differs between a family's members."""
+
+
+def _per(value, f, *args):
+    """``f(*args, value)`` of a constant's value, member by member for an
+    ``_Each``."""
+    if value.__class__ is _Each:
+        return _Each([f(*args, v) for v in value.values])
+    return f(*args, value)
+
+
+def _same(value, f):
+    """``f`` of a constant's value, a decision every member must share:
+    raises ``_Split`` where the members of an ``_Each`` differ."""
+    if value.__class__ is not _Each:
+        return f(value)
+    decisions = set(map(f, value.values))
+    if len(decisions) > 1:
+        raise _Split
+    return decisions.pop()
+
+
+def _pattern(values) -> object:
+    """Constants as one tuple constant, an ``_Each`` of tuples if any is one."""
+    eaches = [v.values for v in values if v.__class__ is _Each]
+    if not eaches:
+        return tuple(values)
+    n = len(eaches[0])
+    return _Each(list(zip(*(v.values if v.__class__ is _Each else repeat(v, n)
+                            for v in values))))
+
+
+_known = functools.partial(operator.is_not, None)
+_valued = functools.partial(operator.is_not, _MISSING)
 
 
 class _Test(str):
@@ -326,11 +394,19 @@ class _Block:
     ``code`` returns a :class:`_Const`, a :class:`_Test` or the name of a
     value it has emitted statements for; ``value``, a name.  A ``fused``
     block reads state slots once, at the top of the function
-    (``s0 = s[0]``), and lists them in ``slots``."""
+    (``s0 = s[0]``), and lists them in ``slots``.
+
+    The block of a family (:func:`_family`) stands for the member
+    ``index``, or, with ``index`` None, for every member: then each
+    constant that differs between them is an ``_Each``, and ``rows`` holds
+    the members' rows.  ``params`` maps each parameter to its constant.
+    """
+
+    params, index, rows = None, 0, None  # a family's block sets them
 
     def __init__(self, emitter: "Emitter", fused=False):
         self.emitter = emitter
-        self.naming = "\x00%d\x00" if fused else "k%d"  # the N-th constant's name
+        self.naming = _FUSED_NAMES if fused else _NAMES  # the N-th constant's name
         self.lines: list[str] = []
         self.depth = 0
         self.indent = ""
@@ -353,7 +429,11 @@ class _Block:
 
     def const(self, value) -> str:
         self.row.append(value)
-        return self.naming % (len(self.row) - 1)
+        return self.naming[len(self.row) - 1]
+
+    def pick(self, values):
+        """The member's value of ``values``, or an ``_Each`` of them all."""
+        return _Each(values) if self.index is None else values[self.index]
 
     def share(self, name: str, value) -> str:
         self.shared[name] = value
@@ -361,11 +441,12 @@ class _Block:
 
     def temp(self) -> str:
         self.temps += 1
-        return f"v{self.temps - 1}"
+        return _TEMPS[self.temps - 1]
 
     def bind(self, text: str) -> str:
         """Emit ``name = text`` and return the name."""
-        name = self.temp()
+        self.temps += 1
+        name = _TEMPS[self.temps - 1]
         self.lines.append(f"{self.indent}{name} = {text}")
         return name
 
@@ -405,8 +486,11 @@ class _Block:
         return self.bind(f"s[{index:d}]")
 
     def spill(self, expr) -> str:
-        """Call a function of its own that evaluates ``expr``."""
-        fn = self.emitter.item("spill", lambda b: b.code(expr))
+        """Call a function of its own that evaluates ``expr``: one per
+        member, so every member of a family is built alone."""
+        if self.index is None:
+            raise _Split
+        fn = self.emitter.item("spill", lambda b: b.code(expr), None, self.params, self.index)
         return self.bind(f"{self.const(fn)}(s)")
 
     def checked(self, name: str) -> None:
@@ -415,6 +499,19 @@ class _Block:
         self.lines.append(f"{self.indent}    _number({name})")
 
 
+class _Names(dict):
+    """Names by number, each formatted on first use: ``_Names("k%d")[3]``
+    is ``"k3"``."""
+
+    def __init__(self, pattern: str):
+        self.pattern = pattern
+
+    def __missing__(self, n: int) -> str:
+        name = self[n] = self.pattern % n
+        return name
+
+
+_NAMES, _FUSED_NAMES, _TEMPS, _PARAMS = map(_Names, ("k%d", "\x00%d\x00", "v%d", "p%d"))
 _CHECK = f"if {{0}}.__class__ is not int or not {_RANGE.format('{0}')}:"
 
 
@@ -437,12 +534,14 @@ class Emitter:
         self._layouts: dict[str, _Layout] = {}
         self._arrays: dict[tuple, object] = {}
 
-    def item(self, name: str, build, label=None) -> FunctionType:
+    def item(self, name: str, build, label=None, params=None, index=0) -> FunctionType:
         """The function of one block that returns what ``build(block)`` codes.
         With a ``label``, the block runs in one ``try`` whose handler raises
         any fault of ``_FAULTS`` as ``_fault`` names it at ``label``
-        (``"weight of 't': ..."``); without, faults pass unnamed."""
+        (``"weight of 't': ..."``); without, faults pass unnamed.  ``params``
+        and ``index`` are a family member's, as in :class:`_Block`."""
         b = _Block(self)
+        b.params, b.index = params, index
         b.open()
         if label is not None:
             b.emit("try:")
@@ -460,28 +559,34 @@ class Emitter:
         return self.item("evaluate", lambda b: b.code(expr))
 
     def fused(self, name: str, parts, fallback) -> FunctionType:
-        """``name`` over ``parts``, blocks and lines in order; runs of
-        blocks of one text fold into loops over rows of their constants.
-        The body runs in one ``try``: on any exception the state goes to
-        ``fallback``, called after the handler so that its error chains
-        to no other."""
+        """``name`` over ``parts``, blocks and lines in order, a block once
+        per member row (its ``rows``, or its one ``row``); runs of rows of
+        one text fold into loops over them.  The body runs in one ``try``:
+        on any exception the state goes to ``fallback``, called after the
+        handler so that its error chains to no other."""
         blocks = [part for part in parts if part.__class__ is _Block]
         shared, slots, ranges, params, defaults = {"FALLBACK": fallback}, set(), set(), [], []
         for block in blocks:
             shared.update(block.shared)
             slots.update(block.slots)
             ranges.update(block.ranges)
+        # each line, and each block's row with its text, once per member of a family
         texts = [object() if p.__class__ is str else "\n".join(p.lines) for p in parts]
+        items = [p if p.__class__ is str else p.row for p in parts]
+        if any(block.rows for block in blocks):
+            rows = [(p,) if p.__class__ is str else p.rows or (p.row,) for p in parts]
+            texts = list(itertools.chain.from_iterable(map(repeat, texts, map(len, rows))))
+            items = list(itertools.chain.from_iterable(rows))
         runs, start = [], 0
-        while start < len(parts):
-            period, count = (1, 1) if parts[start].__class__ is str else _run(texts, start)
+        while start < len(items):
+            period, count = (1, 1) if items[start].__class__ is str else _run(texts, start)
             runs.append((start, period, count, len(params)))
-            if parts[start].__class__ is not str and count == 1:
-                params += [f"p{len(params) + k}" for k in range(len(parts[start].row))]
-                defaults += parts[start].row
+            if items[start].__class__ is not str and count == 1:
+                params += [_PARAMS[k] for k in range(len(params), len(params) + len(items[start]))]
+                defaults += items[start]
             elif count > 1:
-                params.append(f"p{len(params)}")
-                defaults.append([tuple(sum((p.row for p in parts[first : first + period]), []))
+                params.append(_PARAMS[len(params)])
+                defaults.append([tuple(itertools.chain.from_iterable(items[first : first + period]))
                                  for first in range(start, start + period * count, period)])
             start += period * count
 
@@ -492,23 +597,23 @@ class Emitter:
                 tests = " and ".join(f"0 <= {i} < {n}" for i, n in sorted(ranges))
                 lines += [f"{pad}if not ({tests}):", f"{pad}    raise IndexError"]
             for start, period, count, first in runs:
-                if parts[start].__class__ is str:
-                    lines.append(pad + parts[start])
+                if items[start].__class__ is str:
+                    lines.append(pad + items[start])
                 elif count == 1:
                     lines.append(_render(texts[start], pad, "p", first))
                 else:
-                    width = sum(len(block.row) for block in parts[start : start + period])
+                    width = sum(map(len, items[start : start + period]))
                     lines.append(f"{pad}for ({''.join(f'k{k}, ' for k in range(width))}) in "
                                  f"p{first}:")
                     offset = 0
                     for k in range(start, start + period):
                         lines.append(_render(texts[k], pad + "    ", "k", offset))
-                        offset += len(parts[k].row)
+                        offset += len(items[k])
             return lines + ["    except Exception:", "        pass", "    return FALLBACK(s)"]
 
         key = (name, tuple(sorted(ranges)), *shared, *(
-            part if part.__class__ is str else (count > 1, *texts[start : start + period])
-            for start, period, count, _ in runs for part in [parts[start]]))
+            item if item.__class__ is str else (count > 1, *texts[start : start + period])
+            for start, period, count, _ in runs for item in [items[start]]))
         return _function(name, params + list(shared), body, defaults + list(shared.values()), key)
 
     # -- tables --------------------------------------------------------
@@ -527,9 +632,9 @@ class Emitter:
             self._arrays[key] = array
         return self._arrays[key]
 
-    def derived(self, kind: str, table: ex.Table, pattern, make):
+    def derived(self, make, table: ex.Table, pattern):
         """``make(slice)`` of the clean numeric slice of ``pattern``, or None."""
-        key = (table.name, kind, pattern)
+        key = (table.name, make, pattern)
         if key not in self._arrays:
             array = self.array(table, "numeric", pattern)
             self._arrays[key] = None if array is None else make(array)
@@ -563,10 +668,15 @@ def _var(b, e):
     return b.slot(e.index)
 
 
+def _parameter(b, e):
+    return b.params[e.name]
+
+
 def _table_read(b, name: str, args, context: str):
     """A read of ``name`` at ``args`` in ``context``: an index into a clean
     dense slice behind a range check, or else the checked lookup.  Reads
-    are the commonest node, so this runs no comprehension."""
+    are the commonest node, so this runs no comprehension for a ground
+    read."""
     em = b.emitter
     table = em.named.get(name)
     if table is None:
@@ -583,14 +693,20 @@ def _table_read(b, name: str, args, context: str):
     pattern = tuple(pattern)
     array = em._arrays.get((name, context, pattern), _MISSING)
     if array is _MISSING:
-        array = em.array(table, context, pattern) if len(pattern) == len(table.shape) else None
+        array = None
+        if len(args) == len(table.shape):
+            if b.index is not None or _Each not in map(type, pattern):  # one slice
+                array = em.array(table, context, pattern)
+            else:  # a family's read: every member's slice, or none
+                array = _per(_pattern(pattern), em.array, table, context)
+                array = array if _same(array, _known) else None
+                em._arrays[name, context, pattern] = array
     if array is not None:
         if not free:
             return _Const(array)
-        tests, index, k = [], "", 0
-        for p, n in zip(pattern, table.shape):
-            if p is None:
-                i, k = free[k], k + 1
+        tests, index = [], ""
+        for i, n in zip(codes, table.shape):
+            if i.__class__ is not _Const:
                 index += f"[{i}]"
                 extent = em.extents.get(i, n + 1)  # a fused slot's object count
                 if extent <= n:  # the function's entry checks that the slot is an object
@@ -600,13 +716,13 @@ def _table_read(b, name: str, args, context: str):
                     tests.append(f"0 <= {i} < {b.const(n)}")
         if tests:
             b.emit(f"if not ({' and '.join(tests)}):")
-            b.emit(f"    _fail({b.const((table, pattern))}, ({''.join(i + ', ' for i in free)}))")
+            read = _per(_pattern(pattern), _pair, table)
+            b.emit(f"    _fail({b.const(read)}, ({''.join(i + ', ' for i in free)}))")
         return b.bind(b.const(array) + index)
-    if not free:
-        try:
-            return _Const(_read(table, context, pattern))
-        except Exception:  # raises when evaluated
-            pass
+    if not free:  # a read that raises, for some members or all, when evaluated
+        value = _per(_pattern(pattern), _value, table, context)
+        if _same(value, _valued):
+            return _Const(value)
     atoms = "".join(b.atom(code) + ", " for code in codes)
     return b.bind(f"_read({b.const(table)}, {context!r}, ({atoms}))")
 
@@ -629,7 +745,7 @@ def _element_binary(b, e):
 def _if(b, e):
     condition = b.code(e.condition)
     if condition.__class__ is _Const:
-        return b.code(e.then if condition.value else e.otherwise)
+        return b.code(e.then if _same(condition.value, bool) else e.otherwise)
     v = b.temp()
     for line, branch in ((f"if {b.test(condition)}:", e.then), ("else:", e.otherwise)):
         b.emit(line)
@@ -641,8 +757,8 @@ def _if(b, e):
 
 def _set_add(b, e):
     j, universe = b.code(e.element), e.operand.universe
-    if j.__class__ is _Const and j.value < universe:
-        return b.bind(f"{b.value(e.operand)} | {b.const(1 << j.value)}")
+    if j.__class__ is _Const and _same(j.value, universe.__gt__):
+        return b.bind(f"{b.value(e.operand)} | {b.const(_per(j.value, (1).__lshift__))}")
     element, u = b.atom(j), b.const(universe)
     b.emit(f"if {element} >= {u}:")
     b.emit(f"    _cannot_add({element}, {u})")
@@ -651,11 +767,15 @@ def _set_add(b, e):
 
 def _set_remove(b, e):
     j = b.code(e.element)
-    if j.__class__ is _Const and j.value < e.operand.universe:
-        keep = b.const(~(1 << j.value))
+    if j.__class__ is _Const and _same(j.value, e.operand.universe.__gt__):
+        keep = b.const(_per(j.value, _without))
     else:
         keep = f"~(1 << {b.atom(j)})"
     return b.bind(f"{b.value(e.operand)} & {keep}")
+
+
+def _without(j: int) -> int:
+    return ~(1 << j)
 
 
 def _binary(template: str):
@@ -712,11 +832,12 @@ def _ratios(b, read):
     free = [k for k, c in enumerate(codes) if c.__class__ is not _Const]
     if len(free) != 1:
         return None
-    pattern = tuple(c.value if c.__class__ is _Const else None for c in codes)
-    split, k = em.derived("ratios", table, pattern, _split), free[0]
-    if split is None:
+    pattern = _pattern([c.value if c.__class__ is _Const else None for c in codes])
+    split, k = _per(pattern, em.derived, _split, table), free[0]
+    if not _same(split, _known):
         return None
-    return (codes[k], b.const(table.shape[k]), *map(b.const, split))
+    p, q = (_per(split, operator.itemgetter(n)) for n in (0, 1))
+    return codes[k], b.const(table.shape[k]), b.const(p), b.const(q)
 
 
 def _rounding(helper: str, ceil: bool):
@@ -764,16 +885,16 @@ def _set_reduce(b, e):
     sums = None
     if (e.op == "sum" and len(prefix) + 1 == table.arity
             and all(p.__class__ is _Const for p in prefix)):
-        head = tuple(p.value for p in prefix)
-        sums = em.derived("sums", table, head + (None,), _nibble_sums)
-    if sums is None:
+        head = _pattern([p.value for p in prefix])
+        sums = _per(head, lambda h: em.derived(_nibble_sums, table, h + (None,)))
+    if not _same(sums, _known):
         heads = "".join(b.atom(p) + ", " for p in prefix)
         mask = b.value(e.over)
         return b.bind(f"_reduce({b.const(table)}, {b.const(_FOLDS[e.op])}, ({heads}), {mask})")
     rest, v, row = b.bind(b.value(e.over)), b.temp(), b.temp()
     n = b.const(table.shape[-1])
     b.emit(f"if {rest} >> {n}:")
-    b.emit(f"    _beyond({b.const((table, head))}, {n}, {rest})")
+    b.emit(f"    _beyond({b.const(_per(head, _pair, table))}, {n}, {rest})")
     b.emit(f"{v} = 0")
     b.emit(f"for {row} in {b.const(sums)}:")
     b.emit(f"    if not {rest}:")
@@ -800,7 +921,7 @@ def _set_member(b, e):
 def _not(b, e):
     code = b.code(e.operand)
     if code.__class__ is _Const:
-        return _Const(not code.value)
+        return _Const(_per(code.value, operator.not_))
     return _Test(f"not ({b.test(code)})")
 
 
@@ -814,7 +935,7 @@ def _junction(b, e):
             b.open()
         code = b.code(operand)
         constant = code.__class__ is _Const
-        fixed = constant and bool(code.value) == short  # the later operands never run
+        fixed = constant and _same(code.value, bool) == short  # the later operands never run
         if result is None and not constant:
             result = b.bind(b.test(code))
         elif result is not None:
@@ -828,6 +949,7 @@ def _junction(b, e):
 
 _RULES = {
     ex.ElementConst: _const,
+    ex.ElementParameter: _parameter,
     ex.ElementVar: _var,
     ex.ElementTable: lambda b, e: _table_read(b, e.table, e.args, "element"),
     ex.ElementBinary: _element_binary,
@@ -842,6 +964,7 @@ _RULES = {
     ex.SetDifference: _binary("{0} & ~{1}"),
     ex.SetComplement: _set_complement,
     ex.NumericConst: _const,
+    ex.NumericParameter: _parameter,
     ex.NumericVar: _var,
     ex.FromElement: lambda b, e: b.code(e.operand),
     ex.NumericTable: lambda b, e: _table_read(b, e.table, e.args, "numeric"),
@@ -882,13 +1005,43 @@ def _guards(b, conditions) -> bool:
             break
         code = b.code(condition)
         if code.__class__ is _Const:
-            if not code.value:
+            if not _same(code.value, bool):
                 b.emit("pass")
                 return False
             continue
         b.emit(f"if {b.test(code)}:")
         b.open()
     return True
+
+
+def _family(block, names, combos, build, *args) -> list:
+    """The blocks of a family's members, one per combination in ``combos``
+    of the values of the parameters ``names``.  ``build(block, *args)``
+    emits one block for them all, in which each parameter is a constant
+    with a value per member, and the members' rows are read off its row.
+    Where a rule's decision differs between members (``_Split``), each
+    member is built alone, with its own values.  An item without
+    parameters is a family of one member."""
+    if len(combos) > 1:
+        b = block()
+        b.params = {name: _Const(_Each(values)) for name, values in zip(names, zip(*combos))}
+        b.index = None
+        try:
+            build(b, *args)
+        except _Split:
+            pass
+        else:
+            n = len(combos)
+            columns = [v.values if v.__class__ is _Each else repeat(v, n) for v in b.row]
+            b.rows = list(zip(*columns)) if columns else [()] * n
+            return [b]
+    blocks = []
+    for m, combo in enumerate(combos):
+        b = block()
+        b.params, b.index = {name: _Const(v) for name, v in zip(names, combo)}, m
+        build(b, *args)
+        blocks.append(b)
+    return blocks
 
 
 def _successor(b, transition, variables) -> str:
@@ -926,9 +1079,13 @@ def _as_cost(b, name: str, costs, bound=False) -> str:
 class Queries:
     """The fused queries of one model, which it serves as its own: ``expand``
     is ``Model.edges``, ``feasible`` is ``check_constraints`` and ``bound``
-    is ``eval_dual_bound`` (None without bounds).  On any fault each reruns
-    the state through the same query of ``separate``, the model's one
-    :class:`Separate`, which names it."""
+    is ``eval_dual_bound`` (None without bounds).  Each family of
+    transitions or constraints (``Model.transition_families``,
+    ``constraint_families``) is emitted once, from its lifted trees, as
+    one block with a row per member (:func:`_family`); the source and
+    defaults are those of the ground model's blocks, one per member.  On
+    any fault each query reruns the state through the same query of
+    ``separate``, the model's one :class:`Separate`, which names it."""
 
     __slots__ = ("expand", "feasible", "bound", "separate")
 
@@ -936,14 +1093,16 @@ class Queries:
         objects, variables = model.metadata.objects, model.metadata.variables
         em = Emitter(model.tables, {f"s{k}": objects[v.object_type]
                                     for k, v in enumerate(variables) if v.kind == "element"})
-        block = functools.partial(_Block, em, fused=True)
+        block = functools.partial(_Block, em, True)
         self.separate = separate = vars(model).get("_separate") or Separate(model)
-        parts = []
-        for condition in model.constraints:
-            b = block()
+
+        def refute(b, condition):
             if _guards(b, (ex.Not(condition),)):
                 b.emit("return False")
-            parts.append(b)
+
+        parts = []
+        for condition, names, combos in model.constraint_families:
+            parts += _family(block, names, combos, refute, condition)
         self.feasible = em.fused("feasible", parts + ["return True"], separate.feasible)
 
         parts = ["best = None"]
@@ -966,22 +1125,31 @@ class Queries:
             parts.append(b)
         if not single:
             parts += ["if base:", "    return base[0] if len(base) == 1 else REDUCE(base)"]
-        parts += ["edges = []", "append = edges.append"]
-        for transition in model.transitions:
-            b = block()
+
+        def edge(b, transition, members):
             if _guards(b, transition.preconditions):
                 successor = _successor(b, transition, variables)
                 if model.constraints:  # else no call: every successor passes
                     b.emit(f"if {b.share('FEASIBLE', self.feasible)}({successor}):")
                     b.open()
                 w = _as_cost(b, b.value(transition.weight), model.costs)
-                edge = f"({b.const(transition)}, {successor}, {w})"
+                edge = f"({b.const(b.pick(members))}, {successor}, {w})"
                 b.emit(f"return [{edge}]" if transition.forced else f"append({edge})")
                 if model.constraints:
                     b.close()
                 if transition.forced:
                     b.emit("return []")
-            parts.append(b)
+
+        parts += ["edges = []", "append = edges.append"]
+        first = 0
+        for transition, names, combos in model.transition_families:
+            members = model.transitions[first : first + len(combos)]
+            first += len(members)
+            if names:
+                parts += _family(block, names, combos, edge, transition, members)
+            else:  # a ground transition, its own one member
+                parts.append(block())
+                edge(parts[-1], transition, members)
         self.expand = em.fused("expand", parts + ["return edges"], separate.expand)
 
 

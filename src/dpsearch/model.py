@@ -340,6 +340,15 @@ class BaseCase:
     cost: ex.NumericExpression
 
 
+def _constants(names, combo) -> dict:
+    """Each parameter leaf of ``names`` with its constant for ``ex.bind``."""
+    constants = {}
+    for name, v in zip(names, combo):
+        constants[ex.ElementParameter(name)] = ex.ElementConst(v)
+        constants[ex.NumericParameter(name)] = ex.NumericConst(v)
+    return constants
+
+
 def _foreign(transition: Transition) -> ModelError:
     return ModelError(f"transition {transition.name!r} is not one of the model's")
 
@@ -353,7 +362,11 @@ class Model:
     grounds the lifted transitions and ``Forall`` constraints it is given
     (see ``Transition``) into ``transitions`` and ``constraints``, which
     equality compares, and keeps them as given in ``declared_transitions``
-    and ``declared_constraints`` for the writer."""
+    and ``declared_constraints`` for the writer.  ``transition_families``
+    and ``constraint_families`` hold each declared one as ``_family`` lifts
+    it, in declaration order, so that the compiler and ``validate`` go
+    through each family's trees once; the members are the ground items in
+    the same order."""
 
     def __init__(
         self,
@@ -372,26 +385,25 @@ class Model:
         self.target = tuple(target)
         self.declared_transitions = tuple(transitions)
         self.declared_constraints = tuple(constraints)
+        self.transition_families = tuple(self._family(t.name, t, t.parameters)
+                                         for t in self.declared_transitions)
+        self.constraint_families = tuple(
+            self._family(None, c.condition, (c.parameter,)) if type(c) is Forall
+            else self._family(None, c, ()) for c in self.declared_constraints)
         self.transitions = tuple(
             Transition(
                 f"{t.name}-{'-'.join(map(str, combo))}",
-                guards + tuple(ex.bind(c, constants) for c in t.preconditions),
+                tuple(ex.bind(c, constants) for c in t.preconditions),
                 tuple((i, ex.bind(e, constants)) for i, e in t.effects),
                 ex.bind(t.weight, constants),
                 t.forced,
             ) if t.parameters else t
-            for t in self.declared_transitions
-            for combo, constants, guards in self._bindings(t.parameters)
+            for t, names, combos in self.transition_families
+            for combo in combos for constants in [_constants(names, combo)]
         )
-        constraints = []
-        for c in self.declared_constraints:
-            if type(c) is not Forall:
-                constraints.append(c)
-                continue
-            for _, constants, guards in self._bindings((c.parameter,)):
-                condition = ex.bind(c.condition, constants)
-                constraints.append(ex.Or((ex.Not(guards[0]), condition)) if guards else condition)
-        self.constraints = tuple(constraints)
+        self.constraints = tuple(ex.bind(c, _constants(names, combo)) if names else c
+                                 for c, names, combos in self.constraint_families
+                                 for combo in combos)
         self.base_cases = tuple(base_cases)
         self.dual_bounds = tuple(dual_bounds)
         # only transitions apply the operator, and with identity 0 and
@@ -403,27 +415,35 @@ class Model:
                 raise ModelError(f"transition name {transition.name!r} is used twice")
             names.add(transition.name)
 
-    def _bindings(self, parameters):
-        """Per combination of the values of ``parameters``, in product
-        order: the values, each parameter leaf's constant for ``ex.bind``,
-        and the membership guards of the set-bound parameters.  No
-        parameters: one empty combination."""
-        meta, ranges, sets = self.metadata, [], []
-        for name, binding in parameters:
+    def _family(self, owner, item, parameters):
+        """``item`` as a family ``(lifted, names, combos)``: for a transition
+        (``owner`` is its name), itself with the membership guards of its
+        set-bound parameters before its preconditions; for a ``Forall``'s
+        condition, (not guard) or (condition).  ``names`` are the
+        parameters' names and ``combos`` every combination of their values
+        in product order, one per member; no parameters, one empty one."""
+        if not parameters:
+            return item, (), [()]
+        meta, ranges, guards = self.metadata, [], []
+        names = tuple(name for name, _ in parameters)
+        for k, (name, binding) in enumerate(parameters):
+            if name in names[:k]:
+                raise ModelError(f"transition {owner!r} has two parameters named {name!r}")
+            if binding in meta.objects:
+                ranges.append(range(meta.objects[binding]))
+                continue
             try:
-                sets.append(None if binding in meta.objects else meta.set_(binding))
+                s = meta.set_(binding)
             except (ModelError, UnknownSymbolError):
                 raise ModelError(f"parameter {name!r} binds {binding!r}, which is neither "
                                  "an object type nor a set variable") from None
-            ranges.append(range(meta.objects[binding]) if sets[-1] is None
-                          else bitset.members(self.target[sets[-1].index]))
-        for combo in itertools.product(*ranges):
-            constants = {}
-            for (name, _), v in zip(parameters, combo):
-                constants[ex.ElementParameter(name)] = ex.ElementConst(v)
-                constants[ex.NumericParameter(name)] = ex.NumericConst(v)
-            yield combo, constants, tuple(
-                ex.SetMember(ex.ElementConst(v), s) for v, s in zip(combo, sets) if s is not None)
+            guards.append(ex.SetMember(ex.ElementParameter(name), s))
+            ranges.append(bitset.members(self.target[s.index]))
+        if guards and owner is not None:
+            item = replace(item, preconditions=(*guards, *item.preconditions))
+        elif guards:
+            item = ex.Or((ex.Not(guards[0]), item))
+        return item, names, list(itertools.product(*ranges))
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -513,21 +533,43 @@ class Diagnostic:
     message: str
 
 
-def _iter_expressions(model: Model):
-    for t in model.transitions:
-        for pre in t.preconditions:
-            yield f"precondition of {t.name!r}", pre
-        for _, expr in t.effects:
-            yield f"effect of {t.name!r}", expr
-        yield f"weight of {t.name!r}", t.weight
+def _families(model: Model):
+    """Per family: its lifted trees, each as (what, root), and the owners
+    of its members, so that ``f"{what} {owner}"`` is a member's label."""
+    first = 0
+    for t, _, combos in model.transition_families:
+        trees = [("precondition of", pre) for pre in t.preconditions]
+        trees += [("effect of", expr) for _, expr in t.effects]
+        members = model.transitions[first : first + len(combos)]
+        yield [*trees, ("weight of", t.weight)], (repr(m.name) for m in members)
+        first += len(combos)
     for i, case in enumerate(model.base_cases):
-        for cond in case.conditions:
-            yield f"base case {i}", cond
-        yield f"base case {i}", case.cost
-    for i, cond in enumerate(model.constraints):
-        yield f"state constraint {i}", cond
+        yield [("base case", root) for root in (*case.conditions, case.cost)], [i]
+    first = 0
+    for condition, _, combos in model.constraint_families:
+        yield [("state constraint", condition)], range(first, first + len(combos))
+        first += len(combos)
     for i, bound in enumerate(model.dual_bounds):
-        yield f"dual bound {i}", bound
+        yield [("dual bound", bound)], [i]
+
+
+def _faults(model: Model, n_vars: int, root) -> list[str]:
+    """The errors in one tree, in walk order, each to be completed by where it lies."""
+    faults = []
+    for node in ex.walk(root):
+        if isinstance(node, (ex.ElementVar, ex.SetVar, ex.NumericVar)):
+            if node.index >= n_vars:
+                faults.append(f"undeclared variable {node.name!r}")
+        table_name = getattr(node, "table", None)
+        if table_name is not None:
+            if table_name not in model.tables:
+                faults.append(f"unknown table {table_name!r}")
+                continue
+            table = model.tables.lookup(table_name)
+            arity = len(node.args) if hasattr(node, "args") else len(node.prefix) + 1
+            if arity != table.arity:
+                faults.append(f"table {table_name!r} takes {table.arity} indices, got {arity}")
+    return faults
 
 
 def validate(model: Model, solver: Optional[str] = None) -> list[Diagnostic]:
@@ -536,35 +578,16 @@ def validate(model: Model, solver: Optional[str] = None) -> list[Diagnostic]:
     Errors name an undeclared variable, an unknown table or a table read
     with the wrong number of indices, each in the expression where it
     lies, labelled as a fault there is at run time (``weight of 't'``,
-    ``base case k``, ``dual bound k``, ...).
+    ``base case k``, ``dual bound k``, ...).  Each family's lifted trees
+    are walked once, and their errors reported for each member in turn.
     """
     diags: list[Diagnostic] = []
     n_vars = len(model.metadata.variables)
-
-    for where, root in _iter_expressions(model):
-        for node in ex.walk(root):
-            if isinstance(node, (ex.ElementVar, ex.SetVar, ex.NumericVar)):
-                if node.index >= n_vars:
-                    diags.append(
-                        Diagnostic("error", f"undeclared variable {node.name!r} in {where}")
-                    )
-            table_name = getattr(node, "table", None)
-            if table_name is not None:
-                if table_name not in model.tables:
-                    diags.append(
-                        Diagnostic("error", f"unknown table {table_name!r} in {where}")
-                    )
-                    continue
-                table = model.tables.lookup(table_name)
-                arity = len(node.args) if hasattr(node, "args") else len(node.prefix) + 1
-                if arity != table.arity:
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            f"table {table_name!r} takes {table.arity} indices, "
-                            f"got {arity} in {where}",
-                        )
-                    )
+    for trees, owners in _families(model):  # each family's trees walked once
+        found = [(what, faults) for what, root in trees if (faults := _faults(model, n_vars, root))]
+        for owner in owners if found else ():
+            diags += [Diagnostic("error", f"{fault} in {what} {owner}")
+                      for what, faults in found for fault in faults]
 
     first_regular = next(
         (i for i, t in enumerate(model.transitions) if not t.forced), None

@@ -376,6 +376,16 @@ class TestLiftedFamilies:
         with pytest.raises(dp.ModelError, match=f"^{re.escape(message)} variable$"):
             yamlio.load_model(domain, fixture_texts[1])
 
+    def test_two_parameters_of_one_name_are_rejected(self, fixture_texts):
+        # the later binding used to overwrite the earlier: 12 members, with
+        # visit-1-0 guarded on 1 in U but visiting customer 0
+        one = "      - name: j\n        object: U\n"
+        domain = fixture_texts[0].replace(one, one + one.replace("U", "customer"), 1)
+        assert domain != fixture_texts[0]
+        with pytest.raises(dp.ModelError,
+                           match="^transition 'visit' has two parameters named 'j'$"):
+            yamlio.load_model(domain, fixture_texts[1])
+
 
 MINIMAL_DOMAIN = (
     "cost_type: integer\n"
