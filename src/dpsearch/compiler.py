@@ -40,8 +40,9 @@ per member, so one block holds every member's text, and each member's
 row of constants is read off its row.  Where a rule decides on such a
 constant (a clean, in-range dense slice, a constant condition, the
 universe test of ``add`` and ``remove``) the members must agree; where
-they do not, each member is emitted alone.  A ground transition is a family of one member.  Runs
-of rows of one text, or of a repeated group of texts (CVRP's
+they do not, each member is emitted alone.  A ground transition is a
+family of one member, emitted by the same rules.  Runs of rows of one
+text, or of a repeated group of texts (CVRP's
 ``visit-j``/``visit-via-depot-j`` pairs), fold into a loop over the
 rows, so the source keeps its size as the instance grows; source and
 defaults are those of the model's ground copy.  On any fault a fused
@@ -366,10 +367,12 @@ def _same(value, f):
 
 def _pattern(values) -> object:
     """Constants as one tuple constant, an ``_Each`` of tuples if any is one."""
-    eaches = [v.values for v in values if v.__class__ is _Each]
-    if not eaches:
+    for v in values:
+        if v.__class__ is _Each:
+            break
+    else:
         return tuple(values)
-    n = len(eaches[0])
+    n = len(v.values)
     return _Each(list(zip(*(v.values if v.__class__ is _Each else repeat(v, n)
                             for v in values))))
 
@@ -399,7 +402,8 @@ class _Block:
     The block of a family (:func:`_family`) stands for the member
     ``index``, or, with ``index`` None, for every member: then each
     constant that differs between them is an ``_Each``, and ``rows`` holds
-    the members' rows.  ``params`` maps each parameter to its constant.
+    the members' rows.  ``params`` maps each parameter to its value, an
+    ``_Each`` in the block for every member.
     """
 
     params, index, rows = None, 0, None  # a family's block sets them
@@ -501,7 +505,8 @@ class _Block:
 
 class _Names(dict):
     """Names by number, each formatted on first use: ``_Names("k%d")[3]``
-    is ``"k3"``."""
+    is ``"k3"``.  Every block names each of its constants and temporaries,
+    so a build looks names up rather than formatting them."""
 
     def __init__(self, pattern: str):
         self.pattern = pattern
@@ -511,7 +516,7 @@ class _Names(dict):
         return name
 
 
-_NAMES, _FUSED_NAMES, _TEMPS, _PARAMS = map(_Names, ("k%d", "\x00%d\x00", "v%d", "p%d"))
+_NAMES, _FUSED_NAMES, _TEMPS = map(_Names, ("k%d", "\x00%d\x00", "v%d"))
 _CHECK = f"if {{0}}.__class__ is not int or not {_RANGE.format('{0}')}:"
 
 
@@ -564,28 +569,28 @@ class Emitter:
         one text fold into loops over them.  The body runs in one ``try``:
         on any exception the state goes to ``fallback``, called after the
         handler so that its error chains to no other."""
-        blocks = [part for part in parts if part.__class__ is _Block]
         shared, slots, ranges, params, defaults = {"FALLBACK": fallback}, set(), set(), [], []
-        for block in blocks:
-            shared.update(block.shared)
-            slots.update(block.slots)
-            ranges.update(block.ranges)
-        # each line, and each block's row with its text, once per member of a family
-        texts = [object() if p.__class__ is str else "\n".join(p.lines) for p in parts]
-        items = [p if p.__class__ is str else p.row for p in parts]
-        if any(block.rows for block in blocks):
-            rows = [(p,) if p.__class__ is str else p.rows or (p.row,) for p in parts]
-            texts = list(itertools.chain.from_iterable(map(repeat, texts, map(len, rows))))
-            items = list(itertools.chain.from_iterable(rows))
+        texts, items = [], []  # each line, and each block's text and row once per member row
+        for p in parts:
+            if p.__class__ is str:
+                texts.append(object())
+                items.append(p)
+                continue
+            shared.update(p.shared)
+            slots.update(p.slots)
+            ranges.update(p.ranges)
+            rows = p.rows or (p.row,)
+            texts += repeat("\n".join(p.lines), len(rows))
+            items += rows
         runs, start = [], 0
         while start < len(items):
             period, count = (1, 1) if items[start].__class__ is str else _run(texts, start)
             runs.append((start, period, count, len(params)))
             if items[start].__class__ is not str and count == 1:
-                params += [_PARAMS[k] for k in range(len(params), len(params) + len(items[start]))]
+                params += [f"p{len(params) + k}" for k in range(len(items[start]))]
                 defaults += items[start]
             elif count > 1:
-                params.append(_PARAMS[len(params)])
+                params.append(f"p{len(params)}")
                 defaults.append([tuple(itertools.chain.from_iterable(items[first : first + period]))
                                  for first in range(start, start + period * count, period)])
             start += period * count
@@ -619,16 +624,26 @@ class Emitter:
     # -- tables --------------------------------------------------------
 
     def array(self, table: ex.Table, context: str, pattern):
-        """The slice that ``pattern`` selects of a table clean in ``context``, or None."""
+        """The slice that ``pattern`` selects of a table clean in ``context``,
+        or None.  A family's pattern selects one slice per member: their
+        ``_Each``, or None unless every member has one."""
         key = (table.name, context, pattern)
-        if key not in self._arrays:
+        if key in self._arrays:
+            return self._arrays[key]
+        members = _pattern(pattern)
+        if members.__class__ is _Each:
+            array = _Each([self.array(table, context, p) for p in members.values])
+            self._arrays[key] = array if _same(array, _known) else None
+        else:
             layout = self._layouts.get(table.name)
             if layout is None:
                 layout = self._layouts[table.name] = _Layout(table)
-            in_range = all(p is None or 0 <= p < n for p, n in zip(pattern, table.shape))
-            array = None
-            if in_range and layout.clean(context):
-                array = _slice(layout.array, pattern) if pattern else layout.array
+            array = layout.array if layout.clean(context) else None
+            for p, n in zip(pattern, table.shape):
+                if p is not None and not 0 <= p < n:
+                    array = None
+            if array is not None:
+                array = _slice(array, pattern) if pattern else array
             self._arrays[key] = array
         return self._arrays[key]
 
@@ -669,14 +684,12 @@ def _var(b, e):
 
 
 def _parameter(b, e):
-    return b.params[e.name]
+    return _Const(b.params[e.name])
 
 
 def _table_read(b, name: str, args, context: str):
     """A read of ``name`` at ``args`` in ``context``: an index into a clean
-    dense slice behind a range check, or else the checked lookup.  Reads
-    are the commonest node, so this runs no comprehension for a ground
-    read."""
+    dense slice behind a range check, or else the checked lookup."""
     em = b.emitter
     table = em.named.get(name)
     if table is None:
@@ -691,16 +704,9 @@ def _table_read(b, name: str, args, context: str):
             pattern.append(None)
             free.append(code)
     pattern = tuple(pattern)
-    array = em._arrays.get((name, context, pattern), _MISSING)
+    array = em._arrays.get((name, context, pattern), _MISSING)  # a slice taken before
     if array is _MISSING:
-        array = None
-        if len(args) == len(table.shape):
-            if b.index is not None or _Each not in map(type, pattern):  # one slice
-                array = em.array(table, context, pattern)
-            else:  # a family's read: every member's slice, or none
-                array = _per(_pattern(pattern), em.array, table, context)
-                array = array if _same(array, _known) else None
-                em._arrays[name, context, pattern] = array
+        array = em.array(table, context, pattern) if len(args) == len(table.shape) else None
     if array is not None:
         if not free:
             return _Const(array)
@@ -1021,10 +1027,16 @@ def _family(block, names, combos, build, *args) -> list:
     with a value per member, and the members' rows are read off its row.
     Where a rule's decision differs between members (``_Split``), each
     member is built alone, with its own values.  An item without
-    parameters is a family of one member."""
+    parameters is a family of one member, built as itself."""
+    if len(combos) == 1:  # one member, which nothing can split
+        b = block()
+        if names:
+            b.params = dict(zip(names, combos[0]))
+        build(b, *args)
+        return [b]
     if len(combos) > 1:
         b = block()
-        b.params = {name: _Const(_Each(values)) for name, values in zip(names, zip(*combos))}
+        b.params = {name: _Each(values) for name, values in zip(names, zip(*combos))}
         b.index = None
         try:
             build(b, *args)
@@ -1038,7 +1050,7 @@ def _family(block, names, combos, build, *args) -> list:
     blocks = []
     for m, combo in enumerate(combos):
         b = block()
-        b.params, b.index = {name: _Const(v) for name, v in zip(names, combo)}, m
+        b.params, b.index = dict(zip(names, combo)), m
         build(b, *args)
         blocks.append(b)
     return blocks
@@ -1047,9 +1059,8 @@ def _family(block, names, combos, build, *args) -> list:
 def _successor(b, transition, variables) -> str:
     """The name of the successor tuple, each effect checked for its variable."""
     effects = dict(transition.effects)
-    extra = set(effects) - set(range(len(variables)))
-    if extra:
-        b.emit(f"_no_slot({b.const(min(extra))})")
+    if effects and max(effects) >= len(variables):
+        b.emit(f"_no_slot({b.const(min(i for i in effects if i >= len(variables)))})")
         return "None"
     values = []
     for index, variable in enumerate(variables):
@@ -1101,7 +1112,7 @@ class Queries:
                 b.emit("return False")
 
         parts = []
-        for condition, names, combos in model.constraint_families:
+        for condition, names, combos, _ in model.constraint_families:
             parts += _family(block, names, combos, refute, condition)
         self.feasible = em.fused("feasible", parts + ["return True"], separate.feasible)
 
@@ -1141,15 +1152,9 @@ class Queries:
                     b.emit("return []")
 
         parts += ["edges = []", "append = edges.append"]
-        first = 0
-        for transition, names, combos in model.transition_families:
-            members = model.transitions[first : first + len(combos)]
-            first += len(members)
-            if names:
-                parts += _family(block, names, combos, edge, transition, members)
-            else:  # a ground transition, its own one member
-                parts.append(block())
-                edge(parts[-1], transition, members)
+        for transition, names, combos, where in model.transition_families:
+            members = model.transitions[where.start : where.stop]
+            parts += _family(block, names, combos, edge, transition, members)
         self.expand = em.fused("expand", parts + ["return edges"], separate.expand)
 
 

@@ -357,6 +357,17 @@ def _foreign(transition: Transition) -> ModelError:
 # The model
 
 
+def _members(families) -> tuple:
+    """Each family ``(lifted, names, combos)`` with ``members`` appended: the
+    range of positions its members take, one per combination, in the
+    ground items that the families ground into in order."""
+    first, out = 0, []
+    for family in families:
+        out.append((*family, range(first, first + len(family[2]))))
+        first += len(family[2])
+    return tuple(out)
+
+
 class Model:
     """A complete decision model; immutable after construction.  It
     grounds the lifted transitions and ``Forall`` constraints it is given
@@ -364,9 +375,9 @@ class Model:
     equality compares, and keeps them as given in ``declared_transitions``
     and ``declared_constraints`` for the writer.  ``transition_families``
     and ``constraint_families`` hold each declared one as ``_family`` lifts
-    it, in declaration order, so that the compiler and ``validate`` go
-    through each family's trees once; the members are the ground items in
-    the same order."""
+    it, in declaration order, with ``members``, the range of its members'
+    positions in ``transitions`` or ``constraints``, so that the compiler
+    and ``validate`` go through each family's trees once."""
 
     def __init__(
         self,
@@ -385,9 +396,9 @@ class Model:
         self.target = tuple(target)
         self.declared_transitions = tuple(transitions)
         self.declared_constraints = tuple(constraints)
-        self.transition_families = tuple(self._family(t.name, t, t.parameters)
-                                         for t in self.declared_transitions)
-        self.constraint_families = tuple(
+        self.transition_families = _members(self._family(t.name, t, t.parameters)
+                                            for t in self.declared_transitions)
+        self.constraint_families = _members(
             self._family(None, c.condition, (c.parameter,)) if type(c) is Forall
             else self._family(None, c, ()) for c in self.declared_constraints)
         self.transitions = tuple(
@@ -398,11 +409,11 @@ class Model:
                 ex.bind(t.weight, constants),
                 t.forced,
             ) if t.parameters else t
-            for t, names, combos in self.transition_families
+            for t, names, combos, _ in self.transition_families
             for combo in combos for constants in [_constants(names, combo)]
         )
         self.constraints = tuple(ex.bind(c, _constants(names, combo)) if names else c
-                                 for c, names, combos in self.constraint_families
+                                 for c, names, combos, _ in self.constraint_families
                                  for combo in combos)
         self.base_cases = tuple(base_cases)
         self.dual_bounds = tuple(dual_bounds)
@@ -416,7 +427,7 @@ class Model:
             names.add(transition.name)
 
     def _family(self, owner, item, parameters):
-        """``item`` as a family ``(lifted, names, combos)``: for a transition
+        """``item`` as ``(lifted, names, combos)``: for a transition
         (``owner`` is its name), itself with the membership guards of its
         set-bound parameters before its preconditions; for a ``Forall``'s
         condition, (not guard) or (condition).  ``names`` are the
@@ -536,39 +547,37 @@ class Diagnostic:
 def _families(model: Model):
     """Per family: its lifted trees, each as (what, root), and the owners
     of its members, so that ``f"{what} {owner}"`` is a member's label."""
-    first = 0
-    for t, _, combos in model.transition_families:
+    for t, _, _, members in model.transition_families:
         trees = [("precondition of", pre) for pre in t.preconditions]
         trees += [("effect of", expr) for _, expr in t.effects]
-        members = model.transitions[first : first + len(combos)]
-        yield [*trees, ("weight of", t.weight)], (repr(m.name) for m in members)
-        first += len(combos)
+        yield [*trees, ("weight of", t.weight)], (repr(model.transitions[m].name) for m in members)
     for i, case in enumerate(model.base_cases):
         yield [("base case", root) for root in (*case.conditions, case.cost)], [i]
-    first = 0
-    for condition, _, combos in model.constraint_families:
-        yield [("state constraint", condition)], range(first, first + len(combos))
-        first += len(combos)
+    for condition, _, _, members in model.constraint_families:
+        yield [("state constraint", condition)], members
     for i, bound in enumerate(model.dual_bounds):
         yield [("dual bound", bound)], [i]
 
 
-def _faults(model: Model, n_vars: int, root) -> list[str]:
-    """The errors in one tree, in walk order, each to be completed by where it lies."""
+def _faults(model: Model, n_vars: int, trees) -> list[tuple[str, str]]:
+    """The errors in a family's trees, in walk order, each as (what, fault)
+    to be completed by the member where it lies."""
     faults = []
-    for node in ex.walk(root):
-        if isinstance(node, (ex.ElementVar, ex.SetVar, ex.NumericVar)):
-            if node.index >= n_vars:
-                faults.append(f"undeclared variable {node.name!r}")
-        table_name = getattr(node, "table", None)
-        if table_name is not None:
-            if table_name not in model.tables:
-                faults.append(f"unknown table {table_name!r}")
-                continue
-            table = model.tables.lookup(table_name)
-            arity = len(node.args) if hasattr(node, "args") else len(node.prefix) + 1
-            if arity != table.arity:
-                faults.append(f"table {table_name!r} takes {table.arity} indices, got {arity}")
+    for what, root in trees:
+        for node in ex.walk(root):
+            if isinstance(node, (ex.ElementVar, ex.SetVar, ex.NumericVar)):
+                if node.index >= n_vars:
+                    faults.append((what, f"undeclared variable {node.name!r}"))
+            table_name = getattr(node, "table", None)
+            if table_name is not None:
+                if table_name not in model.tables:
+                    faults.append((what, f"unknown table {table_name!r}"))
+                    continue
+                table = model.tables.lookup(table_name)
+                arity = len(node.args) if hasattr(node, "args") else len(node.prefix) + 1
+                if arity != table.arity:
+                    faults.append((what, f"table {table_name!r} takes {table.arity} "
+                                         f"indices, got {arity}"))
     return faults
 
 
@@ -584,10 +593,9 @@ def validate(model: Model, solver: Optional[str] = None) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     n_vars = len(model.metadata.variables)
     for trees, owners in _families(model):  # each family's trees walked once
-        found = [(what, faults) for what, root in trees if (faults := _faults(model, n_vars, root))]
-        for owner in owners if found else ():
-            diags += [Diagnostic("error", f"{fault} in {what} {owner}")
-                      for what, faults in found for fault in faults]
+        faults = _faults(model, n_vars, trees)
+        for owner in owners if faults else ():
+            diags += [Diagnostic("error", f"{fault} in {what} {owner}") for what, fault in faults]
 
     first_regular = next(
         (i for i, t in enumerate(model.transitions) if not t.forced), None

@@ -309,7 +309,7 @@ class TestFamilyValidation:
         walked = []
         faults = model_module._faults
         monkeypatch.setattr(model_module, "_faults",
-                            lambda model, n, root: walked.append(root) or faults(model, n, root))
+                            lambda model, n, trees: walked.extend(trees) or faults(model, n, trees))
         for n in (5, 40):
             walked.clear()
             validate(_tsptw(n))
