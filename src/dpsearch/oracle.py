@@ -38,10 +38,6 @@ class OracleResult:
             return None
         return self.value
 
-    @property
-    def memo_size(self) -> int:
-        return len(self.values)
-
 
 def bellman_oracle(
     model: Model, depth_limit: Optional[int] = None, use_forced: bool = False

@@ -1,9 +1,10 @@
 """Bin packing (minimize the number of bins).
 
 State: unpacked items U, remaining room r in the open bin (more is
-preferred), and the count k of opened bins (less is preferred).  Packing
-is symmetry-broken: item i may only go into the i-th or an earlier bin.
-When nothing fits, a forced transition opens a fresh bin around an
+preferred), and the count k of opened bins (less is preferred).  Two
+lifted transitions range over the items in U.  ``pack`` is
+symmetry-broken: item i may only go into the i-th or an earlier bin.
+When nothing fits, the forced ``open-bin`` opens a fresh bin around an
 eligible item.  Three lower-bound expressions are declared; the halves
 and thirds of the classic weight-class bounds are scaled to integers
 (x2 and x6) so the ceilings stay exact.
@@ -128,49 +129,34 @@ def build_binpacking(instance: BinPackingInstance) -> Model:
         *[c.or_(c.not_(c.member(j, U)), c.lt(room, c.ntab("w", c.econst(j)))) for j in range(n)]
     )
 
-    opens = []
-    packs = []
-    for item in range(n):
-        e = c.econst(item)
-        weight = c.ntab("w", e)
-        opens.append(
-            Transition(
-                name=f"open-bin-{item}",
-                preconditions=(
-                    c.member(item, U),
-                    c.ge(c.num(item), c.num(bins)),
-                    nothing_fits,
-                ),
-                effects=(
-                    (meta.index("U"), ex.SetRemove(e, U)),
-                    (meta.index("r"), c.sub(q, weight)),
-                    (meta.index("k"), ex.ElementBinary("+", bins, c.econst(1))),
-                ),
-                weight=c.nconst(1),
-                forced=True,
-            )
-        )
-        packs.append(
-            Transition(
-                name=f"pack-{item}",
-                preconditions=(
-                    c.member(item, U),
-                    c.ge(room, weight),
-                    c.ge(c.add(c.num(item), 1), c.num(bins)),
-                ),
-                effects=(
-                    (meta.index("U"), ex.SetRemove(e, U)),
-                    (meta.index("r"), c.sub(room, weight)),
-                ),
-                weight=c.nconst(0),
-            )
-        )
+    item = ex.ElementParameter("item")
+    weight = c.ntab("w", item)
+    packed = (meta.index("U"), ex.SetRemove(item, U))
+    open_bin = Transition(
+        name="open-bin",
+        preconditions=(c.ge(c.num(item), c.num(bins)), nothing_fits),
+        effects=(
+            packed,
+            (meta.index("r"), c.sub(q, weight)),
+            (meta.index("k"), ex.ElementBinary("+", bins, c.econst(1))),
+        ),
+        weight=c.nconst(1),
+        forced=True,
+        parameters=(("item", "U"),),
+    )
+    pack = Transition(
+        name="pack",
+        preconditions=(c.ge(room, weight), c.ge(c.add(c.num(item), 1), c.num(bins))),
+        effects=(packed, (meta.index("r"), c.sub(room, weight))),
+        weight=c.nconst(0),
+        parameters=(("item", "U"),),
+    )
 
     return Model(
         metadata=meta,
         tables=tables,
         target=(bitset.from_items(range(n), n), 0, 0),
-        transitions=opens + packs,
+        transitions=[open_bin, pack],
         base_cases=[BaseCase((c.empty(U),), c.nconst(0))],
         dual_bounds=bound_expressions(meta, U, room, q),
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),

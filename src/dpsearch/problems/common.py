@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .. import bitset
 from .. import expressions as ex
 
 
@@ -131,6 +132,13 @@ def vector_table(name: str, vector, kind: str = "integer") -> ex.Table:
     return ex.Table(name, kind, (len(vector),), values)
 
 
+def set_table(name: str, sets) -> ex.Table:
+    """One set of objects per object, over as many objects as there are sets."""
+    n = len(sets)
+    values = {(i,): bitset.from_items(s, n) for i, s in enumerate(sets)}
+    return ex.Table(name, "set", (n,), values, value_universe=n)
+
+
 # Terse constructors; the builders assemble large trees from these.
 
 econst = ex.ElementConst
@@ -142,8 +150,14 @@ def ntab(name, *args):
 
 
 def num(value) -> ex.NumericExpression:
+    """``value`` in numeric context, as the parser reads its text back: an
+    element constant or parameter becomes its numeric leaf."""
     if isinstance(value, ex.NumericExpression):
         return value
+    if isinstance(value, ex.ElementConst):
+        return ex.NumericConst(value.value)
+    if isinstance(value, ex.ElementParameter):
+        return ex.NumericParameter(value.name)
     if isinstance(value, ex.ElementExpression):
         return ex.FromElement(value)
     return ex.NumericConst(value)
@@ -250,6 +264,4 @@ def or_(*cs):
 
 
 def sconst(items, universe):
-    from .. import bitset
-
     return ex.SetConst(bitset.from_items(items, universe), universe)

@@ -6,6 +6,11 @@ either directly by the current vehicle (when its demand fits) or by a
 fresh vehicle routed through the depot.  A state constraint prunes
 states whose remaining fleet capacity cannot cover the load plus the
 outstanding demand.
+
+The transitions stay ground, one pair per customer.  As two lifted
+families they would ground family by family (every ``visit``, then every
+``visit-via-depot``), and the fused ``expand`` would loop twice, which
+read 0.2-1.4% slower on the CVRP solve.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Graph-clear: sweep every node with the fewest robots at any step.
 
-State: the set C of already swept nodes.  Sweeping node v costs its own
-weight, plus blocking every edge at v, plus blocking every edge between
-swept nodes and the other unswept nodes; the objective folds steps with
-max.  The blocking sum over edges at v deliberately counts swept
-neighbors too, reading the step-cost formula literally.  Edge weights
-default to zero, so only actual edges need table entries.
+State: the set C of already swept nodes.  The lifted ``sweep`` ranges
+over every node, since C starts empty.  Sweeping node v costs its own
+weight plus blocking every edge at v, the table ``blocking``, plus
+blocking every edge between swept nodes and the other unswept nodes;
+the objective folds steps with max.  The blocking sum over edges at v
+deliberately counts swept neighbors too, reading the step-cost formula
+literally.  Edge weights default to zero, so only actual edges need
+table entries.
 """
 
 from __future__ import annotations
@@ -73,42 +75,41 @@ def build_graphclear(instance: GraphClearInstance) -> Model:
     for (i, j), w in instance.edge_weights.items():
         edge_values[(i, j)] = w
         edge_values[(j, i)] = w
+    blocking = [
+        instance.node_weights[v] + sum(instance.weight(v, other) for other in range(n))
+        for v in range(n)
+    ]
     tables = ex.TableRegistry(
         [
             c.vector_table("a", instance.node_weights),
             ex.Table("b", "integer", (n, n), edge_values, default=0),
+            c.vector_table("blocking", blocking),
         ]
     )
     swept = meta.set_("C")
 
-    transitions = []
-    for node in range(n):
-        e = c.econst(node)
-        blocking = instance.node_weights[node] + sum(
-            instance.weight(node, other) for other in range(n)
-        )
-        # edges from swept nodes into the still-contaminated rest
-        others = ex.SetRemove(e, ex.SetComplement(swept))
-        crossing = [
-            c.ite(c.member(i, swept), c.sum_over("b", others, c.econst(i)), 0)
-            for i in range(n)
-            if i != node
-        ]
-        transitions.append(
-            Transition(
-                name=f"sweep-{node}",
-                preconditions=(c.not_(c.member(node, swept)),),
-                effects=((meta.index("C"), ex.SetAdd(e, swept)),),
-                weight=c.add(blocking, *crossing),
-            )
-        )
+    # C starts empty, so the node ranges over its object type
+    node = ex.ElementParameter("node")
+    # edges from swept nodes into the still-contaminated rest; the node's
+    # own term is 0, since an unswept node is not in C
+    others = ex.SetRemove(node, ex.SetComplement(swept))
+    crossing = [
+        c.ite(c.member(i, swept), c.sum_over("b", others, c.econst(i)), 0) for i in range(n)
+    ]
+    sweep = Transition(
+        name="sweep",
+        preconditions=(c.not_(c.member(node, swept)),),
+        effects=((meta.index("C"), ex.SetAdd(node, swept)),),
+        weight=c.add(c.ntab("blocking", node), *crossing),
+        parameters=(("node", "node"),),
+    )
 
     everything = c.sconst(range(n), n)
     return Model(
         metadata=meta,
         tables=tables,
         target=(0,),
-        transitions=transitions,
+        transitions=[sweep],
         base_cases=[BaseCase((c.subset(everything, swept),), c.nconst(0))],
         dual_bounds=[c.nconst(0)],
         costs=CostStructure(operator="max", direction="min", cost_type="integer"),

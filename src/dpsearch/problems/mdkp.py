@@ -5,7 +5,8 @@ room in every weight dimension.  Two transitions advance the index:
 include (when the item fits everywhere) and skip.  Bounds: the suffix
 profit sum, and per dimension the best remaining profit/weight ratio
 times the remaining room (zero-weight items rate as the whole suffix
-profit, with the room clamped to at least one).
+profit, with the room clamped to at least one).  Neither transition
+ranges over the items, so the model has nothing to lift.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Minimization of open stacks, solved in customer order.
 
 State: customers whose stacks are not yet closed (R) and customers whose
-stacks have been opened (O).  Finishing customer c produces all of c's
-outstanding products at once, opening the stacks of every neighbor, so
-the step's stack count is the open-and-unfinished stacks plus the newly
-opened ones.  The objective folds steps with max, not addition.
+stacks have been opened (O).  The lifted ``finish`` ranges over c in R:
+finishing c produces all of c's outstanding products at once, opening
+the stacks of every neighbor (the set table ``near``), so the step's
+stack count is the open-and-unfinished stacks plus the newly opened
+ones.  The objective folds steps with max, not addition.
 """
 
 from __future__ import annotations
@@ -79,37 +80,30 @@ def build_mosp(instance: MospInstance) -> Model:
             Variable("O", SET, "customer"),
         ],
     )
-    tables = ex.TableRegistry()
+    tables = ex.TableRegistry([c.set_table("near", instance.neighbors)])
     remaining = meta.set_("R")
     opened = meta.set_("O")
 
-    transitions = []
-    for customer in range(n):
-        e = c.econst(customer)
-        near = c.sconst(sorted(instance.neighbors[customer]), n)
-        stacks = c.card(
-            ex.SetUnion(
-                ex.SetIntersection(opened, remaining),
-                ex.SetDifference(near, opened),
-            )
-        )
-        transitions.append(
-            Transition(
-                name=f"finish-{customer}",
-                preconditions=(c.member(customer, remaining),),
-                effects=(
-                    (meta.index("R"), ex.SetRemove(e, remaining)),
-                    (meta.index("O"), ex.SetUnion(opened, near)),
-                ),
-                weight=stacks,
-            )
-        )
+    customer = ex.ElementParameter("customer")
+    near = ex.SetTable("near", (customer,), n)
+    finish = Transition(
+        name="finish",
+        preconditions=(),
+        effects=(
+            (meta.index("R"), ex.SetRemove(customer, remaining)),
+            (meta.index("O"), ex.SetUnion(opened, near)),
+        ),
+        weight=c.card(
+            ex.SetUnion(ex.SetIntersection(opened, remaining), ex.SetDifference(near, opened))
+        ),
+        parameters=(("customer", "R"),),
+    )
 
     return Model(
         metadata=meta,
         tables=tables,
         target=(bitset.from_items(range(n), n), 0),
-        transitions=transitions,
+        transitions=[finish],
         base_cases=[BaseCase((c.empty(remaining),), c.nconst(0))],
         dual_bounds=[c.nconst(0)],
         costs=CostStructure(operator="max", direction="min", cost_type="integer"),

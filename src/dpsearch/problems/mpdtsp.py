@@ -4,9 +4,10 @@ State: unvisited customers U, current location i, current load l (less
 preferred).  The tour starts at customer 0 and must stop at customer
 n-1.  Each commodity raises the load at its pickup customer and lowers
 it at its delivery customer; the per-customer net change and the set of
-customers that must precede each customer are precomputed.  A customer
-is visitable when an edge from the current location exists, the load
-stays within capacity, and all its pickups are done.
+customers that must precede each customer (the set table ``pred``) are
+precomputed.  The lifted ``visit`` ranges over j in U: j is visitable
+when an edge from the current location exists, the load stays within
+capacity, and all its pickups are done.
 """
 
 from __future__ import annotations
@@ -124,42 +125,36 @@ def build_mpdtsp(instance: MpdtspInstance) -> Model:
             c.vector_table("delta", instance.net_change),
             c.vector_table("cin", instance.cheapest_in),
             c.vector_table("cout", instance.cheapest_out),
+            c.set_table("pred", instance.predecessors),
         ]
     )
     U = meta.set_("U")
     i = meta.element("i")
     load = meta.numeric("l")
 
-    transitions = []
-    for j in range(1, n - 1):
-        ej = c.econst(j)
-        # an empty predecessor set passes, and keeps one shape for every customer
-        before = c.sconst(sorted(instance.predecessors[j]), n)
-        preconditions = (
-            c.member(j, U),
-            c.eq(c.ntab("edge", i, ej), 1),
-            c.le(c.add(load, c.ntab("delta", ej)), q),
-            c.empty(ex.SetIntersection(before, U)),
-        )
-        transitions.append(
-            Transition(
-                name=f"visit-{j}",
-                preconditions=preconditions,
-                effects=(
-                    (meta.index("U"), ex.SetRemove(ej, U)),
-                    (meta.index("i"), ej),
-                    (meta.index("l"), c.add(load, c.ntab("delta", ej))),
-                ),
-                weight=c.ntab("c", i, ej),
-            )
-        )
+    j = ex.ElementParameter("j")
+    visit = Transition(
+        name="visit",
+        preconditions=(
+            c.eq(c.ntab("edge", i, j), 1),
+            c.le(c.add(load, c.ntab("delta", j)), q),
+            c.empty(ex.SetIntersection(ex.SetTable("pred", (j,), n), U)),
+        ),
+        effects=(
+            (meta.index("U"), ex.SetRemove(j, U)),
+            (meta.index("i"), j),
+            (meta.index("l"), c.add(load, c.ntab("delta", j))),
+        ),
+        weight=c.ntab("c", i, j),
+        parameters=(("j", "U"),),
+    )
 
     stop = c.econst(n - 1)
     return Model(
         metadata=meta,
         tables=tables,
         target=(bitset.from_items(range(1, n - 1), n), 0, 0),
-        transitions=transitions,
+        transitions=[visit],
         base_cases=[
             BaseCase(
                 (c.empty(U), c.eq(c.ntab("edge", i, stop), 1)),

@@ -1,13 +1,14 @@
 """Orienteering with time windows (profit maximization).
 
 State: candidate customers U, current location i, current time t (less
-preferred).  Visiting j collects its profit; customers that can no
-longer be reached in time are struck from U by forced zero-profit
-removals, as is an arbitrary customer when nobody is directly
-reachable.  The run ends once U is empty and the depot is reachable by
-its deadline.  Three bound expressions cap the remaining profit: the
-profit sum of still-reachable customers and two knapsack-style bounds
-built from best profit-per-travel-time ratios (kept as exact rationals).
+preferred).  Three lifted transitions range over j in U: ``visit``
+collects j's profit; ``drop-unreachable`` strikes j from U by a forced
+zero-profit removal once j can no longer be reached in time, and
+``drop-stuck`` strikes it when nobody is directly reachable.  The run
+ends once U is empty and the depot is reachable by its deadline.  Three
+bound expressions cap the remaining profit: the profit sum of
+still-reachable customers and two knapsack-style bounds built from best
+profit-per-travel-time ratios (kept as exact rationals).
 """
 
 from __future__ import annotations
@@ -109,66 +110,60 @@ def build_optw(instance: OptwInstance) -> Model:
     t = meta.numeric("t")
     b_depot = c.ntab("b", c.econst(0))
 
-    def unreachable(j: int) -> ex.Condition:
+    def unreachable(j: ex.ElementExpression) -> ex.Condition:
         """Customer j is out of reach even via shortest paths."""
-        ej = c.econst(j)
-        shortest_leg = c.add(t, c.ntab("cstar", i, ej))
+        shortest_leg = c.add(t, c.ntab("cstar", i, j))
         return c.or_(
-            c.gt(shortest_leg, c.ntab("b", ej)),
-            c.gt(c.add(shortest_leg, c.ntab("cstar", ej, c.econst(0))), b_depot),
+            c.gt(shortest_leg, c.ntab("b", j)),
+            c.gt(c.add(shortest_leg, c.ntab("cstar", j, c.econst(0))), b_depot),
         )
 
-    def directly_visitable(j: int) -> ex.Condition:
-        ej = c.econst(j)
-        arrival = c.add(t, c.ntab("c", i, ej))
+    def directly_visitable(j: ex.ElementExpression) -> ex.Condition:
+        arrival = c.add(t, c.ntab("c", i, j))
         return c.and_(
-            c.le(arrival, c.ntab("b", ej)),
-            c.le(c.add(arrival, c.ntab("cstar", ej, c.econst(0))), b_depot),
+            c.le(arrival, c.ntab("b", j)),
+            c.le(c.add(arrival, c.ntab("cstar", j, c.econst(0))), b_depot),
         )
 
-    nobody_visitable = c.and_(
-        *[c.not_(c.and_(c.member(j, U), directly_visitable(j))) for j in range(1, n)]
-    )
+    nobody_visitable = c.and_(*[
+        c.not_(c.and_(c.member(j, U), directly_visitable(c.econst(j)))) for j in range(1, n)
+    ])
 
-    removals = []
-    fallbacks = []
-    visits = []
-    for j in range(1, n):
-        ej = c.econst(j)
-        removals.append(
-            Transition(
-                name=f"drop-unreachable-{j}",
-                preconditions=(c.member(j, U), unreachable(j)),
-                effects=((meta.index("U"), ex.SetRemove(ej, U)),),
-                weight=c.nconst(0),
-                forced=True,
-            )
-        )
-        fallbacks.append(
-            Transition(
-                name=f"drop-stuck-{j}",
-                preconditions=(c.member(j, U), nobody_visitable),
-                effects=((meta.index("U"), ex.SetRemove(ej, U)),),
-                weight=c.nconst(0),
-                forced=True,
-            )
-        )
-        arrival = c.add(t, c.ntab("c", i, ej))
-        visits.append(
-            Transition(
-                name=f"visit-{j}",
-                preconditions=(c.member(j, U), directly_visitable(j)),
-                effects=(
-                    (meta.index("U"), ex.SetRemove(ej, U)),
-                    (meta.index("i"), ej),
-                    (meta.index("t"), c.nmax(arrival, c.ntab("a", ej))),
-                ),
-                weight=c.ntab("p", ej),
-            )
-        )
+    j = ex.ElementParameter("j")
+    removed = ((meta.index("U"), ex.SetRemove(j, U)),)
+    arrival = c.add(t, c.ntab("c", i, j))
+    transitions = [
+        Transition(
+            name="drop-unreachable",
+            preconditions=(unreachable(j),),
+            effects=removed,
+            weight=c.nconst(0),
+            forced=True,
+            parameters=(("j", "U"),),
+        ),
+        Transition(
+            name="drop-stuck",
+            preconditions=(nobody_visitable,),
+            effects=removed,
+            weight=c.nconst(0),
+            forced=True,
+            parameters=(("j", "U"),),
+        ),
+        Transition(
+            name="visit",
+            preconditions=(directly_visitable(j),),
+            effects=(
+                *removed,
+                (meta.index("i"), j),
+                (meta.index("t"), c.nmax(arrival, c.ntab("a", j))),
+            ),
+            weight=c.ntab("p", j),
+            parameters=(("j", "U"),),
+        ),
+    ]
 
     def still_open(j: int) -> ex.Condition:
-        return c.and_(c.member(j, U), c.not_(unreachable(j)))
+        return c.and_(c.member(j, U), c.not_(unreachable(c.econst(j))))
 
     profit_terms = [c.ite(still_open(j), c.ntab("p", c.econst(j)), 0) for j in range(1, n)]
     reachable_profit = c.add(*profit_terms)
@@ -189,7 +184,7 @@ def build_optw(instance: OptwInstance) -> Model:
         metadata=meta,
         tables=tables,
         target=(bitset.from_items(range(1, n), n), 0, 0),
-        transitions=removals + fallbacks + visits,
+        transitions=transitions,
         base_cases=[
             BaseCase(
                 (c.empty(U), c.le(c.add(t, c.ntab("c", i, c.econst(0))), b_depot)),

@@ -1,8 +1,9 @@
 """Simple assembly line balancing, type 1 (minimize stations).
 
-Bin packing with precedence: a task may only be scheduled once all its
-predecessors are done, and a new station opens (forced) only when no
-task can be scheduled in the current one, the maximum-load rule.  The
+Bin packing with precedence: the lifted ``schedule`` over the tasks in U
+takes a task only once all its predecessors, the set table ``pred``, are
+done, and a new station opens (forced) only when no task can be
+scheduled in the current one, the maximum-load rule.  The
 three bin-packing lower bounds carry over unchanged.
 """
 
@@ -67,21 +68,24 @@ def build_salbp1(instance: Salbp1Instance) -> Model:
             Variable("r", INTEGER, preference=GREATER),
         ],
     )
-    tables = ex.TableRegistry(bp.bound_tables(instance))
+    tables = ex.TableRegistry(
+        [*bp.bound_tables(instance), c.set_table("pred", instance.predecessors)]
+    )
     U = meta.set_("U")
     room = meta.numeric("r")
 
-    def schedulable(task: int) -> ex.Condition:
-        # an empty predecessor set passes, and keeps one shape for every task
-        before = c.sconst(sorted(instance.predecessors[task]), n)
-        return c.and_(
-            c.member(task, U),
-            c.ge(room, c.ntab("w", c.econst(task))),
-            c.empty(ex.SetIntersection(before, U)),
+    def fits(task: ex.ElementExpression) -> tuple[ex.Condition, ...]:
+        """The task fits the open station and its predecessors are done."""
+        return (
+            c.ge(room, c.ntab("w", task)),
+            c.empty(ex.SetIntersection(ex.SetTable("pred", (task,), n), U)),
         )
 
-    none_schedulable = c.and_(*[c.not_(schedulable(task)) for task in range(n)])
+    none_schedulable = c.and_(
+        *[c.not_(c.and_(c.member(k, U), *fits(c.econst(k)))) for k in range(n)]
+    )
 
+    task = ex.ElementParameter("task")
     transitions = [
         Transition(
             name="open-station",
@@ -89,21 +93,18 @@ def build_salbp1(instance: Salbp1Instance) -> Model:
             effects=((meta.index("r"), c.nconst(q)),),
             weight=c.nconst(1),
             forced=True,
-        )
+        ),
+        Transition(
+            name="schedule",
+            preconditions=fits(task),
+            effects=(
+                (meta.index("U"), ex.SetRemove(task, U)),
+                (meta.index("r"), c.sub(room, c.ntab("w", task))),
+            ),
+            weight=c.nconst(0),
+            parameters=(("task", "U"),),
+        ),
     ]
-    for task in range(n):
-        e = c.econst(task)
-        transitions.append(
-            Transition(
-                name=f"schedule-{task}",
-                preconditions=(schedulable(task),),
-                effects=(
-                    (meta.index("U"), ex.SetRemove(e, U)),
-                    (meta.index("r"), c.sub(room, c.ntab("w", e))),
-                ),
-                weight=c.nconst(0),
-            )
-        )
 
     return Model(
         metadata=meta,

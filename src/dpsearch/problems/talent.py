@@ -7,6 +7,10 @@ extra cost and is forced.  Candidate filtering drops a scene when a
 provably-better scene should precede it; the test is generated per scene
 pair and evaluated on the fly at each expansion.  Scenes with identical
 casts are merged (durations added) before the model is built.
+
+The transitions stay ground, one pair per scene: the shape of each
+scene's guard and cost depends on its cast, so no one lifted text holds
+them all.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Single-machine total weighted tardiness (minimize).
 
-State: the set F of already scheduled jobs.  Scheduling job i after F
-costs its weight times its tardiness at completion; optional precedence
-sets restrict which jobs may come before others.  The declared bound is
+State: the set F of already scheduled jobs.  The lifted ``schedule``
+ranges over every job, since F starts empty: scheduling job i after F
+costs its weight times its tardiness at completion, and the optional
+predecessor sets, the set table ``pred``, restrict which jobs may come
+before others.  The declared bound is
 the trivial zero function, which still enables primal-bound pruning.
 """
 
@@ -69,32 +71,32 @@ def build_wt(instance: WtInstance) -> Model:
             c.vector_table("p", instance.processing),
             c.vector_table("d", instance.due),
             c.vector_table("w", instance.weights),
+            c.set_table("pred", instance.predecessors),
         ]
     )
     done = meta.set_("F")
 
-    transitions = []
-    for job in range(n):
-        e = c.econst(job)
-        # an empty predecessor set passes, and keeps one shape for every job
-        before = c.sconst(sorted(instance.predecessors[job]), n)
-        completion = c.add(c.sum_over("p", done), c.ntab("p", e))
-        tardiness = c.nmax(0, c.sub(completion, c.ntab("d", e)))
-        transitions.append(
-            Transition(
-                name=f"schedule-{job}",
-                preconditions=(c.not_(c.member(job, done)), c.subset(before, done)),
-                effects=((meta.index("F"), ex.SetAdd(e, done)),),
-                weight=c.mul(c.ntab("w", e), tardiness),
-            )
-        )
+    # F starts empty, so the job ranges over its object type
+    job = ex.ElementParameter("job")
+    completion = c.add(c.sum_over("p", done), c.ntab("p", job))
+    tardiness = c.nmax(0, c.sub(completion, c.ntab("d", job)))
+    schedule = Transition(
+        name="schedule",
+        preconditions=(
+            c.not_(c.member(job, done)),
+            c.subset(ex.SetTable("pred", (job,), n), done),
+        ),
+        effects=((meta.index("F"), ex.SetAdd(job, done)),),
+        weight=c.mul(c.ntab("w", job), tardiness),
+        parameters=(("job", "job"),),
+    )
 
     everyone = c.sconst(range(n), n)
     return Model(
         metadata=meta,
         tables=tables,
         target=(0,),
-        transitions=transitions,
+        transitions=[schedule],
         base_cases=[BaseCase((c.subset(everyone, done),), c.nconst(0))],
         dual_bounds=[c.nconst(0)],
         costs=CostStructure(operator="+", direction="min", cost_type="integer"),

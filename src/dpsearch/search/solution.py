@@ -39,11 +39,6 @@ class Solution:
     dual_events: list[tuple[float, Number]] = field(default_factory=list)
 
     @property
-    def first_solution_cost(self) -> Optional[Number]:
-        """The cost of the first solution found, if any."""
-        return self.primal_events[0][1] if self.primal_events else None
-
-    @property
     def proved(self) -> bool:
         return self.status in (Status.OPTIMAL, Status.INFEASIBLE)
 

@@ -93,9 +93,9 @@ def test_criterion_2_first_solution_optimality(suite):
             solution = record.solutions["caasdy"]
             if record.optimum is None:
                 continue
-            assert solution.first_solution_cost == solution.cost == record.optimum, (
-                f"{name}[{index}]: first {solution.first_solution_cost}, "
-                f"final {solution.cost}"
+            first = solution.primal_events[0][1]
+            assert first == solution.cost == record.optimum, (
+                f"{name}[{index}]: first {first}, final {solution.cost}"
             )
             checked += 1
     assert checked > 100

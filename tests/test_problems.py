@@ -610,3 +610,48 @@ def test_precedence_keeps_one_shape_per_transition_family(make):
         len(t.preconditions) for t in ordered.transitions
     ]
     assert free._queries.expand.__code__ is ordered._queries.expand.__code__
+
+
+def _ring(n: int):
+    return tuple(tuple(0 if i == j else 1 + (i + j) % 3 for j in range(n)) for i in range(n))
+
+
+def _last_after_first(n: int):
+    return (frozenset(),) * (n - 1) + (frozenset({0}),)
+
+
+# One instance of every class over n objects
+SIZED = {
+    "binpacking": lambda n: BinPackingInstance((1,) * n, 2),
+    "cvrp": lambda n: CvrpInstance(_ring(n), (0,) + (1,) * (n - 1), 2, n),
+    "graphclear": lambda n: GraphClearInstance((1,) * n, {(0, 1): 1}),
+    "mdkp": lambda n: MdkpInstance((1,) * n, ((1,),) * n, (2,)),
+    "mosp": lambda n: MospInstance(tuple(frozenset({k % 2}) for k in range(n)), 2),
+    "mpdtsp": lambda n: MpdtspInstance(
+        _ring(n), frozenset((i, j) for i in range(n) for j in range(n) if i != j), 2,
+        ((1, 2, 1),)),
+    "optw": lambda n: OptwInstance(_ring(n), (0,) + (1,) * (n - 1), (0,) * n, (9,) * n),
+    "salbp1": lambda n: Salbp1Instance((1,) * n, 2, _last_after_first(n)),
+    "talent": lambda n: TalentInstance(
+        tuple(frozenset({k}) for k in range(n)), (1,) * n, (1,) * n),
+    "tsptw": lambda n: TsptwInstance(_ring(n), (0,) * n, (9,) * n),
+    "wt": lambda n: WtInstance((1,) * n, (1,) * n, (1,) * n, _last_after_first(n)),
+}
+
+# The classes whose transitions stay ground, one or two per object, and why
+GROUND = {
+    "cvrp": "as two families it grounds family by family and its fused expand loops twice",
+    "talent": "the shape of each scene's guard and cost depends on its cast",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_lifted_classes_declare_as_many_transitions_at_every_size(name):
+    small, large = (CLASSES[name].build(SIZED[name](n)) for n in (4, 12))
+    if name != "mdkp":  # its two transitions range over no object
+        assert len(small.transitions) < len(large.transitions)
+    declared = len(small.declared_transitions), len(large.declared_transitions)
+    if name in GROUND:
+        assert declared[0] < declared[1]
+    else:
+        assert declared[0] == declared[1]

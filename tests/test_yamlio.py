@@ -20,16 +20,19 @@ from dpsearch import sexpr, yamlio
 from dpsearch.expressions import (
     BoolConst,
     ElementConst,
+    ElementParameter,
     NumericBinary,
     NumericConst,
     NumericMax,
     NumericTable,
     NumericVar,
     SetIsEmpty,
+    SetRemove,
     Table,
     TableRegistry,
 )
 from dpsearch.problems import CLASSES, CvrpInstance, TsptwInstance, build_cvrp, build_tsptw
+from dpsearch.problems import common as c
 
 
 # A domain whose grounded transitions are named a-1, a-0, a-1.
@@ -361,6 +364,25 @@ class TestLiftedFamilies:
         assert "parameters" not in texts[0] and "visit-3" in texts[0]
         assert yamlio.load_model(*texts) == lifted
         assert texts != yamlio.serialize_model(lifted)
+
+    @pytest.mark.parametrize("item, parameters",
+                             [(ElementParameter("j"), (("j", "U"),)), (ElementConst(1), ())],
+                             ids=["lifted", "ground"])
+    def test_an_element_read_as_a_number_reads_back_equal(self, item, parameters):
+        # (>= j x) reads j as a number, the leaf the parser builds for its text
+        meta = dp.StateMetadata({"item": 3}, [dp.Variable("U", "set", "item"),
+                                              dp.Variable("x", "integer")])
+        U, x = meta.set_("U"), meta.numeric("x")
+        take = dp.Transition(
+            name="take",
+            preconditions=(c.ge(c.num(item), x),),
+            effects=((0, SetRemove(item, U)), (1, c.add(x, c.num(item)))),
+            weight=c.num(item),
+            parameters=parameters,
+        )
+        model = dp.Model(meta, TableRegistry(), (0b111, 0), [take],
+                         [dp.BaseCase((c.empty(U),), NumericConst(0))])
+        assert yamlio.load_model(*yamlio.serialize_model(model)) == model
 
     def test_grounding_shares_what_holds_no_parameter(self, fixture_texts):
         first, second = yamlio.load_model(*fixture_texts).transitions[:2]
